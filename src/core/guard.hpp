@@ -7,7 +7,7 @@
 // once per sweep point — and a tripped budget surfaces as a thrown
 // BudgetExceeded carrying which budget fired.  Guards never change
 // simulation *results*: a run either completes bit-identically to an
-// unguarded run or throws, which is what keeps the 12 pinned
+// unguarded run or throws, which is what keeps the pinned
 // determinism digests valid with guards attached.
 //
 // Cost model: a null guard pointer is one predictable branch per

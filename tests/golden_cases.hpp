@@ -1,20 +1,26 @@
 // The pinned golden workloads, shared by the determinism suite (which
 // proves scheduler rewrites bit-identical) and the guard suite (which
 // proves an attached-but-unlimited RunGuard changes nothing).  The
-// digests were captured from the original sort-per-step scheduler; if
-// an intentional semantic change ever invalidates them, re-capture by
-// running test_determinism and copying the "actual" values it prints.
+// first twelve digests were captured from the original sort-per-step
+// scheduler; the deep-queue cases after them (more than 64 LWPs waiting
+// for a CPU at once) from the scheduler that still rebuilt its kernel
+// queue on every pass.  If an intentional semantic change ever
+// invalidates them, re-capture by running test_determinism and copying
+// the "actual" values it prints.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "core/compiler.hpp"
 #include "core/config.hpp"
 #include "core/engine.hpp"
 #include "recorder/recorder.hpp"
 #include "solaris/program.hpp"
+#include "solaris/solaris.hpp"
 #include "util/time.hpp"
+#include "workloads/prodcons.hpp"
 #include "workloads/splash.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -30,7 +36,36 @@ struct GoldenCase {
   std::function<void()> workload;
   std::function<void(SimConfig&)> configure;
   std::uint64_t golden;
+  /// When non-zero, the run must reach at least this many LWPs waiting
+  /// for a CPU at one dispatch pass (EngineCounters::max_runq_depth):
+  /// the deep-queue cases pin the kernel queue beyond 64 waiters.
+  std::uint64_t min_runq_depth = 0;
 };
+
+/// The paper's §5 producer-consumer program at `producers` producers and
+/// half as many consumers, ten items each (`vppb gen prodcons-*` and the
+/// benchmark build it the same way: 490 producers make a 736-thread log).
+inline std::function<void()> prodcons(bool tuned, int producers) {
+  return [tuned, producers] {
+    workloads::ProdConsParams p;
+    p.producers = producers;
+    p.consumers = producers / 2;
+    p.items_per_producer = 10;
+    if (tuned) {
+      workloads::prodcons_tuned(p);
+    } else {
+      workloads::prodcons_naive(p);
+    }
+  };
+}
+
+inline ThreadPolicy bound_to_cpu(int cpu) {
+  ThreadPolicy pol;
+  pol.override_binding = true;
+  pol.binding = Binding::kBoundCpu;
+  pol.cpu = cpu;
+  return pol;
+}
 
 // clang-format off
 inline const GoldenCase kGoldenCases[] = {
@@ -118,6 +153,79 @@ inline const GoldenCase kGoldenCases[] = {
        c.sched.thread_policy[4] = fixed_prio;
      },
      0xa5305a520b24c0f1},
+    // ---- deep kernel queues: more than 64 LWPs waiting for a CPU ----
+    {"prodcons_tuned736_cpus1", prodcons(true, 490),
+     [](SimConfig& c) { c.hw.cpus = 1; },
+     0x6dfe870a2cef59dd, 65},
+    {"prodcons_tuned736_cpus8", prodcons(true, 490),
+     [](SimConfig& c) { c.hw.cpus = 8; },
+     0x7d2c3f1aa6d4291c, 65},
+    {"prodcons_naive736_cpus1", prodcons(false, 490),
+     [](SimConfig& c) { c.hw.cpus = 1; },
+     0x98d7d32048ee2bc0, 65},
+    {"prodcons_tuned196_cpus1_flat_ts", prodcons(true, 130),
+     [](SimConfig& c) {
+       c.hw.cpus = 1;
+       c.sched.ts_table = TsTable::flat(SimTime::millis(100));
+     },
+     0x95774aa692a71dd3, 65},
+    // 96 × 50 ms on 2 CPUs: waits pass the 1 s ts_maxwait, so
+    // starvation relief fires on queued LWPs.
+    {"fork_join96_cpus2_relief",
+     [] { workloads::fork_join(96, SimTime::millis(50)); },
+     [](SimConfig& c) { c.hw.cpus = 2; },
+     0xca6f85f0dbe35554, 65},
+    // thr_setprio lands on threads whose LWPs are already queued: main
+    // runs at a fixed priority above both classes, so nothing it
+    // creates preempts it and the workers pile up behind one CPU.
+    {"priority_classes80_cpus2",
+     [] { workloads::priority_classes(40, 40, SimTime::millis(1)); },
+     [](SimConfig& c) {
+       c.hw.cpus = 2;
+       ThreadPolicy fixed_main;
+       fixed_main.override_priority = true;
+       fixed_main.priority = 20;
+       c.sched.thread_policy[1] = fixed_main;
+     },
+     0xcff3124cf185cb0d, 65},
+    // CPU-bound readers (tids 4..11; the recorder numbers the first
+    // created thread 4), an LWP-bound writer that yields (tid 84) and
+    // comm-delayed wakeups.
+    {"readers_writer80_cpus4_bound",
+     [] {
+       workloads::readers_writer(80, 3, SimTime::micros(300), 4,
+                                 SimTime::micros(800));
+     },
+     [](SimConfig& c) {
+       c.hw.cpus = 4;
+       c.hw.comm_delay = SimTime::micros(5);
+       for (ThreadId tid = 4; tid <= 11; ++tid)
+         c.sched.thread_policy[tid] = bound_to_cpu(static_cast<int>(tid % 4));
+       ThreadPolicy to_lwp;
+       to_lwp.override_binding = true;
+       to_lwp.binding = Binding::kBoundLwp;
+       c.sched.thread_policy[84] = to_lwp;
+     },
+     0xc53eb043c91bc136, 65},
+    // A worker whose LWP is queued gets suspended, then continued.
+    {"suspend_queued80_cpus2",
+     [] {
+       std::vector<sol::thread_t> tids(80);
+       for (sol::thread_t& tid : tids) {
+         sol::thr_create_fn(
+             []() -> void* {
+               sol::compute(SimTime::millis(2));
+               return nullptr;
+             },
+             0, &tid, "worker");
+       }
+       sol::thr_suspend(tids[40]);
+       sol::compute(SimTime::millis(3));
+       sol::thr_continue(tids[40]);
+       sol::join_all();
+     },
+     [](SimConfig& c) { c.hw.cpus = 2; },
+     0x50ffcd1f3116fec7, 65},
 };
 // clang-format on
 

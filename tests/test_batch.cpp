@@ -23,7 +23,7 @@ namespace vppb::core {
 namespace {
 
 TEST(BatchedDriver, OneReusedEngineReproducesEveryGoldenDigest) {
-  // The strongest reuse test: a single engine runs all twelve cases in
+  // The strongest reuse test: a single engine runs every golden case in
   // sequence, so every case inherits the workspace the previous one
   // dirtied.  Any state that a reset fails to clear shows up as a
   // digest mismatch here.

@@ -35,10 +35,13 @@ TEST(DeterminismTest, GoldenDigests) {
     const CompiledTrace compiled = record_compiled(gc.workload);
     SimConfig cfg;
     gc.configure(cfg);
-    const std::uint64_t actual = digest(simulate(compiled, cfg));
+    const SimResult r = simulate(compiled, cfg);
+    const std::uint64_t actual = digest(r);
     EXPECT_EQ(actual, gc.golden)
         << gc.name << ": actual digest " << hex(actual) << " (golden "
         << hex(gc.golden) << ")";
+    EXPECT_GE(r.engine.max_runq_depth, gc.min_runq_depth)
+        << gc.name << " no longer reaches a deep kernel queue";
   }
 }
 
