@@ -767,6 +767,7 @@ void Engine::dispatch_lwps() {
   // and collect the dispatchable ones.
   disp_scratch_.clear();
   std::size_t keep = 0;
+  ec_.waiters_scanned += unplaced_.size();
   for (std::size_t r = 0; r < unplaced_.size(); ++r) {
     const int lid = unplaced_[r];
     Lwp& lwp = lwps_[static_cast<std::size_t>(lid)];
@@ -825,6 +826,7 @@ void Engine::dispatch_linear() {
        ++cpu) {
     if (cpu_lwp_[static_cast<std::size_t>(cpu)] != -1) continue;
     std::size_t best = npos;
+    ec_.waiters_scanned += disp_scratch_.size();
     for (std::size_t i = 0; i < disp_scratch_.size(); ++i) {
       const Lwp& cand = *disp_scratch_[i];
       if (cand.bound_cpu >= 0 && cand.bound_cpu != cpu) continue;
@@ -838,6 +840,7 @@ void Engine::dispatch_linear() {
   // (user prio, TS level) victim.
   while (!disp_scratch_.empty()) {
     std::size_t ci = 0;
+    ec_.waiters_scanned += disp_scratch_.size();
     for (std::size_t i = 1; i < disp_scratch_.size(); ++i) {
       if (better(*disp_scratch_[i], *disp_scratch_[ci])) ci = i;
     }
@@ -878,6 +881,7 @@ void Engine::dispatch_queued() {
     kq_bound_[static_cast<std::size_t>(cpu)].clear();
   kq_bound_touched_.clear();
 
+  ec_.waiters_scanned += disp_scratch_.size();
   for (Lwp* lp : disp_scratch_) {
     Lwp& lwp = *lp;
     const KWaiter kw{&lwp, lwp.th->prio, lwp.ts_level, lwp.disp_seq};
@@ -900,6 +904,7 @@ void Engine::dispatch_queued() {
   auto best_bound_for = [&](int cpu) {
     const auto& list = kq_bound_[static_cast<std::size_t>(cpu)];
     std::size_t best = list.size();
+    ec_.waiters_scanned += list.size();
     for (std::size_t i = 0; i < list.size(); ++i) {
       if (best == list.size() || better(list[i], list[best])) best = i;
     }
@@ -918,6 +923,7 @@ void Engine::dispatch_queued() {
   for (int cpu = 0; idle_cpus_ > 0 && cpu < cfg_->hw.cpus; ++cpu) {
     if (cpu_lwp_[static_cast<std::size_t>(cpu)] != -1) continue;
     const auto* ub = kq_.top();
+    ++ec_.waiters_scanned;
     const std::size_t bi = best_bound_for(cpu);
     const auto& blist = kq_bound_[static_cast<std::size_t>(cpu)];
     if (ub != nullptr && (bi == blist.size() || better(ub->item, blist[bi]))) {
@@ -932,12 +938,14 @@ void Engine::dispatch_queued() {
   // no victim with a strictly lower (user prio, TS level).
   for (;;) {
     const auto* ub = kq_.top();
+    ++ec_.waiters_scanned;
     bool have = ub != nullptr;
     KWaiter contender = have ? ub->item : KWaiter{};
     int contender_bcpu = -1;
     std::size_t contender_bi = 0;
     for (const int cpu : kq_bound_touched_) {
       const auto& list = kq_bound_[static_cast<std::size_t>(cpu)];
+      ec_.waiters_scanned += list.size();
       for (std::size_t i = 0; i < list.size(); ++i) {
         if (!have || better(list[i], contender)) {
           have = true;
@@ -1917,6 +1925,8 @@ struct EngineMetrics {
   obs::Counter& dispatches;
   obs::Counter& migrations;
   obs::Counter& preemptions;
+  obs::Counter& sched_passes;
+  obs::Counter& waiters_scanned;
 
   static EngineMetrics& get() {
     auto& reg = obs::Registry::global();
@@ -1930,6 +1940,10 @@ struct EngineMetrics {
                     "Placements onto a different CPU than last time"),
         reg.counter("vppb_engine_preemptions_total",
                     "Running LWPs evicted by a higher-priority waiter"),
+        reg.counter("vppb_engine_sched_passes_total",
+                    "Kernel dispatch passes with at least one waiting LWP"),
+        reg.counter("vppb_engine_waiters_scanned_total",
+                    "Kernel dispatch-queue entries read by dispatch passes"),
     };
     return m;
   }
@@ -2081,6 +2095,8 @@ SimResult Engine::run_body() {
   em.dispatches.inc(ec_.dispatches);
   em.migrations.inc(ec_.migrations);
   em.preemptions.inc(ec_.preemptions);
+  em.sched_passes.inc(ec_.sched_passes);
+  em.waiters_scanned.inc(ec_.waiters_scanned);
   run_span.arg("steps", static_cast<std::int64_t>(ec_.steps));
 
   return std::move(result_);
