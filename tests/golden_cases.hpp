@@ -190,7 +190,9 @@ inline const GoldenCase kGoldenCases[] = {
      0xcff3124cf185cb0d, 65},
     // CPU-bound readers (tids 4..11; the recorder numbers the first
     // created thread 4), an LWP-bound writer that yields (tid 84) and
-    // comm-delayed wakeups.
+    // comm-delayed wakeups.  Dedicated LWPs all start at disp_seq 0, so
+    // the bound readers get distinct fixed priorities: no two waiters
+    // ever tie on (priority, TS level, disp_seq).
     {"readers_writer80_cpus4_bound",
      [] {
        workloads::readers_writer(80, 3, SimTime::micros(300), 4,
@@ -199,14 +201,18 @@ inline const GoldenCase kGoldenCases[] = {
      [](SimConfig& c) {
        c.hw.cpus = 4;
        c.hw.comm_delay = SimTime::micros(5);
-       for (ThreadId tid = 4; tid <= 11; ++tid)
-         c.sched.thread_policy[tid] = bound_to_cpu(static_cast<int>(tid % 4));
+       for (ThreadId tid = 4; tid <= 11; ++tid) {
+         ThreadPolicy& pol = c.sched.thread_policy[tid];
+         pol = bound_to_cpu(static_cast<int>(tid % 4));
+         pol.override_priority = true;
+         pol.priority = static_cast<int>(tid) - 3;
+       }
        ThreadPolicy to_lwp;
        to_lwp.override_binding = true;
        to_lwp.binding = Binding::kBoundLwp;
        c.sched.thread_policy[84] = to_lwp;
      },
-     0xc53eb043c91bc136, 65},
+     0x0b8b96291f67c18d, 65},
     // A worker whose LWP is queued gets suspended, then continued.
     {"suspend_queued80_cpus2",
      [] {
