@@ -10,20 +10,22 @@
 // kernel level (LWPs waiting for a CPU, bucketed by user priority ×
 // TS level), replacing the sort-per-step scheduler it started with.
 //
-// Two usage patterns share the structure:
+// Both levels keep their queue across decisions and delete lazily: the
+// owner stamps every entry with an epoch; bumping the epoch outside the
+// queue turns the entry into a husk, and `invalidate()` keeps the
+// per-bucket live count (and the bitmap) in step.  Husks are discarded
+// when a later `scan` or `top` reaches them, wholesale when a bucket
+// runs out of live entries, and by a compaction once they outnumber
+// a bucket's live entries — so a bucket never holds more than about
+// twice its live entries.
 //
-//  * A persistent queue with lazy deletion (the library level).  The
-//    owner stamps every entry with an epoch; bumping the epoch outside
-//    the queue invalidates the entry in place, and `invalidate()`
-//    keeps the per-bucket live count (and the bitmap) in step.  The
-//    stale husk is discarded when a later `scan` walks over it.
-//  * A scratch queue rebuilt from scratch before each decision (the
-//    kernel level): every entry is live, so `top()`/`pop_top()` read
-//    the best entry directly.  `clear()` is O(buckets touched since
-//    the last clear), not O(levels), so a mostly-idle queue stays
-//    cheap to recycle.
+//  * The library level walks its queue with `scan`, skipping entries
+//    that are queued but not yet eligible.
+//  * The kernel level queues only eligible LWPs, so `top()` is the next
+//    LWP to dispatch and `pop_top()` takes it.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -69,15 +71,15 @@ class PrioBitmap {
   std::vector<std::uint64_t> words_;
 };
 
-/// One dispatch-queue array: per-level FIFO buckets ordered by an
-/// explicit sequence number, plus the bitmap of non-empty levels.
-/// Higher level = dispatched first; within a level, smaller seq first.
-template <typename Item>
+/// One dispatch-queue array: per-level buckets ordered by an explicit
+/// sequence key, plus the bitmap of non-empty levels.  Higher level =
+/// dispatched first; within a level, smaller key first.
+template <typename Item, typename Key = std::uint64_t>
 class DispQueue {
  public:
   struct Entry {
     Item item;
-    std::uint64_t seq;
+    Key seq;
     std::uint32_t epoch;  ///< owner's stamp; mismatch = lazily deleted
   };
 
@@ -100,13 +102,16 @@ class DispQueue {
     bits_.configure(levels);
     touched_.clear();
     live_total_ = 0;
+    reads_ = 0;
   }
 
+  int levels() const { return static_cast<int>(buckets_.size()); }
+
   /// Queue `item` at `level`, ordered by `seq` within the bucket.  The
-  /// common case (monotonically growing seq) appends; re-queues with an
-  /// older seq walk back from the tail to their position, so bucket
-  /// order is always by seq regardless of arrival order.
-  void insert(int level, Item item, std::uint64_t seq, std::uint32_t epoch) {
+  /// common case (a key no smaller than the bucket's last) appends;
+  /// re-queues with an older key binary-search their position, so
+  /// bucket order is always by key regardless of arrival order.
+  void insert(int level, Item item, Key seq, std::uint32_t epoch) {
     Bucket& b = buckets_[static_cast<std::size_t>(level)];
     if (!b.touched) {
       b.touched = true;
@@ -115,19 +120,40 @@ class DispQueue {
     if (b.live == 0) bits_.set(level);
     ++b.live;
     ++live_total_;
-    std::size_t pos = b.q.size();
-    while (pos > b.head && b.q[pos - 1].seq > seq) --pos;
-    b.q.insert(b.q.begin() + static_cast<std::ptrdiff_t>(pos),
-               Entry{item, seq, epoch});
+    const auto first = b.q.begin() + static_cast<std::ptrdiff_t>(b.head);
+    auto pos = b.q.end();
+    if (pos != first) {
+      ++reads_;
+      if ((pos - 1)->seq > seq) {
+        pos = std::upper_bound(first, pos - 1, seq,
+                               [this](const Key& k, const Entry& e) {
+                                 ++reads_;
+                                 return k < e.seq;
+                               });
+      }
+    }
+    b.q.insert(pos, Entry{item, seq, epoch});
   }
 
   /// The owner removed an entry of `level` by bumping its epoch; keep
-  /// the live count and bitmap consistent.
-  void invalidate(int level) {
+  /// the live count and bitmap consistent.  `live(entry)` tells live
+  /// entries from husks, for the compaction that keeps husks from
+  /// piling up behind a bucket's head.
+  template <typename F>
+  void invalidate(int level, F&& live) {
     Bucket& b = buckets_[static_cast<std::size_t>(level)];
     --b.live;
     --live_total_;
-    if (b.live == 0) reset_bucket(b, level);
+    if (b.live == 0) {
+      reset_bucket(b, level);
+      return;
+    }
+    if (b.q.size() - b.head > 2 * b.live + 8) {
+      reads_ += b.q.size() - b.head;
+      b.q.erase(b.q.begin(), b.q.begin() + static_cast<std::ptrdiff_t>(b.head));
+      b.head = 0;
+      std::erase_if(b.q, [&live](const Entry& e) { return !live(e); });
+    }
   }
 
   /// Walks entries from the strongest level down, calling
@@ -150,33 +176,35 @@ class DispQueue {
         }
         Item out = b.q[i].item;
         if (i == b.head) ++b.head;
-        --b.live;
-        --live_total_;
-        if (b.live == 0) reset_bucket(b, level);
+        take(b, level);
         return out;
       }
     }
     return Item{};
   }
 
-  /// Best entry, assuming every queued entry is live (scratch usage —
-  /// rebuilt queues with no lazy deletions).  nullptr when empty.
-  const Entry* top() const {
+  /// Best live entry, or nullptr when none is queued.  Husks at the
+  /// head of the strongest bucket (`live(entry)` false) are dropped on
+  /// the way; a set bit guarantees the bucket still holds a live one.
+  template <typename F>
+  const Entry* top(F&& live) {
+    if (live_total_ == 0) return nullptr;
     const int level = bits_.highest();
-    if (level < 0) return nullptr;
-    const Bucket& b = buckets_[static_cast<std::size_t>(level)];
-    return &b.q[b.head];
+    Bucket& b = buckets_[static_cast<std::size_t>(level)];
+    for (;;) {
+      ++reads_;
+      if (live(b.q[b.head])) return &b.q[b.head];
+      ++b.head;
+    }
   }
 
-  /// Pops the entry `top()` returned.  Same all-live assumption.
+  /// Pops the entry the last `top()` returned.
   Item pop_top() {
     const int level = bits_.highest();
     Bucket& b = buckets_[static_cast<std::size_t>(level)];
     Item out = b.q[b.head].item;
     ++b.head;
-    --b.live;
-    --live_total_;
-    if (b.live == 0) reset_bucket(b, level);
+    take(b, level);
     return out;
   }
 
@@ -192,12 +220,17 @@ class DispQueue {
     }
     touched_.clear();
     live_total_ = 0;
+    reads_ = 0;
   }
 
   /// Entries inserted and not yet taken or invalidated, across all
   /// buckets.  Zero means a scan cannot take anything, letting callers
   /// skip it in O(1).
   std::size_t live() const { return live_total_; }
+
+  /// Entries read by insert, top and compaction since the last clear:
+  /// the queue's own measure of the work it has done.
+  std::uint64_t reads() const { return reads_; }
 
  private:
   struct Bucket {
@@ -206,6 +239,12 @@ class DispQueue {
     std::size_t live = 0;   ///< entries not lazily deleted
     bool touched = false;   ///< on the touched_ list
   };
+
+  void take(Bucket& b, int level) {
+    --b.live;
+    --live_total_;
+    if (b.live == 0) reset_bucket(b, level);
+  }
 
   void reset_bucket(Bucket& b, int level) {
     // No live entries: whatever is physically left is stale husks, so
@@ -219,6 +258,7 @@ class DispQueue {
   PrioBitmap bits_;
   std::vector<int> touched_;
   std::size_t live_total_ = 0;
+  std::uint64_t reads_ = 0;
 };
 
 }  // namespace vppb::core

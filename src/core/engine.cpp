@@ -42,6 +42,7 @@ struct Th {
   SimTime wake_at;   ///< timer when kSleeping
 
   int prio = 0;
+  int prio_rank = 0;  ///< rank of prio among the run's priorities (bucket)
   bool prio_overridden = false;
   bool suspended = false;      ///< thr_suspend replay: ineligible to run
   bool pending_suspend = false;
@@ -113,8 +114,23 @@ struct Lwp {
   int bound_cpu = -1;
   bool slept = false;        ///< pending sleep-return boost
   bool in_free_heap = false; ///< queued in the free-LWP heap
-  bool in_unplaced = false;  ///< on the attached-but-unplaced list
   bool in_quantum_due = false;  ///< on the quantum-expiry due list
+
+  // Kernel dispatch-queue bookkeeping.
+  bool kq_dirty = false;        ///< on the list kq_refresh() re-examines
+  std::int32_t kq_level = -1;   ///< bucket of its live queue entry, -1 = none
+  std::uint64_t kq_seq = 0;     ///< disp_seq the live entry was keyed with
+  std::uint32_t kq_epoch = 0;   ///< stamp for lazy queue deletion
+  std::uint32_t relief_stamp = 0;  ///< stamp of its live relief deadline
+};
+
+/// Within-bucket order of the kernel dispatch queue: FIFO by disp_seq,
+/// then LWP id.  Dedicated LWPs all start at disp_seq 0, so the id is
+/// what makes the dispatch order total.
+struct KSeq {
+  std::uint64_t disp_seq;
+  int lwp;
+  auto operator<=>(const KSeq&) const = default;
 };
 
 class Engine {
@@ -130,6 +146,8 @@ class Engine {
                 const RunGuard* guard);
 
  private:
+  using KQueue = DispQueue<int, KSeq>;  ///< kernel queue; items are LWP ids
+
   SimResult run_body();
   void reset_workspace();
 
@@ -183,13 +201,18 @@ class Engine {
   void assign();
   void attach_unbound_threads();
   void dispatch_lwps();
-  void dispatch_linear();
-  void dispatch_queued();
   void place(Lwp& lwp, int cpu);
   void unplace(Lwp& lwp);
+  /// Why a running thread gives up its CPU (see leave_cpu).
+  enum class Leave : std::uint8_t {
+    kYield,  ///< thr_yield: an unbound thread hands its LWP back
+    kWait,   ///< cond_wait paths: the LWP's gantt interval stays open
+    kBlock,  ///< blocking and I/O waits: the gantt interval is closed
+    kExit,   ///< thread exit: even a dedicated LWP is released
+  };
+  void leave_cpu(Th& t, Leave why);
   void emit_lwp_segment(Lwp& lwp);
-  bool dispatchable(const Lwp& lwp) const;
-  bool lwp_waiting_for_cpu() const;
+  bool lwp_waiting_for_cpu();
 
   // ---- dispatch-queue bookkeeping ----
   int rank_of(int prio) const;
@@ -197,7 +220,27 @@ class Engine {
   void rq_take_out(Th& t);  ///< invalidate its queue entry, if any
   Lwp* acquire_free_lwp();
   void mark_free(Lwp& lwp);
-  void mark_unplaced(Lwp& lwp);
+  void kq_touch(Lwp& lwp);  ///< have kq_refresh() re-examine the LWP
+  void kq_refresh();        ///< bring the kernel queues up to date
+  void kq_sync(Lwp& lwp);   ///< sync one LWP's kernel-queue membership
+  void kq_remove(Lwp& lwp);
+  void kq_pop(Lwp& lwp);    ///< take the LWP kq_top() returned
+  KQueue& kq_of(const Lwp& lwp) {
+    return lwp.bound_cpu < 0
+               ? kq_
+               : kq_cpu_[static_cast<std::size_t>(lwp.bound_cpu)];
+  }
+  /// Tells a live kernel-queue entry from a lazily deleted husk.
+  auto kq_live() const {
+    return [this](const KQueue::Entry& e) {
+      return e.epoch == lwps_[static_cast<std::size_t>(e.item)].kq_epoch;
+    };
+  }
+  Lwp* kq_top(KQueue& q);
+  Lwp* best_waiter_for(int cpu);
+  Lwp* best_waiter();
+  void arm_relief(Lwp& lwp);
+  void relieve_starved();
   void defer_ready(const Th& t);  ///< arm a timer for a future ready_at
   void push_timer(SimTime when, const Th& t, bool sleep);
 
@@ -284,17 +327,27 @@ class Engine {
   std::vector<int> prios_;  ///< sorted distinct user priorities
   DispQueue<Th*> rq_;
 
-  // Kernel level: scratch queues rebuilt per dispatch decision.
-  struct KWaiter {
-    Lwp* lwp;
-    int uprio;
-    int ts;
-    std::uint64_t seq;
+  // Kernel level: the LWPs that wait for a CPU and could run now,
+  // bucketed by user-priority rank × TS level, FIFO (KSeq) within a
+  // bucket; kBoundCpu LWPs wait in their CPU's own queue.  The queues
+  // persist across passes: the sites that change an LWP's placement,
+  // attachment, thread state or key kq_touch() it, and kq_refresh()
+  // re-syncs just those.
+  KQueue kq_;
+  std::vector<KQueue> kq_cpu_;  ///< per CPU: its kBoundCpu waiters
+  std::size_t kq_waiting_ = 0;  ///< live entries across kq_ and kq_cpu_
+  std::vector<int> kq_dirty_;   ///< touched LWP ids, each listed once
+  /// Per-LWP deadlines, min-heaps validated lazily: a waiter's ready_at
+  /// still ahead (kq_later_: re-examine it then) and its ts_maxwait
+  /// running out (relief_: stamp must match Lwp::relief_stamp).
+  struct LwpTimer {
+    SimTime when;
+    int lwp;
+    std::uint32_t stamp;
   };
-  DispQueue<KWaiter> kq_;                       ///< unbound-CPU waiters
-  bool kq_ready_ = false;                       ///< kq_ buckets allocated
-  std::vector<std::vector<KWaiter>> kq_bound_;  ///< per-CPU bound waiters
-  std::vector<int> kq_bound_touched_;
+  std::vector<LwpTimer> kq_later_;
+  std::vector<LwpTimer> relief_;
+  std::uint64_t relief_reads_ = 0;  ///< relief_ entries popped or compacted
 
   /// Idle non-dedicated LWPs, one bit per LWP id.  Attach reuses the
   /// lowest-numbered free LWP first (like the heap it replaces), found
@@ -303,12 +356,6 @@ class Engine {
   std::vector<std::uint64_t> free_bits_;
   int free_hint_ = 0;
   std::size_t free_count_ = 0;
-  /// LWPs with a thread but no CPU (stale entries dropped lazily).
-  std::vector<int> unplaced_;
-  /// Entries of unplaced_ that are still attached and still CPU-less —
-  /// i.e. not stale.  Zero lets dispatch_lwps() skip the scan outright
-  /// (stale husks then wait for the next live scan to be compacted).
-  std::size_t unplaced_live_ = 0;
 
   /// Incremental due lists, replacing the per-iteration CPU scans of
   /// process_due_now(): every site that can make a running thread's
@@ -326,8 +373,9 @@ class Engine {
     std::int32_t idx;
     bool sleep;
   };
-  struct TimerLater {
-    bool operator()(const Timer& a, const Timer& b) const {
+  struct TimerLater {  ///< min-heap order for any record with a `when`
+    template <typename T>
+    bool operator()(const T& a, const T& b) const {
       return a.when > b.when;
     }
   };
@@ -335,7 +383,6 @@ class Engine {
 
   // Reusable scratch (hoisted out of the per-event hot paths).
   std::vector<int> due_scratch_;
-  std::vector<Lwp*> disp_scratch_;
   std::vector<std::uint32_t> mutex_scratch_;
 
   // Per-thread cold data, indexed by Th::idx.  Out-of-line so Th stays
@@ -356,12 +403,6 @@ class Engine {
   std::uint64_t last_assign_clock_ = 0;
   SimTime last_assign_now_;
   bool assign_memo_valid_ = false;
-  /// Same fingerprint scheme for the is-any-LWP-waiting probe, which
-  /// next_event_time and the quantum-expiry scan both issue per event.
-  mutable std::uint64_t contended_clock_ = 0;
-  mutable SimTime contended_now_;
-  mutable bool contended_valid_ = false;
-  mutable bool contended_val_ = false;
 
   /// Self-observation: plain (non-atomic) increments on the hot paths,
   /// published into result_.engine once at the end of run().  Keeping
@@ -401,17 +442,23 @@ void Engine::rq_take_out(Th& t) {
   if (!t.in_rq) return;
   t.in_rq = false;
   ++t.rq_epoch;
-  rq_.invalidate(t.rq_bucket);
+  rq_.invalidate(t.rq_bucket, [](const DispQueue<Th*>::Entry& e) {
+    return e.epoch == e.item->rq_epoch;
+  });
 }
 
 /// Brings the library dispatch queue in line with the thread's state:
 /// requeued (fresh bucket/seq) when it is ready, unbound, unattached
-/// and not suspended; dequeued otherwise.  Idempotent.
+/// and not suspended; dequeued otherwise.  Idempotent.  Every change to
+/// a thread's priority, readiness or suspension ends here, so this is
+/// also where an attached thread's LWP gets re-examined for the kernel
+/// queue.
 void Engine::rq_put(Th& t) {
   note_sched_change();
+  if (t.lwp >= 0) kq_touch(lwps_[static_cast<std::size_t>(t.lwp)]);
   rq_take_out(t);
   if (t.bound || t.suspended || t.lwp != -1 || t.st != Th::St::kReady) return;
-  t.rq_bucket = rank_of(t.prio);
+  t.rq_bucket = t.prio_rank;
   t.in_rq = true;
   rq_.insert(t.rq_bucket, &t, t.lib_seq, t.rq_epoch);
 }
@@ -427,16 +474,11 @@ void Engine::mark_free(Lwp& lwp) {
   ++free_count_;
 }
 
-void Engine::mark_unplaced(Lwp& lwp) {
-  // Only ever called on an attached, CPU-less LWP that is not already
-  // counted (placement and detachment both decrement), so the live
-  // count moves in lock-step with the "attached and unplaced" set even
-  // when the vector still holds the physical husk of an earlier stint.
-  note_sched_change();
-  ++unplaced_live_;
-  if (lwp.in_unplaced) return;
-  lwp.in_unplaced = true;
-  unplaced_.push_back(lwp.id);
+void Engine::kq_touch(Lwp& lwp) {
+  // A placed LWP is never queued, and unplace() touches it again.
+  if (lwp.kq_dirty || lwp.cpu >= 0) return;
+  lwp.kq_dirty = true;
+  kq_dirty_.push_back(lwp.id);
 }
 
 void Engine::push_timer(SimTime when, const Th& t, bool sleep) {
@@ -484,6 +526,7 @@ void Engine::set_state(Th& t, Th::St st) {
   t.st = st;
   t.seg_state = seg_state_of(st);
   if (st != Th::St::kRunning) t.seg_cpu = -1;
+  if (t.lwp >= 0) kq_touch(lwps_[static_cast<std::size_t>(t.lwp)]);
 }
 
 // ---------------------------------------------------------------------------
@@ -580,13 +623,13 @@ void Engine::init_threads() {
                 compiled_->setprio_values.end());
   std::sort(prios_.begin(), prios_.end());
   prios_.erase(std::unique(prios_.begin(), prios_.end()), prios_.end());
+  for (Th& t : threads_) t.prio_rank = rank_of(t.prio);
   rq_.configure(static_cast<int>(prios_.size()));
-  // kq_ is configured lazily by dispatch_queued(): its bucket array is
-  // prios × TS levels, and most runs never see > 64 waiting LWPs.
-  kq_ready_ = false;
-  for (auto& list : kq_bound_) list.clear();
-  kq_bound_touched_.clear();
-  kq_bound_.resize(static_cast<std::size_t>(cfg_->hw.cpus));
+  // The per-CPU queues take the same bucket array, configured when a
+  // kBoundCpu LWP first waits on one (most runs have none).
+  kq_.configure(static_cast<int>(prios_.size()) * kTsLevels);
+  for (KQueue& q : kq_cpu_) q.clear();
+  kq_cpu_.resize(static_cast<std::size_t>(cfg_->hw.cpus));
 
   // Per-kind object tables presized from the program's id bounds and
   // reset in place (wait-queue buffers survive).
@@ -627,7 +670,8 @@ void Engine::spawn_thread(ThreadId tid, SimTime at) {
     lwp.thread = tid;
     lwp.th = &t;
     t.lwp = lwp.id;
-    mark_unplaced(lwp);
+    note_sched_change();
+    kq_touch(lwp);
   } else {
     rq_put(t);
   }
@@ -636,14 +680,6 @@ void Engine::spawn_thread(ThreadId tid, SimTime at) {
 
 // ---------------------------------------------------------------------------
 // Scheduling: library level (threads -> LWPs) and kernel level (LWPs -> CPUs)
-
-bool Engine::dispatchable(const Lwp& lwp) const {
-  if (lwp.th == nullptr) return false;
-  const Th& t = *lwp.th;
-  if (t.suspended) return false;
-  if (t.st == Th::St::kRunning) return true;
-  return t.st == Th::St::kReady && t.ready_at <= now_;
-}
 
 /// Lowest-numbered free non-dedicated LWP, growing the unbound pool
 /// lazily (up to its configured size) once the existing ones are busy.
@@ -714,7 +750,8 @@ void Engine::attach_unbound_threads() {
     }
     lwp->disp_seq = next_disp_seq_++;
     lwp->enqueued_at = now_;
-    mark_unplaced(*lwp);
+    note_sched_change();
+    kq_touch(*lwp);
   }
 }
 
@@ -737,7 +774,6 @@ void Engine::place(Lwp& lwp, int cpu) {
   if (migrated) t.remaining += cfg_->hw.migration_penalty;
   t.remaining += cfg_->cost.context_switch_cost;
   t.last_cpu = cpu;
-  --unplaced_live_;
   note_phase_due(t);
   note_quantum_due(lwp);
 }
@@ -754,97 +790,187 @@ void Engine::unplace(Lwp& lwp) {
     Th& t = *lwp.th;
     if (t.st == Th::St::kRunning) set_state(t, Th::St::kReady);
     lwp.enqueued_at = now_;
-    mark_unplaced(lwp);
+    note_sched_change();
+    kq_touch(lwp);
+  }
+}
+
+void Engine::leave_cpu(Th& t, Leave why) {
+  if (t.lwp < 0) return;
+  Lwp& lwp = lwps_[static_cast<std::size_t>(t.lwp)];
+  unplace(lwp);
+  // The LWP sleeps with its thread (and is boosted, ts_slpret, when it
+  // next waits for a CPU) — unless a bound thread merely yields.
+  if (why != Leave::kYield || !t.bound) lwp.slept = true;
+  if (t.bound && why != Leave::kExit) return;
+  const bool close_gantt = why == Leave::kBlock || why == Leave::kExit;
+  if (close_gantt) emit_lwp_segment(lwp);
+  lwp.thread = ult::kNoThread;
+  lwp.th = nullptr;
+  if (close_gantt) lwp.seg_thread = 0;
+  t.lwp = -1;
+  mark_free(lwp);
+}
+
+// ---- kernel dispatch queue --------------------------------------------
+
+/// Brings the kernel queues in line with the LWP's state: queued, under
+/// its current (priority rank, TS level, disp_seq) key, while it is
+/// attached, off-CPU and its thread could run now; out of the queues
+/// otherwise.  A thread whose comm-delayed ready_at is still ahead gets
+/// the LWP re-examined then.  Idempotent.
+void Engine::kq_sync(Lwp& lwp) {
+  const Th* t = lwp.th;
+  bool eligible = t != nullptr && lwp.cpu < 0 && !t->suspended &&
+                  t->st == Th::St::kReady;
+  if (eligible && t->ready_at > now_) {
+    kq_later_.push_back(LwpTimer{t->ready_at, lwp.id, 0});
+    std::push_heap(kq_later_.begin(), kq_later_.end(), TimerLater{});
+    eligible = false;
+  }
+  const int level = eligible ? t->prio_rank * kTsLevels +
+                                   std::clamp(lwp.ts_level, 0, kTsLevels - 1)
+                             : -1;
+  if (level == lwp.kq_level && (level < 0 || lwp.kq_seq == lwp.disp_seq))
+    return;
+  const bool was_waiting = lwp.kq_level >= 0;
+  if (was_waiting) kq_remove(lwp);
+  if (!eligible) return;
+  KQueue& q = kq_of(lwp);
+  if (q.levels() != kq_.levels()) q.configure(kq_.levels());
+  lwp.kq_level = level;
+  lwp.kq_seq = lwp.disp_seq;
+  q.insert(level, lwp.id, KSeq{lwp.disp_seq, lwp.id}, lwp.kq_epoch);
+  ++kq_waiting_;
+  if (!was_waiting) arm_relief(lwp);
+}
+
+void Engine::kq_remove(Lwp& lwp) {
+  ++lwp.kq_epoch;
+  kq_of(lwp).invalidate(lwp.kq_level, kq_live());
+  lwp.kq_level = -1;
+  --kq_waiting_;
+}
+
+void Engine::kq_pop(Lwp& lwp) {
+  kq_of(lwp).pop_top();
+  lwp.kq_level = -1;
+  --kq_waiting_;
+}
+
+void Engine::kq_refresh() {
+  while (!kq_later_.empty() && kq_later_.front().when <= now_) {
+    kq_touch(lwps_[static_cast<std::size_t>(kq_later_.front().lwp)]);
+    std::pop_heap(kq_later_.begin(), kq_later_.end(), TimerLater{});
+    kq_later_.pop_back();
+  }
+  for (const int id : kq_dirty_) {
+    Lwp& lwp = lwps_[static_cast<std::size_t>(id)];
+    lwp.kq_dirty = false;
+    kq_sync(lwp);
+  }
+  kq_dirty_.clear();
+}
+
+Lwp* Engine::kq_top(KQueue& q) {
+  const KQueue::Entry* e = q.top(kq_live());
+  return e == nullptr ? nullptr : &lwps_[static_cast<std::size_t>(e->item)];
+}
+
+/// The kernel dispatch order between two queued LWPs: user priority,
+/// then TS level (together their bucket), then KSeq.
+bool runs_before(const Lwp& a, const Lwp& b) {
+  if (a.kq_level != b.kq_level) return a.kq_level > b.kq_level;
+  return KSeq{a.kq_seq, a.id} < KSeq{b.kq_seq, b.id};
+}
+
+/// The waiter `cpu` would take: the shared queue's head or the CPU's
+/// own kBoundCpu head, whichever runs first.
+Lwp* Engine::best_waiter_for(int cpu) {
+  Lwp* best = kq_top(kq_);
+  Lwp* own = kq_top(kq_cpu_[static_cast<std::size_t>(cpu)]);
+  if (own != nullptr && (best == nullptr || runs_before(*own, *best)))
+    best = own;
+  return best;
+}
+
+/// The strongest waiter of all, wherever it may run.
+Lwp* Engine::best_waiter() {
+  Lwp* best = kq_top(kq_);
+  if (kq_waiting_ == kq_.live()) return best;  // no kBoundCpu waiter
+  for (KQueue& q : kq_cpu_) {
+    Lwp* cand = kq_top(q);
+    if (cand != nullptr && (best == nullptr || runs_before(*cand, *best)))
+      best = cand;
+  }
+  return best;
+}
+
+/// Arms the waiter's starvation deadline (ts_maxwait past enqueued_at),
+/// superseding any earlier one.
+void Engine::arm_relief(Lwp& lwp) {
+  ++lwp.relief_stamp;
+  if (!cfg_->sched.ts_dynamics) return;
+  const SimTime max_wait = cfg_->sched.ts_table.entry(lwp.ts_level).max_wait;
+  // Saturate rather than overflow: TsTable::flat never starves anyone.
+  if (max_wait > SimTime::max() - lwp.enqueued_at) return;
+  relief_.push_back(
+      LwpTimer{lwp.enqueued_at + max_wait, lwp.id, lwp.relief_stamp});
+  std::push_heap(relief_.begin(), relief_.end(), TimerLater{});
+  // Deadlines of waiters since dispatched are dropped lazily; once they
+  // outnumber the waiters, sweep them out in one go.
+  if (relief_.size() > 2 * kq_waiting_ + 64) {
+    relief_reads_ += relief_.size();
+    std::erase_if(relief_, [this](const LwpTimer& d) {
+      const Lwp& l = lwps_[static_cast<std::size_t>(d.lwp)];
+      return l.kq_level < 0 || d.stamp != l.relief_stamp;
+    });
+    std::make_heap(relief_.begin(), relief_.end(), TimerLater{});
+  }
+}
+
+/// Starvation relief (ts_lwait): a waiter queued longer than its level's
+/// ts_maxwait moves to its starvation level with a fresh quantum.
+void Engine::relieve_starved() {
+  const TsTable& table = cfg_->sched.ts_table;
+  while (!relief_.empty() && relief_.front().when < now_) {
+    const LwpTimer due = relief_.front();
+    std::pop_heap(relief_.begin(), relief_.end(), TimerLater{});
+    relief_.pop_back();
+    ++relief_reads_;
+    Lwp& lwp = lwps_[static_cast<std::size_t>(due.lwp)];
+    if (lwp.kq_level < 0 || due.stamp != lwp.relief_stamp) continue;
+    lwp.ts_level = table.entry(lwp.ts_level).on_starve;
+    lwp.quantum_left = table.entry(lwp.ts_level).quantum;
+    lwp.enqueued_at = now_;
+    kq_sync(lwp);  // re-bucketed at its new level, same disp_seq
+    arm_relief(lwp);
   }
 }
 
 void Engine::dispatch_lwps() {
-  if (unplaced_live_ == 0) return;
-  const auto& table = cfg_->sched.ts_table;
-
-  // One pass over the unplaced list: drop stale entries (placed or
-  // detached since), apply starvation relief (ts_lwait) per waiter,
-  // and collect the dispatchable ones.
-  disp_scratch_.clear();
-  std::size_t keep = 0;
-  ec_.waiters_scanned += unplaced_.size();
-  for (std::size_t r = 0; r < unplaced_.size(); ++r) {
-    const int lid = unplaced_[r];
-    Lwp& lwp = lwps_[static_cast<std::size_t>(lid)];
-    if (lwp.cpu >= 0 || lwp.thread == ult::kNoThread) {
-      lwp.in_unplaced = false;
-      continue;
-    }
-    unplaced_[keep++] = lid;
-    if (!dispatchable(lwp)) continue;
-    if (cfg_->sched.ts_dynamics) {
-      const TsEntry& e = table.entry(lwp.ts_level);
-      if (now_ - lwp.enqueued_at > e.max_wait) {
-        lwp.ts_level = e.on_starve;
-        lwp.quantum_left = table.entry(lwp.ts_level).quantum;
-        lwp.enqueued_at = now_;
-      }
-    }
-    disp_scratch_.push_back(&lwp);
-  }
-  unplaced_.resize(keep);
-  if (disp_scratch_.empty()) return;
+  kq_refresh();
+  if (kq_waiting_ == 0) return;
+  relieve_starved();
   ++ec_.sched_passes;
-  ec_.max_runq_depth =
-      std::max<std::uint64_t>(ec_.max_runq_depth, disp_scratch_.size());
+  ec_.max_runq_depth = std::max<std::uint64_t>(ec_.max_runq_depth, kq_waiting_);
 
-  // With a handful of waiters (the overwhelmingly common case: at most
-  // a few more runnable LWPs than CPUs), direct linear selection beats
-  // setting up the bucket queues.  The dispatch order — (user prio, TS
-  // level, FIFO), a total order since disp_seq is unique — is the same
-  // either way, so the paths are interchangeable decision-for-decision.
-  if (disp_scratch_.size() <= 64) {
-    dispatch_linear();
-  } else {
-    dispatch_queued();
-  }
-}
-
-/// Small-waiter dispatch: selection by linear scan of disp_scratch_.
-void Engine::dispatch_linear() {
-  auto better = [](const Lwp& a, const Lwp& b) {
-    const int ua = a.th->prio, ub = b.th->prio;
-    if (ua != ub) return ua > ub;
-    if (a.ts_level != b.ts_level) return a.ts_level > b.ts_level;
-    return a.disp_seq < b.disp_seq;
-  };
-  auto take = [this](std::size_t i) {
-    Lwp* out = disp_scratch_[i];
-    disp_scratch_[i] = disp_scratch_.back();
-    disp_scratch_.pop_back();
-    return out;
-  };
-  const std::size_t npos = static_cast<std::size_t>(-1);
-
-  // Fill idle CPUs in ascending order with the best allowed waiter.
-  for (int cpu = 0; idle_cpus_ > 0 && cpu < cfg_->hw.cpus && !disp_scratch_.empty();
+  // Fill idle CPUs in ascending order with the best waiter allowed there.
+  for (int cpu = 0; idle_cpus_ > 0 && kq_waiting_ > 0 && cpu < cfg_->hw.cpus;
        ++cpu) {
     if (cpu_lwp_[static_cast<std::size_t>(cpu)] != -1) continue;
-    std::size_t best = npos;
-    ec_.waiters_scanned += disp_scratch_.size();
-    for (std::size_t i = 0; i < disp_scratch_.size(); ++i) {
-      const Lwp& cand = *disp_scratch_[i];
-      if (cand.bound_cpu >= 0 && cand.bound_cpu != cpu) continue;
-      if (best == npos || better(cand, *disp_scratch_[best])) best = i;
-    }
-    if (best != npos) place(*take(best), cpu);
+    Lwp* lwp = best_waiter_for(cpu);
+    if (lwp == nullptr) continue;
+    kq_pop(*lwp);
+    place(*lwp, cpu);
   }
 
   // Preemption: the strongest waiter evicts the weakest running LWP it
   // may run on; stop at the first contender without a strictly weaker
-  // (user prio, TS level) victim.
-  while (!disp_scratch_.empty()) {
-    std::size_t ci = 0;
-    ec_.waiters_scanned += disp_scratch_.size();
-    for (std::size_t i = 1; i < disp_scratch_.size(); ++i) {
-      if (better(*disp_scratch_[i], *disp_scratch_[ci])) ci = i;
-    }
-    Lwp* contender = disp_scratch_[ci];
+  // (user prio, TS level) victim.  An evicted LWP re-enters the queues
+  // only at the next refresh, so it cannot contend in this pass.
+  while (kq_waiting_ > 0) {
+    Lwp* contender = best_waiter();
     int victim_cpu = -1;
     std::pair<int, int> victim_key(contender->th->prio, contender->ts_level);
     for (int cpu = 0; cpu < cfg_->hw.cpus; ++cpu) {
@@ -862,127 +988,10 @@ void Engine::dispatch_linear() {
     if (victim_cpu < 0) break;
     Lwp& victim = lwps_[static_cast<std::size_t>(
         cpu_lwp_[static_cast<std::size_t>(victim_cpu)])];
+    kq_pop(*contender);
     ++ec_.preemptions;
     unplace(victim);
-    place(*take(ci), victim_cpu);
-  }
-}
-
-/// Large-waiter dispatch: Solaris dispq selection.  Unbound-CPU waiters
-/// go into per-(user-priority rank × TS level) buckets; CPU-bound ones
-/// onto small per-CPU lists.
-void Engine::dispatch_queued() {
-  if (!kq_ready_) {
-    kq_.configure(static_cast<int>(prios_.size()) * kTsLevels);
-    kq_ready_ = true;
-  }
-  kq_.clear();
-  for (const int cpu : kq_bound_touched_)
-    kq_bound_[static_cast<std::size_t>(cpu)].clear();
-  kq_bound_touched_.clear();
-
-  ec_.waiters_scanned += disp_scratch_.size();
-  for (Lwp* lp : disp_scratch_) {
-    Lwp& lwp = *lp;
-    const KWaiter kw{&lwp, lwp.th->prio, lwp.ts_level, lwp.disp_seq};
-    if (lwp.bound_cpu >= 0) {
-      auto& list = kq_bound_[static_cast<std::size_t>(lwp.bound_cpu)];
-      if (list.empty()) kq_bound_touched_.push_back(lwp.bound_cpu);
-      list.push_back(kw);
-    } else {
-      const int ts = std::clamp(lwp.ts_level, 0, kTsLevels - 1);
-      kq_.insert(rank_of(kw.uprio) * kTsLevels + ts, kw, kw.seq, 0);
-    }
-  }
-
-  // (user priority, TS level, FIFO) — the dispatch order.
-  auto better = [](const KWaiter& a, const KWaiter& b) {
-    if (a.uprio != b.uprio) return a.uprio > b.uprio;
-    if (a.ts != b.ts) return a.ts > b.ts;
-    return a.seq < b.seq;
-  };
-  auto best_bound_for = [&](int cpu) {
-    const auto& list = kq_bound_[static_cast<std::size_t>(cpu)];
-    std::size_t best = list.size();
-    ec_.waiters_scanned += list.size();
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      if (best == list.size() || better(list[i], list[best])) best = i;
-    }
-    return best;
-  };
-  auto pop_bound = [&](int cpu, std::size_t i) {
-    auto& list = kq_bound_[static_cast<std::size_t>(cpu)];
-    const KWaiter out = list[i];
-    list[i] = list.back();
-    list.pop_back();
-    return out;
-  };
-
-  // Fill idle CPUs in ascending order with the best allowed waiter:
-  // the unbound queue's head vs the CPU's own bound list.
-  for (int cpu = 0; idle_cpus_ > 0 && cpu < cfg_->hw.cpus; ++cpu) {
-    if (cpu_lwp_[static_cast<std::size_t>(cpu)] != -1) continue;
-    const auto* ub = kq_.top();
-    ++ec_.waiters_scanned;
-    const std::size_t bi = best_bound_for(cpu);
-    const auto& blist = kq_bound_[static_cast<std::size_t>(cpu)];
-    if (ub != nullptr && (bi == blist.size() || better(ub->item, blist[bi]))) {
-      place(*kq_.pop_top().lwp, cpu);
-    } else if (bi != blist.size()) {
-      place(*pop_bound(cpu, bi).lwp, cpu);
-    }
-  }
-
-  // Preemption: the strongest waiter overall evicts the weakest
-  // running LWP it may run on; stop at the first contender that finds
-  // no victim with a strictly lower (user prio, TS level).
-  for (;;) {
-    const auto* ub = kq_.top();
-    ++ec_.waiters_scanned;
-    bool have = ub != nullptr;
-    KWaiter contender = have ? ub->item : KWaiter{};
-    int contender_bcpu = -1;
-    std::size_t contender_bi = 0;
-    for (const int cpu : kq_bound_touched_) {
-      const auto& list = kq_bound_[static_cast<std::size_t>(cpu)];
-      ec_.waiters_scanned += list.size();
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        if (!have || better(list[i], contender)) {
-          have = true;
-          contender = list[i];
-          contender_bcpu = cpu;
-          contender_bi = i;
-        }
-      }
-    }
-    if (!have) break;
-
-    int victim_cpu = -1;
-    std::pair<int, int> victim_key(contender.uprio, contender.ts);
-    for (int cpu = 0; cpu < cfg_->hw.cpus; ++cpu) {
-      const int lid = cpu_lwp_[static_cast<std::size_t>(cpu)];
-      if (lid < 0) continue;
-      if (contender.lwp->bound_cpu >= 0 && contender.lwp->bound_cpu != cpu)
-        continue;
-      const Lwp& running = lwps_[static_cast<std::size_t>(lid)];
-      const std::pair<int, int> running_key(
-          running.th == nullptr ? 0 : running.th->prio, running.ts_level);
-      if (running_key < victim_key) {
-        victim_key = running_key;
-        victim_cpu = cpu;
-      }
-    }
-    if (victim_cpu < 0) break;
-    if (contender_bcpu >= 0) {
-      pop_bound(contender_bcpu, contender_bi);
-    } else {
-      kq_.pop_top();
-    }
-    Lwp& victim = lwps_[static_cast<std::size_t>(
-        cpu_lwp_[static_cast<std::size_t>(victim_cpu)])];
-    ++ec_.preemptions;
-    unplace(victim);
-    place(*contender.lwp, victim_cpu);
+    place(*contender, victim_cpu);
   }
 }
 
@@ -1012,28 +1021,11 @@ void Engine::assign() {
 // ---------------------------------------------------------------------------
 // Execution
 
-bool Engine::lwp_waiting_for_cpu() const {
-  // Every attached LWP without a CPU is on unplaced_ (stale entries are
-  // compacted by dispatch_lwps; here they are just skipped).  The probe
-  // runs several times per event, so memoize it on the same
-  // (sched_clock_, now_) fingerprint assign() uses.
-  if (contended_valid_ && contended_clock_ == sched_clock_ &&
-      contended_now_ == now_) {
-    return contended_val_;
-  }
-  bool waiting = false;
-  for (const int lid : unplaced_) {
-    const Lwp& lwp = lwps_[static_cast<std::size_t>(lid)];
-    if (lwp.cpu < 0 && dispatchable(lwp)) {
-      waiting = true;
-      break;
-    }
-  }
-  contended_valid_ = true;
-  contended_clock_ = sched_clock_;
-  contended_now_ = now_;
-  contended_val_ = waiting;
-  return waiting;
+bool Engine::lwp_waiting_for_cpu() {
+  // The probe runs several times per event; once the LWPs touched since
+  // the last refresh are synced it is a count.
+  kq_refresh();
+  return kq_waiting_ > 0;
 }
 
 double Engine::rate_factor() const {
@@ -1235,18 +1227,9 @@ void Engine::apply_op(Th& t) {
     case Op::kThrYield: {
       // Back of the library queue (and of the kernel queue for bound
       // threads): detach and re-enter as runnable.
-      Lwp& lwp = lwps_[static_cast<std::size_t>(t.lwp)];
-      unplace(lwp);
-      if (!t.bound) {
-        lwp.thread = ult::kNoThread;
-        lwp.th = nullptr;
-        --unplaced_live_;
-        t.lwp = -1;
-        lwp.slept = true;
-        mark_free(lwp);
-      } else {
-        lwp.disp_seq = next_disp_seq_++;
-      }
+      leave_cpu(t, Leave::kYield);
+      if (t.bound)
+        lwps_[static_cast<std::size_t>(t.lwp)].disp_seq = next_disp_seq_++;
       t.lib_seq = next_lib_seq_++;
       rq_put(t);
       enter_op_cost(t);
@@ -1260,6 +1243,7 @@ void Engine::apply_op(Th& t) {
         // the thr_setprio events for that thread (paper §3.2).
         if (!tgt.prio_overridden) {
           tgt.prio = static_cast<int>(s.arg);
+          tgt.prio_rank = rank_of(tgt.prio);
           rq_put(tgt);  // rebucket, keeping its arrival seq
         }
       }
@@ -1343,20 +1327,7 @@ void Engine::apply_op(Th& t) {
       // LWP is released meanwhile (an async-I/O-capable library).
       t.wait = Th::Wait::kIoSleep;
       t.wake_at = now_ + s.delay;
-      Lwp* lwp = t.lwp >= 0 ? &lwps_[static_cast<std::size_t>(t.lwp)] : nullptr;
-      if (lwp != nullptr) {
-        unplace(*lwp);
-        if (!t.bound) {
-          emit_lwp_segment(*lwp);
-          lwp->thread = ult::kNoThread;
-          lwp->th = nullptr;
-          --unplaced_live_;
-          lwp->seg_thread = 0;
-          t.lwp = -1;
-          mark_free(*lwp);
-        }
-        lwp->slept = true;
-      }
+      leave_cpu(t, Leave::kBlock);
       set_state(t, Th::St::kSleeping);
       push_timer(t.wake_at, t, /*sleep=*/true);
       break;
@@ -1410,18 +1381,7 @@ void Engine::finish_thread(Th& t) {
     result_.events[static_cast<std::size_t>(t.open_event)].done = now_;
     t.open_event = -1;
   }
-  if (t.lwp >= 0) {
-    Lwp& lwp = lwps_[static_cast<std::size_t>(t.lwp)];
-    unplace(lwp);
-    emit_lwp_segment(lwp);
-    lwp.thread = ult::kNoThread;
-    lwp.th = nullptr;
-    --unplaced_live_;
-    lwp.seg_thread = 0;
-    lwp.slept = true;
-    t.lwp = -1;
-    mark_free(lwp);
-  }
+  leave_cpu(t, Leave::kExit);
   set_state(t, Th::St::kDone);
   t.exited = true;
   stats_[static_cast<std::size_t>(t.idx)].exited_at = now_;
@@ -1472,22 +1432,7 @@ SimTime Engine::wake_delay(const Th& woken) const {
 }
 
 void Engine::block(Th& t, Th::Wait wait, std::uint32_t obj) {
-  Lwp* lwp = t.lwp >= 0 ? &lwps_[static_cast<std::size_t>(t.lwp)] : nullptr;
-  if (lwp != nullptr) {
-    unplace(*lwp);
-    if (!t.bound) {
-      emit_lwp_segment(*lwp);
-      lwp->thread = ult::kNoThread;
-      lwp->th = nullptr;
-      --unplaced_live_;
-      lwp->seg_thread = 0;
-      t.lwp = -1;
-      lwp->slept = true;  // will boost when it picks up new work
-      mark_free(*lwp);
-    } else {
-      lwp->slept = true;  // bound LWP sleeps with its thread
-    }
-  }
+  leave_cpu(t, Leave::kBlock);
   t.wait = wait;
   t.wait_obj = obj;
   set_state(t, Th::St::kBlocked);
@@ -1732,18 +1677,7 @@ void Engine::op_cond(Th& t, const Step& s) {
         t.wait = Th::Wait::kSleepThenMutex;
         t.wait_mutex = mutex_id;
         t.wake_at = now_ + s.delay;
-        Lwp* lwp = t.lwp >= 0 ? &lwps_[static_cast<std::size_t>(t.lwp)] : nullptr;
-        if (lwp != nullptr) {
-          unplace(*lwp);
-          if (!t.bound) {
-            lwp->thread = ult::kNoThread;
-            lwp->th = nullptr;
-            --unplaced_live_;
-            t.lwp = -1;
-            mark_free(*lwp);
-          }
-          lwp->slept = true;
-        }
+        leave_cpu(t, Leave::kWait);
         set_state(t, Th::St::kSleeping);
         push_timer(t.wake_at, t, /*sleep=*/true);
         break;
@@ -1754,18 +1688,7 @@ void Engine::op_cond(Th& t, const Step& s) {
       if (c.pending_signals > 0) {
         --c.pending_signals;
         t.wait_mutex = mutex_id;
-        Lwp* lwp2 = t.lwp >= 0 ? &lwps_[static_cast<std::size_t>(t.lwp)] : nullptr;
-        if (lwp2 != nullptr) {
-          unplace(*lwp2);
-          if (!t.bound) {
-            lwp2->thread = ult::kNoThread;
-            lwp2->th = nullptr;
-            --unplaced_live_;
-            t.lwp = -1;
-            mark_free(*lwp2);
-          }
-          lwp2->slept = true;
-        }
+        leave_cpu(t, Leave::kWait);
         set_state(t, Th::St::kBlocked);
         wake_from_cond(t);
         break;
@@ -1963,8 +1886,11 @@ void Engine::reset_workspace() {
   std::fill(free_bits_.begin(), free_bits_.end(), 0);
   free_hint_ = 0;
   free_count_ = 0;
-  unplaced_.clear();
-  unplaced_live_ = 0;
+  kq_waiting_ = 0;
+  kq_dirty_.clear();
+  kq_later_.clear();
+  relief_.clear();
+  relief_reads_ = 0;
   phase_due_.clear();
   quantum_due_.clear();
   next_lib_seq_ = 1;
@@ -1976,7 +1902,6 @@ void Engine::reset_workspace() {
   idle_cpus_ = 0;
   sched_clock_ = 0;
   assign_memo_valid_ = false;
-  contended_valid_ = false;
 }
 
 SimResult Engine::run(const CompiledTrace& compiled, const SimConfig& cfg,
@@ -2081,6 +2006,8 @@ SimResult Engine::run_body() {
   // Publish the self-observation: deterministic counters plus host
   // timing (the latter varies run to run, which is why none of
   // result_.engine is digested).
+  ec_.waiters_scanned = kq_.reads() + relief_reads_;
+  for (const KQueue& q : kq_cpu_) ec_.waiters_scanned += q.reads();
   ec_.wall_seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(
           std::chrono::steady_clock::now() - wall0)

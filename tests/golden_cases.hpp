@@ -232,6 +232,18 @@ inline const GoldenCase kGoldenCases[] = {
      },
      [](SimConfig& c) { c.hw.cpus = 2; },
      0x50ffcd1f3116fec7, 65},
+    // 72 workers bound to one CPU: their dedicated LWPs all keep
+    // disp_seq 0 and tie on (priority, TS level, disp_seq), so the LWP
+    // id alone orders them.  Pinned under that rule; the scheduler that
+    // rebuilt its queue per pass broke these ties by list position.
+    {"fork_join72_bound_one_cpu_ties",
+     [] { workloads::fork_join(72, SimTime::millis(1)); },
+     [](SimConfig& c) {
+       c.hw.cpus = 2;
+       for (ThreadId tid = 4; tid < 4 + 72; ++tid)
+         c.sched.thread_policy[tid] = bound_to_cpu(1);
+     },
+     0x7533cf38cb976571, 65},
 };
 // clang-format on
 
