@@ -120,19 +120,20 @@ class DispQueue {
     if (b.live == 0) bits_.set(level);
     ++b.live;
     ++live_total_;
-    const auto first = b.q.begin() + static_cast<std::ptrdiff_t>(b.head);
-    auto pos = b.q.end();
-    if (pos != first) {
+    if (b.q.size() > b.head) {
       ++reads_;
-      if ((pos - 1)->seq > seq) {
-        pos = std::upper_bound(first, pos - 1, seq,
-                               [this](const Key& k, const Entry& e) {
-                                 ++reads_;
-                                 return k < e.seq;
-                               });
+      if (b.q.back().seq > seq) {
+        const auto first = b.q.begin() + static_cast<std::ptrdiff_t>(b.head);
+        const auto pos = std::upper_bound(
+            first, b.q.end() - 1, seq, [this](const Key& k, const Entry& e) {
+              ++reads_;
+              return k < e.seq;
+            });
+        b.q.insert(pos, Entry{item, seq, epoch});
+        return;
       }
     }
-    b.q.insert(pos, Entry{item, seq, epoch});
+    b.q.push_back(Entry{item, seq, epoch});
   }
 
   /// The owner removed an entry of `level` by bumping its epoch; keep

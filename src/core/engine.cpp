@@ -221,7 +221,13 @@ class Engine {
   Lwp* acquire_free_lwp();
   void mark_free(Lwp& lwp);
   void kq_touch(Lwp& lwp);  ///< have kq_refresh() re-examine the LWP
-  void kq_refresh();        ///< bring the kernel queues up to date
+  /// Brings the kernel queues up to date; O(1) when nothing changed.
+  void kq_refresh() {
+    if (!kq_dirty_.empty() ||
+        (!kq_later_.empty() && kq_later_.front().when <= now_))
+      kq_resync();
+  }
+  void kq_resync();
   void kq_sync(Lwp& lwp);   ///< sync one LWP's kernel-queue membership
   void kq_remove(Lwp& lwp);
   void kq_pop(Lwp& lwp);    ///< take the LWP kq_top() returned
@@ -474,8 +480,11 @@ void Engine::mark_free(Lwp& lwp) {
   ++free_count_;
 }
 
+// The sites that touch an LWP: unplace(), attach (spawn_thread for a
+// bound thread, attach_unbound_threads) and rq_put(), where every
+// change to a thread's priority, readiness or suspension ends.  A
+// placed LWP is never queued, and unplace() touches it again.
 void Engine::kq_touch(Lwp& lwp) {
-  // A placed LWP is never queued, and unplace() touches it again.
   if (lwp.kq_dirty || lwp.cpu >= 0) return;
   lwp.kq_dirty = true;
   kq_dirty_.push_back(lwp.id);
@@ -526,7 +535,6 @@ void Engine::set_state(Th& t, Th::St st) {
   t.st = st;
   t.seg_state = seg_state_of(st);
   if (st != Th::St::kRunning) t.seg_cpu = -1;
-  if (t.lwp >= 0) kq_touch(lwps_[static_cast<std::size_t>(t.lwp)]);
 }
 
 // ---------------------------------------------------------------------------
@@ -858,7 +866,7 @@ void Engine::kq_pop(Lwp& lwp) {
   --kq_waiting_;
 }
 
-void Engine::kq_refresh() {
+void Engine::kq_resync() {
   while (!kq_later_.empty() && kq_later_.front().when <= now_) {
     kq_touch(lwps_[static_cast<std::size_t>(kq_later_.front().lwp)]);
     std::pop_heap(kq_later_.begin(), kq_later_.end(), TimerLater{});
@@ -888,6 +896,7 @@ bool runs_before(const Lwp& a, const Lwp& b) {
 /// own kBoundCpu head, whichever runs first.
 Lwp* Engine::best_waiter_for(int cpu) {
   Lwp* best = kq_top(kq_);
+  if (kq_waiting_ == kq_.live()) return best;  // no kBoundCpu waiter
   Lwp* own = kq_top(kq_cpu_[static_cast<std::size_t>(cpu)]);
   if (own != nullptr && (best == nullptr || runs_before(*own, *best)))
     best = own;
@@ -930,7 +939,8 @@ void Engine::arm_relief(Lwp& lwp) {
 }
 
 /// Starvation relief (ts_lwait): a waiter queued longer than its level's
-/// ts_maxwait moves to its starvation level with a fresh quantum.
+/// ts_maxwait moves to its starvation level with a fresh quantum.  Runs
+/// at the start of every dispatch pass whose earliest deadline is past.
 void Engine::relieve_starved() {
   const TsTable& table = cfg_->sched.ts_table;
   while (!relief_.empty() && relief_.front().when < now_) {
@@ -951,7 +961,7 @@ void Engine::relieve_starved() {
 void Engine::dispatch_lwps() {
   kq_refresh();
   if (kq_waiting_ == 0) return;
-  relieve_starved();
+  if (!relief_.empty() && relief_.front().when < now_) relieve_starved();
   ++ec_.sched_passes;
   ec_.max_runq_depth = std::max<std::uint64_t>(ec_.max_runq_depth, kq_waiting_);
 
