@@ -11,6 +11,7 @@
 #include "solaris/solaris.hpp"
 #include "trace/io.hpp"
 #include "util/error.hpp"
+#include "workloads/prodcons.hpp"
 
 namespace vppb::core {
 namespace {
@@ -516,6 +517,32 @@ TEST(EngineTest, ParallelismProfileMatchesStructure) {
   }
   EXPECT_EQ(max_running, 2) << "never more running threads than CPUs";
   EXPECT_GE(max_runnable, 2) << "the surplus threads must show as runnable";
+}
+
+TEST(EngineTest, DispatchPassCostIsFlatInTheNumberOfWaiters) {
+  // The engine's cost-slope gate as an exact count, free of host noise:
+  // on the §5 producer-consumer program at 1 CPU, the kernel-queue
+  // entries a dispatch pass reads must not grow with the number of
+  // waiting LWPs.  736 threads keep up to 735 LWPs waiting, 61 threads
+  // up to 60; the per-pass figure may at most double.
+  auto scanned_per_pass = [](int producers) {
+    workloads::ProdConsParams p;
+    p.producers = producers;
+    p.consumers = producers / 2;
+    const CompiledTrace compiled =
+        compile(record([p] { workloads::prodcons_tuned(p); }));
+    SimConfig cfg;
+    cfg.hw.cpus = 1;
+    cfg.build_timeline = false;
+    const EngineCounters e = simulate(compiled, cfg).engine;
+    EXPECT_GT(e.sched_passes, 0u);
+    return static_cast<double>(e.waiters_scanned) /
+           static_cast<double>(e.sched_passes);
+  };
+  const double small = scanned_per_pass(40);   // 61 threads
+  const double large = scanned_per_pass(490);  // 736 threads
+  EXPECT_LE(large, 2.0 * small) << "61 threads: " << small
+                                << " entries per pass, 736 threads: " << large;
 }
 
 }  // namespace
