@@ -86,6 +86,11 @@ class Tracer {
 
   void record(const SpanEvent& ev);
 
+  /// Registers the calling thread's ring, allocating its slots on first
+  /// use.  Span calls it before taking its start time, so a thread's
+  /// first span does not time the allocation of its ring.
+  void attach_this_thread() { (void)ring_for_this_thread(); }
+
   /// Number of events currently held across all rings, plus the count
   /// overwritten since the last clear().
   std::size_t event_count() const;
@@ -144,6 +149,7 @@ class Span {
   explicit Span(const char* name, const char* cat = "vppb") {
     Tracer& t = Tracer::global();
     if (t.enabled()) {
+      t.attach_this_thread();
       ev_.name = name;
       ev_.cat = cat;
       ev_.start_ns = t.now_ns();

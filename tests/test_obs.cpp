@@ -11,9 +11,11 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -246,6 +248,42 @@ TEST(Tracer, DisabledSpansRecordNothing) {
   }
   EXPECT_EQ(tracer.event_count(), 0u);
   EXPECT_EQ(tracer.chrome_json().find("invisible"), std::string::npos);
+}
+
+TEST(Tracer, FirstSpanOnAThreadRegistersItsRingWhenItOpens) {
+  // A thread's ring (kRingCapacity slots, ~4 MB) used to be allocated
+  // when its first span *ended*, so that span timed the allocation.
+  // Rings are numbered in registration order: a thread whose first span
+  // is still open must already rank before a thread that records a
+  // whole span meanwhile.
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.enable();
+  std::promise<void> opened;
+  std::promise<void> release;
+  std::future<void> released = release.get_future();
+  std::thread first([&] {
+    obs::Span span("test.first_span.open", "test");
+    opened.set_value();
+    released.wait();
+  });
+  opened.get_future().wait();
+  std::thread([] { obs::Span span("test.first_span.other", "test"); }).join();
+  release.set_value();
+  first.join();
+  tracer.disable();
+  std::uint32_t open_ring = 0;
+  std::uint32_t other_ring = 0;
+  for (const auto& e : tracer.snapshot()) {
+    const std::string_view name = e.ev.name;
+    if (name == "test.first_span.open") open_ring = e.tid;
+    if (name == "test.first_span.other") other_ring = e.tid;
+  }
+  tracer.clear();
+  ASSERT_NE(open_ring, 0u);
+  ASSERT_NE(other_ring, 0u);
+  EXPECT_LT(open_ring, other_ring)
+      << "the ring was registered when the first span ended";
 }
 
 TEST(Tracer, WriteChromeJsonRoundTripsThroughAFile) {
