@@ -15,6 +15,13 @@
 // exercised even on a single-core host, where jobs=1 vs jobs=1 would
 // compare nothing).  Both job counts are emitted.
 //
+// A slope leg replays the paper's §5 producer-consumer program (tuned
+// version) at 61 and 736 threads on 1 CPU, one reused engine each —
+// the configuration where every waiting LWP sits in one kernel queue.
+// prodcons736_c1_steps_per_sec / prodcons61_c1_steps_per_sec is the
+// inverse of the engine's per-step cost slope; bench_gate_slope
+// requires it to stay >= 0.5 (slope <= 2).
+//
 // Results go to a JSON file (BENCH_engine.json by default) so the perf
 // trajectory of the scheduler is comparable across PRs:
 //
@@ -42,6 +49,7 @@
 #include "solaris/program.hpp"
 #include "util/flags.hpp"
 #include "util/thread_pool.hpp"
+#include "workloads/prodcons.hpp"
 #include "workloads/splash.hpp"
 
 namespace {
@@ -155,6 +163,31 @@ int main(int argc, char** argv) {
     parallel_s /= reps;
   }
 
+  // Slope leg: steps/sec on the 1-CPU producer-consumer program at 61
+  // and 736 threads (40 and 490 producers, half as many consumers).
+  auto prodcons_steps_per_sec = [min_s](int producers) {
+    workloads::ProdConsParams p;
+    p.producers = producers;
+    p.consumers = producers / 2;
+    sol::Program prog;
+    const core::CompiledTrace pc = core::compile(rec::record_program(
+        prog, [p]() { workloads::prodcons_tuned(p); }));
+    core::SimConfig c1;
+    c1.hw.cpus = 1;
+    c1.build_timeline = false;
+    core::SimEngine engine;
+    std::uint64_t steps = 0;
+    double elapsed = 0.0;
+    const Clock::time_point t0 = Clock::now();
+    do {
+      steps += engine.run(pc, c1).engine.steps;
+      elapsed = seconds_since(t0);
+    } while (elapsed < min_s);
+    return static_cast<double>(steps) / elapsed;
+  };
+  const double prodcons61 = prodcons_steps_per_sec(40);
+  const double prodcons736 = prodcons_steps_per_sec(490);
+
   std::ofstream out(flags.str("out"));
   out << "{\n"
       << "  \"trace\": \"fft\",\n"
@@ -173,16 +206,22 @@ int main(int argc, char** argv) {
       << "  \"sweep_serial_ms\": " << serial_s * 1e3 << ",\n"
       << "  \"sweep_serial_jobs\": 1,\n"
       << "  \"sweep_parallel_ms\": " << parallel_s * 1e3 << ",\n"
-      << "  \"sweep_jobs\": " << jobs << "\n"
+      << "  \"sweep_jobs\": " << jobs << ",\n"
+      << "  \"prodcons61_c1_steps_per_sec\": "
+      << static_cast<std::int64_t>(prodcons61) << ",\n"
+      << "  \"prodcons736_c1_steps_per_sec\": "
+      << static_cast<std::int64_t>(prodcons736) << "\n"
       << "}\n";
   std::printf(
       "engine: %zu steps/run, %d runs, %.0f steps/sec batched, "
       "%.0f steps/sec one-shot (cpus=%d)\n"
       "sweep:  %zu points, serial %.1f ms, parallel %.1f ms (jobs=%d)\n"
+      "slope:  prodcons 1 CPU, %.0f steps/sec at 61 threads, %.0f at 736 "
+      "(ratio %.2f)\n"
       "wrote %s\n",
       steps_per_run, runs, steps_per_sec, steps_per_sec_oneshot, cpus,
-      counts.size(), serial_s * 1e3, parallel_s * 1e3, jobs,
-      flags.str("out").c_str());
+      counts.size(), serial_s * 1e3, parallel_s * 1e3, jobs, prodcons61,
+      prodcons736, prodcons736 / prodcons61, flags.str("out").c_str());
 
   const double floor = static_cast<double>(flags.i64("min-steps-per-sec"));
   if (floor > 0.0 && steps_per_sec < floor) {
