@@ -243,8 +243,7 @@ class Engine {
     };
   }
   Lwp* kq_top(KQueue& q);
-  Lwp* best_waiter_for(int cpu);
-  Lwp* best_waiter();
+  Lwp* best_waiter(int cpu);
   void arm_relief(Lwp& lwp);
   void relieve_starved();
   void defer_ready(const Th& t);  ///< arm a timer for a future ready_at
@@ -892,23 +891,16 @@ bool runs_before(const Lwp& a, const Lwp& b) {
   return KSeq{a.kq_seq, a.id} < KSeq{b.kq_seq, b.id};
 }
 
-/// The waiter `cpu` would take: the shared queue's head or the CPU's
-/// own kBoundCpu head, whichever runs first.
-Lwp* Engine::best_waiter_for(int cpu) {
+/// The waiter that runs first among those allowed on `cpu`, or among
+/// all waiters when `cpu` is -1: the shared queue's head against the
+/// heads of the kBoundCpu queues.
+Lwp* Engine::best_waiter(int cpu) {
   Lwp* best = kq_top(kq_);
   if (kq_waiting_ == kq_.live()) return best;  // no kBoundCpu waiter
-  Lwp* own = kq_top(kq_cpu_[static_cast<std::size_t>(cpu)]);
-  if (own != nullptr && (best == nullptr || runs_before(*own, *best)))
-    best = own;
-  return best;
-}
-
-/// The strongest waiter of all, wherever it may run.
-Lwp* Engine::best_waiter() {
-  Lwp* best = kq_top(kq_);
-  if (kq_waiting_ == kq_.live()) return best;  // no kBoundCpu waiter
-  for (KQueue& q : kq_cpu_) {
-    Lwp* cand = kq_top(q);
+  const int first = cpu < 0 ? 0 : cpu;
+  const int last = cpu < 0 ? cfg_->hw.cpus - 1 : cpu;
+  for (int c = first; c <= last; ++c) {
+    Lwp* cand = kq_top(kq_cpu_[static_cast<std::size_t>(c)]);
     if (cand != nullptr && (best == nullptr || runs_before(*cand, *best)))
       best = cand;
   }
@@ -963,13 +955,14 @@ void Engine::dispatch_lwps() {
   if (kq_waiting_ == 0) return;
   if (!relief_.empty() && relief_.front().when < now_) relieve_starved();
   ++ec_.sched_passes;
-  ec_.max_runq_depth = std::max<std::uint64_t>(ec_.max_runq_depth, kq_waiting_);
+  ec_.max_runq_depth =
+      std::max<std::uint64_t>(ec_.max_runq_depth, kq_waiting_);
 
   // Fill idle CPUs in ascending order with the best waiter allowed there.
   for (int cpu = 0; idle_cpus_ > 0 && kq_waiting_ > 0 && cpu < cfg_->hw.cpus;
        ++cpu) {
     if (cpu_lwp_[static_cast<std::size_t>(cpu)] != -1) continue;
-    Lwp* lwp = best_waiter_for(cpu);
+    Lwp* lwp = best_waiter(cpu);
     if (lwp == nullptr) continue;
     kq_pop(*lwp);
     place(*lwp, cpu);
@@ -980,7 +973,7 @@ void Engine::dispatch_lwps() {
   // (user prio, TS level) victim.  An evicted LWP re-enters the queues
   // only at the next refresh, so it cannot contend in this pass.
   while (kq_waiting_ > 0) {
-    Lwp* contender = best_waiter();
+    Lwp* contender = best_waiter(-1);
     int victim_cpu = -1;
     std::pair<int, int> victim_key(contender->th->prio, contender->ts_level);
     for (int cpu = 0; cpu < cfg_->hw.cpus; ++cpu) {
