@@ -244,7 +244,14 @@ class DispQueue {
   void take(Bucket& b, int level) {
     --b.live;
     --live_total_;
-    if (b.live == 0) reset_bucket(b, level);
+    if (b.live == 0) {
+      reset_bucket(b, level);
+    } else if (b.head >= 64 && 2 * b.head >= b.q.size()) {
+      // Consumed entries fill half the bucket: drop them, so a bucket
+      // that never runs empty still holds O(live) entries.
+      b.q.erase(b.q.begin(), b.q.begin() + static_cast<std::ptrdiff_t>(b.head));
+      b.head = 0;
+    }
   }
 
   void reset_bucket(Bucket& b, int level) {
