@@ -17,7 +17,8 @@
 //
 // A slope leg replays the paper's §5 producer-consumer program (tuned
 // version) at 61 and 736 threads on 1 CPU, one reused engine each —
-// the configuration where every waiting LWP sits in one kernel queue.
+// the configuration where every waiting LWP sits in one kernel queue —
+// and reports the steps/sec of each trace's fastest run.
 // prodcons736_c1_steps_per_sec / prodcons61_c1_steps_per_sec is the
 // inverse of the engine's per-step cost slope; bench_gate_slope
 // requires it to stay >= 0.5 (slope <= 2).
@@ -164,29 +165,45 @@ int main(int argc, char** argv) {
   }
 
   // Slope leg: steps/sec on the 1-CPU producer-consumer program at 61
-  // and 736 threads (40 and 490 producers, half as many consumers).
-  auto prodcons_steps_per_sec = [min_s](int producers) {
+  // and 736 threads (40 and 490 producers, half as many consumers), one
+  // reused engine each.  The two traces alternate run by run and each
+  // keeps its fastest run, so a slowdown of the shared host hits both
+  // sides alike instead of skewing their ratio.
+  struct SlopeLeg {
+    core::CompiledTrace compiled;
+    core::SimEngine engine;
+    std::uint64_t steps = 0;
+    double best_s = 0.0;
+  };
+  auto prodcons_leg = [](int producers) {
     workloads::ProdConsParams p;
     p.producers = producers;
     p.consumers = producers / 2;
     sol::Program prog;
-    const core::CompiledTrace pc = core::compile(rec::record_program(
+    SlopeLeg leg;
+    leg.compiled = core::compile(rec::record_program(
         prog, [p]() { workloads::prodcons_tuned(p); }));
-    core::SimConfig c1;
-    c1.hw.cpus = 1;
-    c1.build_timeline = false;
-    core::SimEngine engine;
-    std::uint64_t steps = 0;
-    double elapsed = 0.0;
+    return leg;
+  };
+  SlopeLeg slope[] = {prodcons_leg(40), prodcons_leg(490)};
+  core::SimConfig c1;
+  c1.hw.cpus = 1;
+  c1.build_timeline = false;
+  {
     const Clock::time_point t0 = Clock::now();
     do {
-      steps += engine.run(pc, c1).engine.steps;
-      elapsed = seconds_since(t0);
-    } while (elapsed < min_s);
-    return static_cast<double>(steps) / elapsed;
-  };
-  const double prodcons61 = prodcons_steps_per_sec(40);
-  const double prodcons736 = prodcons_steps_per_sec(490);
+      for (SlopeLeg& leg : slope) {
+        const Clock::time_point r0 = Clock::now();
+        leg.steps = leg.engine.run(leg.compiled, c1).engine.steps;
+        const double s = seconds_since(r0);
+        if (leg.best_s == 0.0 || s < leg.best_s) leg.best_s = s;
+      }
+    } while (seconds_since(t0) < 2 * min_s);
+  }
+  const double prodcons61 =
+      static_cast<double>(slope[0].steps) / slope[0].best_s;
+  const double prodcons736 =
+      static_cast<double>(slope[1].steps) / slope[1].best_s;
 
   std::ofstream out(flags.str("out"));
   out << "{\n"
