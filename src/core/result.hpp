@@ -97,10 +97,10 @@ struct EngineCounters {
   std::uint64_t timer_wakeups = 0;     ///< sleep/timeout expirations processed
   std::uint64_t sched_passes = 0;      ///< dispatch sweeps over the ready queues
   std::uint64_t max_runq_depth = 0;    ///< most LWPs ever waiting for a CPU
-  /// Kernel dispatch-queue entries read by dispatch passes: candidates
-  /// examined in selection and relief, plus lazily deleted entries
-  /// dropped.  Divided by sched_passes, it shows whether a pass costs
-  /// O(1) or O(waiters).
+  /// Kernel dispatch-queue entries the engine read to keep and consult
+  /// its queue of waiting LWPs: selection, insertion, starvation relief
+  /// and lazily deleted entries dropped.  Divided by sched_passes, it
+  /// shows whether a dispatch pass costs O(1) or O(waiters).
   std::uint64_t waiters_scanned = 0;
   double wall_seconds = 0.0;           ///< host time inside Engine::run
   double steps_per_sec = 0.0;          ///< steps / wall_seconds (0 if instant)

@@ -234,8 +234,7 @@ inline const GoldenCase kGoldenCases[] = {
      0x50ffcd1f3116fec7, 65},
     // 72 workers bound to one CPU: their dedicated LWPs all keep
     // disp_seq 0 and tie on (priority, TS level, disp_seq), so the LWP
-    // id alone orders them.  Pinned under that rule; the scheduler that
-    // rebuilt its queue per pass broke these ties by list position.
+    // id alone orders them.
     {"fork_join72_bound_one_cpu_ties",
      [] { workloads::fork_join(72, SimTime::millis(1)); },
      [](SimConfig& c) {

@@ -251,11 +251,11 @@ TEST(Tracer, DisabledSpansRecordNothing) {
 }
 
 TEST(Tracer, FirstSpanOnAThreadRegistersItsRingWhenItOpens) {
-  // A thread's ring (kRingCapacity slots, ~4 MB) used to be allocated
-  // when its first span *ended*, so that span timed the allocation.
-  // Rings are numbered in registration order: a thread whose first span
-  // is still open must already rank before a thread that records a
-  // whole span meanwhile.
+  // A thread's ring (kRingCapacity slots, ~4 MB) must be allocated
+  // before its first span takes its start time, or that span times the
+  // allocation.  Rings are numbered in registration order: a thread
+  // whose first span is still open must already rank before a thread
+  // that records a whole span meanwhile.
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.clear();
   tracer.enable();
