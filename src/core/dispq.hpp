@@ -199,14 +199,11 @@ class DispQueue {
     }
   }
 
-  /// Pops the entry the last `top()` returned.
-  Item pop_top() {
-    const int level = bits_.highest();
+  /// Pops the entry the last `top()` returned; `level` is its bucket.
+  void pop_top(int level) {
     Bucket& b = buckets_[static_cast<std::size_t>(level)];
-    Item out = b.q[b.head].item;
     ++b.head;
     take(b, level);
-    return out;
   }
 
   /// Empties the queue in O(buckets touched since the last clear).

@@ -860,7 +860,7 @@ void Engine::kq_remove(Lwp& lwp) {
 }
 
 void Engine::kq_pop(Lwp& lwp) {
-  kq_of(lwp).pop_top();
+  kq_of(lwp).pop_top(lwp.kq_level);
   lwp.kq_level = -1;
   --kq_waiting_;
 }
