@@ -98,8 +98,7 @@ int main(int argc, char** argv) {
     workloads::fft(workloads::SplashParams{threads, scale});
   });
   const core::CompiledTrace compiled = core::compile(t);
-  std::size_t steps_per_run = 0;
-  for (const auto& [tid, ct] : compiled.threads) steps_per_run += ct.steps.size();
+  const std::size_t steps_per_run = compiled.flat->total_steps;
 
   core::SimConfig cfg;
   cfg.hw.cpus = cpus;

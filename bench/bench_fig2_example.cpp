@@ -63,9 +63,10 @@ int main() {
 
   const core::CompiledTrace c = core::compile(t);
   std::printf("\nCompiled demand per thread:\n");
-  for (const auto& [tid, ct] : c.threads) {
-    std::printf("  T%d (%s): %zu steps, %s CPU\n", tid, ct.name.c_str(),
-                ct.steps.size(), ct.total_cpu.to_string().c_str());
+  for (const core::FlatThread& ft : c.flat->threads) {
+    std::printf("  T%d (%s): %zu steps, %s CPU\n", ft.tid,
+                t.strings.get(t.find_thread(ft.tid)->name).c_str(),
+                ft.steps.size(), ft.total_cpu.to_string().c_str());
   }
   std::printf("\nRecorded uni-processor duration: %s\n",
               t.duration().to_string().c_str());

@@ -81,7 +81,7 @@ void BM_Compile(benchmark::State& state) {
   const trace::Trace t = lock_heavy_trace(40);
   for (auto _ : state) {
     const core::CompiledTrace c = core::compile(t);
-    benchmark::DoNotOptimize(c.threads.size());
+    benchmark::DoNotOptimize(c.flat->total_steps);
   }
   state.counters["records/s"] = benchmark::Counter(
       static_cast<double>(t.records.size()),

@@ -12,9 +12,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "core/guard.hpp"
@@ -39,7 +38,7 @@ struct Step {
   SimTime delay;     ///< recorded sleep length of a timed-out cond_timedwait
   std::uint32_t loc = 0;     ///< source location of the call
   SimTime logged_at;         ///< when the call happened in the recording
-  /// Engine-internal dense object slots, assigned by build_flat_program:
+  /// Engine-internal dense object slots, assigned by compile():
   /// the replay keys its per-kind object tables by these (first-touch
   /// order, 0..n-1) rather than the trace's raw ids, which recorders
   /// derive from addresses and are therefore arbitrarily sparse.  `slot`
@@ -50,46 +49,30 @@ struct Step {
   std::uint32_t slot2 = 0;
 };
 
-struct CompiledThread {
+/// One compiled thread: a dense record whose step array lives in the
+/// owning FlatProgram's arena.  Everything the replay needs; names and
+/// start routines stay on the Trace.
+struct FlatThread {
   ThreadId tid = 0;
-  std::string name;
-  std::string start_func;
+  std::span<const Step> steps;  ///< arena-backed, contiguous
   bool bound = false;        ///< created with THR_BOUND in the recording
-  int initial_priority = 0;
   /// True when some thr_create in the log creates this thread; if not
   /// (hand-written traces), the simulator spawns it at first_record_at.
   bool created_in_log = false;
+  int initial_priority = 0;
   SimTime first_record_at;
-  std::vector<Step> steps;
   SimTime total_cpu;  ///< sum of cpu + op_cost over all steps
 };
 
-/// The engine-facing view of one compiled thread: a dense record whose
-/// step array lives in the owning FlatProgram's arena.  Everything the
-/// replay hot path needs, nothing it does not (names etc. stay on
-/// CompiledThread).
-struct FlatThread {
-  ThreadId tid = 0;
-  const Step* steps = nullptr;  ///< arena-backed, contiguous
-  std::uint32_t n_steps = 0;
-  bool bound = false;
-  bool created_in_log = false;
-  int initial_priority = 0;
-  SimTime first_record_at;
-  SimTime total_cpu;
-};
-
-/// The data-oriented form of a CompiledTrace: every thread's step
-/// stream copied into one bump arena, plus a dense thread table in
-/// ascending-tid order (the same order the std::map iterates, so the
-/// engine's thread indices are unchanged) and the per-kind object-id
-/// bounds the engine uses to presize its slabs once per run instead of
-/// growing them mid-replay.  Immutable after build; shared by every
-/// simulation of the trace (all sweep points, all cached requests).
+/// The compiled form of a trace: every thread's step stream in one bump
+/// arena, a dense thread table in ascending-tid order (so the engine's
+/// thread indices are a pure function of the trace) and the per-kind
+/// object-id bounds the engine uses to presize its slabs once per run
+/// instead of growing them mid-replay.  Immutable after build; shared by
+/// every simulation of the trace (all sweep points, all cached requests).
 struct FlatProgram {
   util::Arena arena;
-  const FlatThread* threads = nullptr;  ///< arena-backed, ascending tid
-  std::size_t n_threads = 0;
+  std::span<const FlatThread> threads;  ///< arena-backed, ascending tid
   std::size_t total_steps = 0;
   /// Distinct objects of each kind (== the per-kind slot count): the
   /// engine sizes its dense object tables to exactly these.  Cond-wait
@@ -102,35 +85,23 @@ struct FlatProgram {
 };
 
 struct CompiledTrace {
-  std::map<ThreadId, CompiledThread> threads;
+  /// Built once by compile() and shared (immutably) by every copy of
+  /// this trace; machine::jittered builds a fresh one for its copy.
+  std::shared_ptr<const FlatProgram> flat;
   SimTime recorded_duration;
   /// Every thr_setprio argument in the trace (sorted, deduplicated).
   /// Collected once here so the engine's per-run priority table does
   /// not have to rescan every step of every thread.
   std::vector<int> setprio_values;
-  /// Flat replay form, built once by compile() and shared (immutably)
-  /// by every copy of this trace.  Code that mutates `threads` after
-  /// compilation (see machine::jittered) must call rebuild_flat(), or
-  /// the engine would replay the stale stream.
-  std::shared_ptr<const FlatProgram> flat;
 
-  const CompiledThread& thread(ThreadId tid) const;
-
-  /// (Re)derives `flat` from `threads`.  Cheap relative to compile():
-  /// one pass copying the step streams into a fresh arena.
-  void rebuild_flat();
+  const FlatThread& thread(ThreadId tid) const;
 };
 
-/// Builds the flat replay form of a compiled thread map: one arena
-/// holding every step stream plus the dense thread table.  compile()
-/// calls this via CompiledTrace::rebuild_flat(); the engine calls it
-/// directly for hand-built CompiledTraces that never went through
-/// compile() and so carry no flat form.
-std::shared_ptr<const FlatProgram> build_flat_program(
-    const std::map<ThreadId, CompiledThread>& threads);
-
-/// Compiles a validated trace.  Throws vppb::Error on traces that cannot
-/// be replayed (e.g. a return without a call).
+/// Compiles a trace that a loader (or the Recorder) has already checked:
+/// this does not rerun Trace::validate().  Still throws vppb::Error on
+/// the structural faults its record walk meets — a record that goes back
+/// in time or comes from a thread with no metadata, a second open call,
+/// a return without its call, a call left open at the end.
 CompiledTrace compile(const trace::Trace& trace);
 
 /// Guarded compilation: polls `guard` (cancellation + wall budget)

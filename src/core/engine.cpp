@@ -301,10 +301,8 @@ class Engine {
   const CompiledTrace* compiled_ = nullptr;
   const SimConfig* cfg_ = nullptr;
   const RunGuard* guard_ = nullptr;  ///< null = no governance, zero cost
-  /// The flat program being replayed.  The shared_ptr keeps the arena
-  /// alive (and pins its address) for the whole run even if the caller
-  /// drops the CompiledTrace: every Th::sp points into it.
-  std::shared_ptr<const FlatProgram> prog_hold_;
+  /// The flat program being replayed (compiled_->flat): every Th::sp
+  /// points into its arena.
   const FlatProgram* prog_ = nullptr;
 
   SimTime now_;
@@ -570,7 +568,7 @@ void Engine::init_threads() {
   // flat table is in ascending tid order).  Rebuilt per run — Th is a
   // plain copyable record now, so this is a bulk copy into storage the
   // previous run already sized.
-  const std::size_t count = prog_->n_threads;
+  const std::size_t count = prog_->threads.size();
   threads_.clear();
   threads_.reserve(count);
   tids_.clear();
@@ -581,8 +579,8 @@ void Engine::init_threads() {
     Th t;
     t.tid = ft.tid;
     t.idx = static_cast<std::int32_t>(i);
-    t.sp = ft.steps;
-    t.sp_end = ft.steps + ft.n_steps;
+    t.sp = ft.steps.data();
+    t.sp_end = ft.steps.data() + ft.steps.size();
     t.ft = &ft;
     const ThreadPolicy& pol = cfg_->sched.policy_of(ft.tid);
     t.prio_overridden = pol.override_priority;
@@ -1825,8 +1823,8 @@ void Engine::replay_deadlock() {
   std::ostringstream os;
   os << "replay deadlock at t=" << now_ << ":\n";
   for (const Th& t : threads_) {
-    os << "  T" << t.tid << " step " << (t.sp - t.ft->steps) << "/"
-       << t.ft->n_steps;
+    os << "  T" << t.tid << " step " << (t.sp - t.ft->steps.data()) << "/"
+       << t.ft->steps.size();
     switch (t.st) {
       case Th::St::kUnborn: os << " unborn"; break;
       case Th::St::kReady: os << " ready"; break;
@@ -1912,12 +1910,8 @@ SimResult Engine::run(const CompiledTrace& compiled, const SimConfig& cfg,
   compiled_ = &compiled;
   cfg_ = &cfg;
   guard_ = guard;
-  // Hand-built CompiledTraces (tests, tools) may lack the flat form;
-  // derive it on the spot.  Holding the shared_ptr — not just the raw
-  // pointer — matters: all step cursors point into its arena.
-  prog_hold_ = compiled.flat != nullptr ? compiled.flat
-                                        : build_flat_program(compiled.threads);
-  prog_ = prog_hold_.get();
+  VPPB_CHECK_MSG(compiled.flat != nullptr, "trace was never compiled");
+  prog_ = compiled.flat.get();
   reset_workspace();
   return run_body();
 }
@@ -1933,7 +1927,7 @@ SimResult Engine::run_body() {
     obs::Span init_span("engine.init", "engine");
     unbound_pool_size_ = cfg_->sched.lwps > 0
                              ? cfg_->sched.lwps
-                             : static_cast<int>(prog_->n_threads);
+                             : static_cast<int>(prog_->threads.size());
     cpu_running_.assign(static_cast<std::size_t>(cfg_->hw.cpus),
                         ult::kNoThread);
     cpu_lwp_.assign(static_cast<std::size_t>(cfg_->hw.cpus), -1);

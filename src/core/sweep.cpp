@@ -135,14 +135,14 @@ SpeedupCurve SweepRunner::sweep(const CompiledTrace& compiled,
   // SimConfig and SimResult, so the points are freely parallel; slot
   // `i` of points/results belongs to cpu_counts[i], which keeps the
   // output deterministic whatever order the pool finishes in.
-  auto run_point = [&](std::size_t i) {
+  auto simulate_point = [&](std::size_t i) {
     if (options.guard != nullptr) options.guard->check_cancel();
     const int cpus = cpu_counts[i];
     obs::Span point_span("sweep.point", "engine");
     point_span.arg("cpus", cpus);
     SimConfig cfg = base;
     cfg.hw.cpus = cpus;
-    if (!options.honor_build_timeline) cfg.build_timeline = false;
+    cfg.build_timeline = false;
     SimResult r = run(compiled, cfg, options.guard);
     SweepPoint& p = points[i];
     p.cpus = cpus;
@@ -150,6 +150,12 @@ SpeedupCurve SweepRunner::sweep(const CompiledTrace& compiled,
     p.efficiency = r.speedup / cpus;
     p.total = r.total;
     if (options.results != nullptr) (*options.results)[i] = std::move(r);
+  };
+  auto run_point = [&](std::size_t i) {
+    if (options.each_point)
+      options.each_point(cpu_counts[i], [&] { simulate_point(i); });
+    else
+      simulate_point(i);
   };
 
   if (options.pool != nullptr) {

@@ -8,6 +8,7 @@
 // perfect f ~= 0.29 curve).
 #pragma once
 
+#include <functional>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -72,12 +73,11 @@ struct SweepOptions {
   /// Reuse an already-running util::ThreadPool instead of spinning one
   /// up per call (jobs is ignored when set).
   util::ThreadPool* pool = nullptr;
-  /// By default the sweep forces `build_timeline = false` on every
-  /// point — a sweep wants the speed-up numbers, and building (then
-  /// discarding) full timelines would dominate the cost.  Set this to
-  /// honor `base.build_timeline` instead, together with `results` to
-  /// receive the timelines.
-  bool honor_build_timeline = false;
+  /// When set, wraps every sweep point: called with the point's CPU
+  /// count and a `run` that simulates it, which it must call exactly
+  /// once.  The server uses it for a deadline check and a timeline
+  /// stage per point.  Runs on whichever thread simulates the point.
+  std::function<void(int cpus, const std::function<void()>& run)> each_point;
   /// When non-null, receives the full SimResult of every point, in
   /// `cpu_counts` order (the vector is resized to match).
   std::vector<SimResult>* results = nullptr;
@@ -130,16 +130,15 @@ class SweepRunner {
 };
 
 /// Simulates the compiled trace at each CPU count (other parameters from
-/// `base`; its cpu count is ignored).  NOTE: this overload — and the
-/// four-argument one under default options — forces
-/// `base.build_timeline` off for every point; see
-/// SweepOptions::honor_build_timeline to override.
+/// `base`; its cpu count is ignored).  Every sweep forces
+/// `base.build_timeline` off: a sweep wants the speed-up numbers, and
+/// building (then discarding) full timelines would dominate the cost.
 SpeedupCurve sweep_cpus(const CompiledTrace& compiled,
                         std::span<const int> cpu_counts,
                         const SimConfig& base);
 
-/// As above, with explicit execution options (parallelism, timeline
-/// handling, per-point result capture).
+/// As above, with explicit execution options (parallelism, per-point
+/// result capture, governance).
 SpeedupCurve sweep_cpus(const CompiledTrace& compiled,
                         std::span<const int> cpu_counts,
                         const SimConfig& base, const SweepOptions& options);

@@ -10,21 +10,37 @@ namespace vppb::machine {
 
 core::CompiledTrace jittered(const core::CompiledTrace& compiled,
                              double rel_stddev, std::uint64_t seed) {
-  core::CompiledTrace out = compiled;
+  VPPB_CHECK_MSG(compiled.flat != nullptr, "trace was never compiled");
+  const core::FlatProgram& src = *compiled.flat;
+  auto fp = std::make_shared<core::FlatProgram>();
+  fp->total_steps = src.total_steps;
+  fp->mutex_ids = src.mutex_ids;
+  fp->sema_ids = src.sema_ids;
+  fp->cond_ids = src.cond_ids;
+  fp->rwlock_ids = src.rwlock_ids;
+  core::FlatThread* table = fp->arena.make_array<core::FlatThread>(
+      src.threads.size());
+  fp->threads = {table, src.threads.size()};
   Rng rng(seed);
-  for (auto& [tid, ct] : out.threads) {
-    // Per-thread streams keep the jitter independent of map order.
-    Rng thread_rng(rng.next_u64() ^ static_cast<std::uint64_t>(tid));
-    ct.total_cpu = SimTime::zero();
-    for (core::Step& s : ct.steps) {
+  for (std::size_t i = 0; i < src.threads.size(); ++i) {
+    core::FlatThread& ft = table[i];
+    ft = src.threads[i];
+    // Per-thread streams (ascending tid) keep each thread's jitter
+    // independent of the others' step counts.
+    Rng thread_rng(rng.next_u64() ^ static_cast<std::uint64_t>(ft.tid));
+    core::Step* steps = fp->arena.make_array<core::Step>(ft.steps.size());
+    ft.total_cpu = SimTime::zero();
+    for (std::size_t k = 0; k < ft.steps.size(); ++k) {
+      core::Step& s = steps[k];
+      s = ft.steps[k];
       s.cpu = s.cpu.scaled(thread_rng.jitter_factor(rel_stddev));
       s.op_cost = s.op_cost.scaled(thread_rng.jitter_factor(rel_stddev));
-      ct.total_cpu += s.cpu + s.op_cost;
+      ft.total_cpu += s.cpu + s.op_cost;
     }
+    ft.steps = {steps, ft.steps.size()};
   }
-  // The copy shares the source's flat program; the steps just changed,
-  // so derive a fresh one or the engine would replay unjittered demands.
-  out.rebuild_flat();
+  core::CompiledTrace out = compiled;
+  out.flat = std::move(fp);
   return out;
 }
 

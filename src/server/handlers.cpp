@@ -1,5 +1,6 @@
 #include "server/handlers.hpp"
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -69,30 +70,31 @@ Response handle_predict(const Request& req, TraceCache& cache,
   // The sweep runs serially inside this handler: the service gets its
   // parallelism from concurrent requests sharing the pool, and a
   // deterministic per-request path keeps responses bit-identical to the
-  // offline `vppb predict` (which the combined digest proves).  The
-  // loop mirrors core::sweep_cpus(jobs=1) point for point — every point
-  // on a pooled reused engine via the shared SweepRunner — with a
-  // deadline checkpoint between points so a sweep cannot overstay.
-  std::vector<core::SimResult> results;
-  std::vector<core::SweepPoint> points;
-  const std::int64_t sweep0 = tl != nullptr ? tl->now_us() : 0;
-  for (const int cpus : cpu_counts) {
-    deadline.check("CPU sweep");
-    const std::int64_t pt0 = tl != nullptr ? tl->now_us() : 0;
-    core::SimConfig cfg = base;
-    cfg.hw.cpus = cpus;
-    cfg.build_timeline = false;
-    core::SimResult r =
-        core::SweepRunner::shared().run(entry->compiled, cfg, guard);
-    if (tl != nullptr)
-      tl->stage(strprintf("cpus=%d", cpus), pt0, tl->now_us() - pt0, 1);
-    points.push_back(core::SweepPoint{cpus, r.speedup, r.speedup / cpus,
-                                      r.total});
-    results.push_back(std::move(r));
+  // offline `vppb predict` (which the combined digest proves).  Each
+  // point first checks the deadline, so a sweep cannot overstay.  The
+  // parent "simulate" stage is stamped before its per-point children, so
+  // it lists first; each finished point stretches it to cover that point.
+  std::size_t sim_stage = 0;
+  if (tl != nullptr) {
+    sim_stage = tl->stages().size();
+    tl->stage("simulate", tl->now_us(), 0);
   }
-  if (tl != nullptr)
-    tl->stage("simulate", sweep0, tl->now_us() - sweep0);
-  const core::SpeedupCurve curve(points);
+  std::vector<core::SimResult> results;
+  core::SweepOptions opt;
+  opt.results = &results;
+  opt.guard = guard;
+  opt.each_point = [&](int cpus, const std::function<void()>& run) {
+    deadline.check("CPU sweep");
+    if (tl == nullptr) return run();
+    const std::int64_t pt0 = tl->now_us();
+    run();
+    const std::int64_t end = tl->now_us();
+    tl->stage(strprintf("cpus=%d", cpus), pt0, end - pt0, 1);
+    obs::Stage& sim = tl->stages()[sim_stage];
+    sim.dur_us = end - sim.start_us;
+  };
+  const core::SpeedupCurve curve = core::SweepRunner::shared().sweep(
+      entry->compiled, cpu_counts, base, opt);
 
   for (std::size_t i = 0; i < curve.points().size(); ++i) {
     const core::SweepPoint& p = curve.points()[i];

@@ -33,10 +33,8 @@ namespace {
 /// max_bytes_ promised.
 std::size_t approx_footprint(const trace::Trace& t,
                              const core::CompiledTrace& c) {
-  std::size_t steps = 0;
-  for (const auto& [tid, ct] : c.threads) steps += ct.steps.size();
   return t.records.size() * sizeof(trace::Record) +
-         steps * sizeof(core::Step) +
+         c.flat->total_steps * sizeof(core::Step) +
          t.locations.size() * sizeof(trace::SourceLoc) +
          t.threads.size() * (sizeof(trace::ThreadMeta) + 64);
 }

@@ -140,7 +140,6 @@ Trace from_binary_impl(const std::uint8_t* data, std::size_t size,
       report->salvaged |= !report->issues.empty();
     }
   }
-  trace.validate();
   return trace;
 }
 

@@ -30,7 +30,8 @@ namespace vppb::trace {
 std::vector<std::uint8_t> to_binary(const Trace& trace);
 
 /// Parse the binary format; throws vppb::Error on malformed input.
-/// Runs Trace::validate() before returning.
+/// Records are checked structurally (the rules of Trace::validate())
+/// while they are decoded.
 Trace from_binary(const std::uint8_t* data, std::size_t size);
 Trace from_binary(const std::vector<std::uint8_t>& bytes);
 

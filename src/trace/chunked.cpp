@@ -495,7 +495,6 @@ Trace from_chunked(const std::uint8_t* data, std::size_t size,
     report->records_recovered = trace.records.size();
     report->salvaged |= !report->issues.empty();
   }
-  trace.validate();
   return trace;
 }
 

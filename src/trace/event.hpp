@@ -115,4 +115,11 @@ ObjKind op_obj_kind(Op op);
 /// True for try-operations, which the Simulator replays by outcome.
 bool op_is_try(Op op);
 
+/// True for ops logged as one kCall record that no kReturn ever closes:
+/// the collection markers, user marks, and thr_exit (the thread is gone).
+constexpr bool op_is_single(Op op) {
+  return op == Op::kThrExit || op == Op::kStartCollect ||
+         op == Op::kEndCollect || op == Op::kUserMark;
+}
+
 }  // namespace vppb::trace

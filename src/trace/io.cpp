@@ -154,30 +154,28 @@ Trace read_text_impl(std::istream& is, const LoadOptions& opt,
     if (!parse_line(sv, &err)) handle(err);
   }
 
-  if (opt.salvage) {
-    // The text format allows forward references (a `loc` or `thread`
-    // line after the `rec` lines that use it), so the structural scan
-    // runs after parsing, once the tables are complete.
-    std::vector<Record> parsed = std::move(trace.records);
-    trace.records.clear();
-    RecordScan scan;
-    for (std::size_t i = 0; i < parsed.size(); ++i) {
-      if (scan.admit(parsed[i], trace)) continue;
-      if (report != nullptr) {
-        report->issues.push_back(TraceIssue{
-            scan.why, i,
-            scan.message + strprintf(" — cut at record %zu", i)});
-        report->records_dropped += parsed.size() - i;
-      }
-      break;
+  // The text format allows forward references (a `loc` or `thread` line
+  // after the `rec` lines that use it), so the structural scan runs after
+  // parsing, once the tables are complete, over the records in place.
+  RecordScan scan;
+  for (std::size_t i = 0; i < trace.records.size(); ++i) {
+    if (scan.check(trace.records[i], trace)) continue;
+    if (!opt.salvage)
+      throw Error(strprintf("text trace: %s (record %zu)",
+                            scan.message.c_str(), i));
+    if (report != nullptr) {
+      report->issues.push_back(TraceIssue{
+          scan.why, i, scan.message + strprintf(" — cut at record %zu", i)});
+      report->records_dropped += trace.records.size() - i;
     }
-    trim_open_calls(trace, report);
+    trace.records.resize(i);
+    break;
   }
+  if (opt.salvage) trim_open_calls(trace, report);
   if (report != nullptr) {
     report->records_recovered = trace.records.size();
     report->salvaged |= !report->issues.empty();
   }
-  trace.validate();
   return trace;
 }
 

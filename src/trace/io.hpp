@@ -27,7 +27,8 @@ std::string to_text(const Trace& trace);
 void save_file(const Trace& trace, const std::string& path);
 
 /// Parse the text format.  Throws vppb::Error with a line number on any
-/// malformed input.  Runs Trace::validate() before returning.
+/// malformed line; once parsed, the records are checked structurally
+/// (the rules of Trace::validate()) and the first bad one throws.
 Trace read_text(std::istream& is);
 Trace from_text(const std::string& text);
 Trace load_file(const std::string& path);

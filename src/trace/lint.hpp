@@ -1,14 +1,14 @@
 // Semantic trace lint: the checks behind `vppb check`.
 //
-// Trace::validate() guarantees structural sanity (paired call/return,
-// in-range indices); this pass asks the next question — does the
-// recorded synchronization story make sense?  A log whose threads
-// unlock mutexes they never acquired, join threads that do not exist,
-// or drive a semaphore count negative will still replay (the Simulator
-// is defensive), but its predictions describe a program that cannot
-// have run.  The lint surfaces these before any simulation time is
-// spent, with the record index and source location of each finding so
-// the recording bug can be fixed at its origin.
+// The loaders guarantee structural sanity (paired call/return, in-range
+// indices), checking records while decoding them; this pass asks the
+// next question — does the recorded synchronization story make sense?
+// A log whose threads unlock mutexes they never acquired, join threads
+// that do not exist, or drive a semaphore count negative will still
+// replay (the Simulator is defensive), but its predictions describe a
+// program that cannot have run.  The lint surfaces these before any
+// simulation time is spent, with the record index and source location
+// of each finding so the recording bug can be fixed at its origin.
 //
 // Findings are graded: an *error* means the trace is semantically
 // impossible (replay output is untrustworthy); a *warning* means the

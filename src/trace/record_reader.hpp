@@ -1,17 +1,22 @@
-// Internal: shared validating record decoder for the binary ("VPPB")
-// and chunked ("VPPC") formats.  Both encode a record the same way —
-// delta-ns timestamp, then tid/phase/op/kind/objid/arg/arg2/loc as
-// varints — and both must enforce the same structural invariants while
-// decoding so a salvaged prefix is consistent by construction:
-// monotonic time, known ops and object kinds, in-range location
-// indices, known threads, and matched call/return pairs per thread.
+// Internal: the structural check of every trace loader.  It is the
+// only check a loaded trace gets, so it enforces everything
+// Trace::validate() does — monotonic time, known ops and object kinds,
+// in-range location indices, known threads, and matched call/return
+// pairs per thread — and a salvaged prefix is consistent by
+// construction.
 //
-// The scanner keeps its state (previous timestamp, open calls) in a
-// struct so the chunked reader can carry it across chunk boundaries.
+// The binary ("VPPB") and chunked ("VPPC") formats encode a record the
+// same way — delta-ns timestamp, then tid/phase/op/kind/objid/arg/arg2/
+// loc as varints — so read_one() decodes and checks one; the text
+// reader runs check() over its parsed records.
+//
+// The scanner keeps its state (last timestamp, open calls) in a struct
+// so the chunked reader can carry it across chunk boundaries.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "trace/salvage.hpp"
@@ -22,10 +27,10 @@
 namespace vppb::trace {
 
 struct RecordScan {
-  std::int64_t prev_ns = 0;
-  std::map<ThreadId, Op> open_call;
+  SimTime last_at;  ///< time of the last record checked (the delta base)
+  std::map<ThreadId, std::optional<Op>> open_call;  ///< per thread
 
-  // Set when read_one() rejects a record; the caller turns them into a
+  // Set when a record is rejected; the caller turns them into a
   // thrown Error (strict) or a TraceIssue cut point (salvage).
   IssueKind why = IssueKind::kBadField;
   std::string message;
@@ -43,10 +48,9 @@ struct RecordScan {
       return fail(IssueKind::kTruncated, "record truncated");
     }
     // Unsigned arithmetic: a hostile delta must wrap, not overflow into
-    // UB.  The monotonic-time check below rejects the wrapped value.
-    prev_ns = static_cast<std::int64_t>(static_cast<std::uint64_t>(prev_ns) +
-                                        delta);
-    r.at = SimTime::nanos(prev_ns);
+    // UB.  The monotonic-time check in check() rejects the wrapped value.
+    r.at = SimTime::nanos(static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(last_at.ns()) + delta));
     r.tid = static_cast<ThreadId>(tid);
     r.phase = phase != 0 ? Phase::kReturn : Phase::kCall;
     if (op > static_cast<std::uint64_t>(Op::kIoWait))
@@ -67,13 +71,15 @@ struct RecordScan {
                   strprintf("location index %llu out of range",
                             static_cast<unsigned long long>(loc)));
     r.loc = static_cast<std::uint32_t>(loc);
-    return admit(r, trace);
+    if (!check(r, trace)) return false;
+    trace.records.push_back(r);
+    return true;
   }
 
-  /// Validates an already-decoded record against the trace built so far
-  /// and appends it.  Shared with the text reader, whose records arrive
+  /// Checks a record against the trace's tables and the records checked
+  /// before it.  Shared with the text reader, whose records arrive
   /// parsed rather than decoded.  Assumes op/obj.kind are in range.
-  bool admit(const Record& r, Trace& trace) {
+  bool check(const Record& r, const Trace& trace) {
     if (r.loc != 0 && r.loc >= trace.locations.size())
       return fail(IssueKind::kBadReference,
                   strprintf("location index %u out of range", r.loc));
@@ -81,27 +87,24 @@ struct RecordScan {
       return fail(IssueKind::kBadReference,
                   strprintf("record from unknown thread T%d",
                             static_cast<int>(r.tid)));
-    const bool single = r.op == Op::kThrExit || r.op == Op::kStartCollect ||
-                        r.op == Op::kEndCollect || r.op == Op::kUserMark;
-    auto it = open_call.find(r.tid);
+    std::optional<Op>& open = open_call[r.tid];
     if (r.phase == Phase::kCall) {
-      if (it != open_call.end())
+      if (open)
         return fail(IssueKind::kUnmatchedCall,
                     strprintf("T%d opens a second call",
                               static_cast<int>(r.tid)));
-      if (!single) open_call.emplace(r.tid, r.op);
+      if (!op_is_single(r.op)) open = r.op;
     } else {
-      if (it == open_call.end() || it->second != r.op)
+      if (open != r.op)
         return fail(IssueKind::kUnmatchedCall,
                     strprintf("unmatched return of %s by T%d",
                               std::string(op_name(r.op)).c_str(),
                               static_cast<int>(r.tid)));
-      open_call.erase(it);
+      open.reset();
     }
-    if (r.at.ns() < 0 ||
-        (!trace.records.empty() && r.at < trace.records.back().at))
+    if (r.at < last_at)
       return fail(IssueKind::kTimeRegression, "timestamp goes backwards");
-    trace.records.push_back(r);
+    last_at = r.at;
     return true;
   }
 

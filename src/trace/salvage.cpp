@@ -50,9 +50,7 @@ std::size_t trim_open_calls(Trace& trace, LoadReport* report) {
   std::size_t keep = 0;
   for (std::size_t i = 0; i < trace.records.size(); ++i) {
     const Record& r = trace.records[i];
-    const bool single = r.op == Op::kThrExit || r.op == Op::kStartCollect ||
-                        r.op == Op::kEndCollect || r.op == Op::kUserMark;
-    if (!single) {
+    if (!op_is_single(r.op)) {
       if (r.phase == Phase::kCall)
         open.emplace(r.tid, r.op);
       else

@@ -77,15 +77,11 @@ void Trace::validate() const {
                    "record " << i << " has bad location index " << r.loc);
     VPPB_CHECK_MSG(find_thread(r.tid) != nullptr,
                    "record " << i << " from unknown thread T" << r.tid);
-    // Markers and thr_exit are single records: no return is ever written
-    // (the thread is gone, or the record is a pure annotation).
-    const bool single = r.op == Op::kThrExit || r.op == Op::kStartCollect ||
-                        r.op == Op::kEndCollect || r.op == Op::kUserMark;
     auto& open = open_call[r.tid];
     if (r.phase == Phase::kCall) {
       VPPB_CHECK_MSG(open == nullptr, "record " << i << ": thread T" << r.tid
                                                 << " has two open calls");
-      if (!single) open = &r;
+      if (!op_is_single(r.op)) open = &r;
     } else {
       VPPB_CHECK_MSG(open != nullptr && open->op == r.op,
                      "record " << i << ": unmatched return of "

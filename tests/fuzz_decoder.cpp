@@ -5,14 +5,19 @@
 // There is no libFuzzer in the toolchain, so this is a self-contained
 // driver: a xorshift64* PRNG mutates a fixed seed corpus (plus any
 // files in --corpus-dir) and feeds the result to every decoder.  The
-// oracle is threefold:
+// oracle has four parts:
 //
 //   1. no decoder may escape with anything but vppb::Error — no
 //      crashes, no std::bad_alloc from hostile counts, no UB (run it
 //      under VPPB_SANITIZE=address,undefined to make that bite);
-//   2. whatever salvage returns must pass Trace::validate();
+//   2. every trace a loader returns, strict or salvaged, must pass
+//      Trace::validate() — the independent reference for the
+//      structural check the loaders run while decoding, which is the
+//      only check a loaded trace gets;
 //   3. salvage is deterministic — decoding the same damaged bytes
-//      twice must yield bit-identical traces and identical reports.
+//      twice must yield bit-identical traces and identical reports;
+//   4. every trace a loader returns compiles and simulates at 1 CPU
+//      under a step and wall budget, or fails with vppb::Error.
 //
 // Every failure prints the seed and iteration, so a repro is one
 // command: fuzz_decoder --seed S --iterations I.
@@ -21,9 +26,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/compiler.hpp"
+#include "core/engine.hpp"
+#include "core/guard.hpp"
 #include "server/auth.hpp"
 #include "server/protocol.hpp"
 #include "trace/binary.hpp"
@@ -101,41 +110,77 @@ std::vector<std::uint8_t> mutate(std::vector<std::uint8_t> bytes) {
 struct Stats {
   std::uint64_t strict_ok = 0, strict_rejected = 0;
   std::uint64_t salvage_ok = 0, salvage_rejected = 0;
+  std::uint64_t replay_ok = 0, replay_rejected = 0;
   std::uint64_t proto_rejected = 0;
 };
 
+/// Oracles 2 and 4 for one trace a loader returned.  Returns false
+/// (after printing a diagnostic) when Trace::validate() rejects it; a
+/// replay that escapes with anything but vppb::Error propagates to
+/// run(), which reports it as a failure.
+bool check_loaded(const char* name, const char* mode, const trace::Trace& t,
+                  Stats& stats) {
+  try {
+    t.validate();
+  } catch (const Error& e) {
+    std::fprintf(stderr, "FUZZ: %s %s load returned a trace that "
+                         "Trace::validate() rejects: %s\n",
+                 name, mode, e.what());
+    return false;
+  }
+  core::RunLimits limits;
+  // Linear in the trace's size: a replay applies at most one step per
+  // record, so only a cost cliff could reach this budget.
+  limits.max_steps = 64 + 4 * t.records.size();
+  limits.max_wall_ms = 5000;
+  const core::RunGuard guard(limits);
+  core::SimConfig cfg;
+  cfg.hw.cpus = 1;
+  try {
+    (void)core::simulate(core::compile(t, &guard), cfg, &guard);
+    ++stats.replay_ok;
+  } catch (const Error&) {
+    ++stats.replay_rejected;
+  }
+  return true;
+}
+
 /// Decodes `bytes` as a trace with `loader` strictly and in salvage
-/// mode, enforcing oracles 1–3.  Returns false (after printing a
+/// mode, enforcing oracles 1–4.  Returns false (after printing a
 /// diagnostic) on an oracle violation.
 template <typename Loader>
 bool check_trace_loader(const char* name, const Loader& loader,
                         const std::vector<std::uint8_t>& bytes, Stats& stats) {
+  std::optional<trace::Trace> strict;
   try {
-    loader(bytes, trace::LoadOptions{}, nullptr).validate();
+    strict = loader(bytes, trace::LoadOptions{}, nullptr);
     ++stats.strict_ok;
   } catch (const Error&) {
     ++stats.strict_rejected;
   }
+  if (strict && !check_loaded(name, "strict", *strict, stats)) return false;
+
   trace::LoadOptions opt;
   opt.salvage = true;
+  trace::LoadReport report;
+  std::optional<trace::Trace> got;
   try {
-    trace::LoadReport report;
-    const trace::Trace got = loader(bytes, opt, &report);
-    got.validate();  // oracle 2: a salvaged trace is a valid trace
-    trace::LoadReport report2;
-    const trace::Trace again = loader(bytes, opt, &report2);
-    // Oracle 3: same bytes in, same trace and report out.
-    if (trace::to_binary(got) != trace::to_binary(again) ||
-        report.records_recovered != report2.records_recovered ||
-        report.records_dropped != report2.records_dropped) {
-      std::fprintf(stderr, "FUZZ: %s salvage is nondeterministic\n", name);
-      return false;
-    }
+    got = loader(bytes, opt, &report);
     ++stats.salvage_ok;
   } catch (const Error&) {
     ++stats.salvage_rejected;  // unusable header: fine, it threw cleanly
+    return true;
   }
-  return true;
+  trace::LoadReport report2;
+  const trace::Trace again = loader(bytes, opt, &report2);
+  // Oracle 3: same bytes in, same trace and report out.
+  if (trace::to_binary(*got) != trace::to_binary(again) ||
+      report.records_recovered != report2.records_recovered ||
+      report.records_dropped != report2.records_dropped) {
+    std::fprintf(stderr, "FUZZ: %s salvage is nondeterministic\n", name);
+    return false;
+  }
+  return check_loaded(name, "salvage", *got, stats);
 }
 
 bool check_input(const std::vector<std::uint8_t>& bytes, Stats& stats) {
@@ -411,12 +456,14 @@ int run(std::uint64_t seed, std::uint64_t iterations,
   std::printf(
       "fuzz_decoder: %llu iterations over %zu seeds: "
       "strict %llu ok / %llu rejected, salvage %llu ok / %llu rejected, "
-      "protocol %llu rejected, 0 crashes\n",
+      "replay %llu ok / %llu rejected, protocol %llu rejected, 0 crashes\n",
       static_cast<unsigned long long>(iterations), seeds.size(),
       static_cast<unsigned long long>(stats.strict_ok),
       static_cast<unsigned long long>(stats.strict_rejected),
       static_cast<unsigned long long>(stats.salvage_ok),
       static_cast<unsigned long long>(stats.salvage_rejected),
+      static_cast<unsigned long long>(stats.replay_ok),
+      static_cast<unsigned long long>(stats.replay_rejected),
       static_cast<unsigned long long>(stats.proto_rejected));
   return 0;
 }

@@ -27,7 +27,7 @@ TEST(CompilerTest, SingleThreadComputeDemand) {
       "rec 105000 1 R mtx_lock mutex 1 0 0 0\n"
       "rec 155000 1 C thr_exit thread 1 0 0 0\n");
   const CompiledTrace c = compile(t);
-  const CompiledThread& main_ct = c.thread(1);
+  const FlatThread& main_ct = c.thread(1);
   ASSERT_EQ(main_ct.steps.size(), 2u);
   EXPECT_EQ(main_ct.steps[0].op, Op::kMutexLock);
   EXPECT_EQ(main_ct.steps[0].cpu, SimTime::micros(100));
@@ -49,8 +49,10 @@ TEST(CompilerTest, InterleavedAttributionFollowsLaterRecord) {
       "rec 41000 1 R thr_join thread 4 4 0 0\n"
       "rec 41000 1 C thr_exit thread 1 0 0 0\n");
   const CompiledTrace c = compile(t);
-  EXPECT_EQ(c.thread(4).steps.at(0).cpu, SimTime::micros(30));
-  const Step& join = c.thread(1).steps.at(0);
+  ASSERT_EQ(c.thread(4).steps.size(), 1u);
+  EXPECT_EQ(c.thread(4).steps[0].cpu, SimTime::micros(30));
+  ASSERT_EQ(c.thread(1).steps.size(), 2u);
+  const Step& join = c.thread(1).steps[0];
   EXPECT_EQ(join.cpu, SimTime::micros(10));
   EXPECT_EQ(join.op_cost, SimTime::micros(1));  // wakeup tail only
   EXPECT_FALSE(c.thread(4).created_in_log);
@@ -67,7 +69,8 @@ TEST(CompilerTest, CreatedInLogFlag) {
       "rec 8000 1 C thr_exit thread 1 0 0 0\n");
   const CompiledTrace c = compile(t);
   EXPECT_TRUE(c.thread(4).created_in_log);
-  EXPECT_EQ(c.thread(1).steps.at(0).outcome, 4);
+  ASSERT_FALSE(c.thread(1).steps.empty());
+  EXPECT_EQ(c.thread(1).steps[0].outcome, 4);
 }
 
 TEST(CompilerTest, TimedWaitTimeoutBecomesDelay) {
@@ -82,7 +85,8 @@ TEST(CompilerTest, TimedWaitTimeoutBecomesDelay) {
       "rec 5002000 1 R mtx_unlock mutex 1 0 0 0\n"
       "rec 5002000 1 C thr_exit thread 1 0 0 0\n");
   const CompiledTrace c = compile(t);
-  const Step& wait = c.thread(1).steps.at(1);
+  ASSERT_GE(c.thread(1).steps.size(), 2u);
+  const Step& wait = c.thread(1).steps[1];
   EXPECT_EQ(wait.op, Op::kCondTimedwait);
   EXPECT_EQ(wait.outcome, 0);
   EXPECT_EQ(wait.delay, SimTime::millis(5));
@@ -99,9 +103,8 @@ TEST(CompilerTest, MetadataCopied) {
     sol::thr_join(tid, nullptr, nullptr);
   });
   const CompiledTrace c = compile(t);
-  EXPECT_EQ(c.thread(1).name, "main");
+  EXPECT_FALSE(c.thread(1).bound);
   EXPECT_TRUE(c.thread(4).bound);
-  EXPECT_EQ(c.thread(4).start_func, "bound_fn");
   EXPECT_EQ(c.recorded_duration, t.duration());
 }
 
@@ -155,16 +158,66 @@ TEST(CompilerTest, TryOutcomesPreserved) {
   EXPECT_EQ(wit->outcome, 0);
 }
 
+trace::Record record(std::int64_t us, trace::ThreadId tid, Op op,
+                     trace::Phase phase) {
+  trace::Record r;
+  r.at = SimTime::micros(us);
+  r.tid = tid;
+  r.op = op;
+  r.phase = phase;
+  r.obj = {trace::op_obj_kind(op), 1};
+  return r;
+}
+
+TEST(CompilerTest, ThreadTableFollowsTheMetadata) {
+  // The binary loader appends thread metadata as written, so a tid can
+  // repeat: its first entry wins.  A thread with metadata but no
+  // records keeps an entry with no steps.
+  trace::Trace t;
+  t.threads.push_back(trace::ThreadMeta{.tid = 3, .bound = true});
+  t.threads.push_back(trace::ThreadMeta{.tid = 1});
+  t.threads.push_back(trace::ThreadMeta{.tid = 3, .bound = false});
+  t.records.push_back(record(0, 1, Op::kThrExit, trace::Phase::kCall));
+  const CompiledTrace c = compile(t);
+  ASSERT_EQ(c.flat->threads.size(), 2u);
+  EXPECT_EQ(c.flat->threads[0].tid, 1);
+  EXPECT_EQ(c.flat->threads[1].tid, 3);
+  EXPECT_TRUE(c.thread(3).bound);
+  EXPECT_TRUE(c.thread(3).steps.empty());
+  EXPECT_EQ(c.thread(1).steps.size(), 1u);
+}
+
 TEST(CompilerTest, RejectsDanglingCall) {
   trace::Trace t;
   t.upsert_thread(1);
-  trace::Record r;
-  r.at = SimTime::zero();
-  r.tid = 1;
-  r.phase = trace::Phase::kCall;
-  r.op = Op::kMutexLock;
-  r.obj = {trace::ObjKind::kMutex, 1};
-  t.records.push_back(r);
+  t.records.push_back(record(0, 1, Op::kMutexLock, trace::Phase::kCall));
+  EXPECT_THROW(compile(t), Error);
+}
+
+// compile() trusts the loaders' structural check and does not rerun
+// Trace::validate(), so these hand-built traces — which no loader would
+// accept — pin the faults its own record walk must still reject.
+TEST(CompilerTest, RejectsTimeGoingBackwards) {
+  trace::Trace t;
+  t.upsert_thread(1);
+  t.records.push_back(record(10, 1, Op::kThrYield, trace::Phase::kCall));
+  t.records.push_back(record(10, 1, Op::kThrYield, trace::Phase::kReturn));
+  t.records.push_back(record(5, 1, Op::kThrExit, trace::Phase::kCall));
+  EXPECT_THROW(compile(t), Error);
+}
+
+TEST(CompilerTest, RejectsRecordFromThreadWithoutMetadata) {
+  trace::Trace t;
+  t.upsert_thread(1);
+  t.records.push_back(record(0, 1, Op::kStartCollect, trace::Phase::kCall));
+  t.records.push_back(record(5, 2, Op::kThrExit, trace::Phase::kCall));
+  EXPECT_THROW(compile(t), Error);
+}
+
+TEST(CompilerTest, RejectsReturnWithoutCall) {
+  trace::Trace t;
+  t.upsert_thread(1);
+  t.records.push_back(record(0, 1, Op::kMutexLock, trace::Phase::kReturn));
   EXPECT_THROW(compile(t), Error);
 }
 

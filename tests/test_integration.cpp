@@ -261,8 +261,8 @@ TEST(Workflow, BoundThreadsEndToEnd) {
   // Bound flags survive the log and reach the simulator's policy layer.
   const core::CompiledTrace c = core::compile(t);
   int bound = 0;
-  for (const auto& [tid, ct] : c.threads) {
-    if (ct.bound) ++bound;
+  for (const core::FlatThread& ft : c.flat->threads) {
+    if (ft.bound) ++bound;
   }
   EXPECT_EQ(bound, 3);
   core::SimConfig cfg;

@@ -27,8 +27,8 @@ TEST(JitterTest, ZeroStddevIsIdentity) {
   });
   const core::CompiledTrace c = core::compile(t);
   const core::CompiledTrace j = jittered(c, 0.0, 123);
-  for (const auto& [tid, ct] : c.threads) {
-    EXPECT_EQ(j.thread(tid).total_cpu, ct.total_cpu);
+  for (const core::FlatThread& ft : c.flat->threads) {
+    EXPECT_EQ(j.thread(ft.tid).total_cpu, ft.total_cpu);
   }
 }
 
@@ -39,8 +39,8 @@ TEST(JitterTest, SameSeedSameTrace) {
   const core::CompiledTrace c = core::compile(t);
   const core::CompiledTrace a = jittered(c, 0.02, 7);
   const core::CompiledTrace b = jittered(c, 0.02, 7);
-  for (const auto& [tid, ct] : a.threads) {
-    EXPECT_EQ(b.thread(tid).total_cpu, ct.total_cpu);
+  for (const core::FlatThread& ft : a.flat->threads) {
+    EXPECT_EQ(b.thread(ft.tid).total_cpu, ft.total_cpu);
   }
 }
 
@@ -52,8 +52,8 @@ TEST(JitterTest, DifferentSeedsDiffer) {
   const core::CompiledTrace a = jittered(c, 0.02, 7);
   const core::CompiledTrace b = jittered(c, 0.02, 8);
   bool any_diff = false;
-  for (const auto& [tid, ct] : a.threads) {
-    if (b.thread(tid).total_cpu != ct.total_cpu) any_diff = true;
+  for (const core::FlatThread& ft : a.flat->threads) {
+    if (b.thread(ft.tid).total_cpu != ft.total_cpu) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
 }
@@ -65,14 +65,37 @@ TEST(JitterTest, PerturbationIsBounded) {
   const core::CompiledTrace c = core::compile(t);
   const double stddev = 0.02;
   const core::CompiledTrace j = jittered(c, stddev, 99);
-  for (const auto& [tid, ct] : c.threads) {
-    const double ratio = static_cast<double>(j.thread(tid).total_cpu.ns()) /
-                         std::max<double>(1.0, static_cast<double>(ct.total_cpu.ns()));
-    if (ct.total_cpu.ns() > 0) {
+  for (const core::FlatThread& ft : c.flat->threads) {
+    const double ratio = static_cast<double>(j.thread(ft.tid).total_cpu.ns()) /
+                         std::max<double>(1.0, static_cast<double>(ft.total_cpu.ns()));
+    if (ft.total_cpu.ns() > 0) {
       EXPECT_GT(ratio, 1.0 - 5 * stddev);
       EXPECT_LT(ratio, 1.0 + 5 * stddev);
     }
   }
+}
+
+TEST(JitterTest, EngineReplaysTheJitteredSteps) {
+  // CPU demand is conserved at 1 CPU when no kernel cost is added, so
+  // the engine's per-thread CPU time must sum to the jittered program's
+  // total: the replay reads the jittered steps, not the original ones.
+  const trace::Trace t = record([]() {
+    workloads::fork_join(4, SimTime::millis(10));
+  });
+  const core::CompiledTrace c = core::compile(t);
+  const core::CompiledTrace j = jittered(c, 0.02, 42);
+  core::SimConfig cfg;
+  cfg.hw.cpus = 1;
+  cfg.hw.migration_penalty = SimTime::zero();
+  cfg.hw.memory_contention_alpha = 0.0;
+  cfg.cost.context_switch_cost = SimTime::zero();
+  const core::SimResult r = core::simulate(j, cfg);
+  SimTime replayed, demanded, recorded;
+  for (const auto& [tid, st] : r.threads) replayed += st.cpu_time;
+  for (const core::FlatThread& ft : j.flat->threads) demanded += ft.total_cpu;
+  for (const core::FlatThread& ft : c.flat->threads) recorded += ft.total_cpu;
+  EXPECT_EQ(replayed, demanded);
+  EXPECT_NE(demanded, recorded) << "the jitter must move the demand";
 }
 
 TEST(MachineTest, ReportsRequestedRepetitions) {

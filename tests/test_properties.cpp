@@ -117,7 +117,8 @@ TEST_P(EngineInvariantTest, InvariantsHold) {
   //    the per-CPU busy time.
   const core::CompiledTrace compiled = core::compile(t);
   SimTime demand;
-  for (const auto& [tid, ct] : compiled.threads) demand += ct.total_cpu;
+  for (const core::FlatThread& ft : compiled.flat->threads)
+    demand += ft.total_cpu;
   SimTime thread_cpu;
   for (const auto& [tid, st] : r.threads) thread_cpu += st.cpu_time;
   SimTime busy;
@@ -241,7 +242,8 @@ class SplashMonotonicTest
 
 TEST_P(SplashMonotonicTest, EfficiencyAtMostOne) {
   const auto [app_idx, cpus] = GetParam();
-  const auto& app = workloads::splash_suite()[static_cast<std::size_t>(app_idx)];
+  const auto suite = workloads::splash_suite();
+  const auto& app = suite[static_cast<std::size_t>(app_idx)];
   sol::Program program;
   const trace::Trace t = rec::record_program(program, [&app, cpus]() {
     app.run(workloads::SplashParams{cpus, 0.05});

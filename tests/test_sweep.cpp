@@ -139,14 +139,12 @@ TEST(SweepTest, SweepOptionsCapturesResultsAndTimelines) {
   std::vector<SimResult> results;
   SweepOptions opt;
   opt.jobs = 2;
-  opt.honor_build_timeline = true;
   opt.results = &results;
   const SpeedupCurve curve = sweep_cpus(c, counts, base, opt);
   ASSERT_EQ(results.size(), 2u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].total, curve.points()[i].total);
-    EXPECT_FALSE(results[i].segments.empty())
-        << "honor_build_timeline must keep per-point timelines";
+    EXPECT_TRUE(results[i].segments.empty()) << "a sweep builds no timeline";
   }
 
   // The default path discards timelines even when the base asks for one.
@@ -156,6 +154,30 @@ TEST(SweepTest, SweepOptionsCapturesResultsAndTimelines) {
   sweep_cpus(c, counts, base, defaults);
   ASSERT_EQ(bare.size(), 2u);
   EXPECT_TRUE(bare[0].segments.empty());
+}
+
+TEST(SweepTest, EachPointWrapsEveryPointOnce) {
+  const CompiledTrace c = record_compiled([]() {
+    workloads::fork_join(4, SimTime::millis(5));
+  });
+  const int counts[] = {1, 2, 4};
+  std::vector<SimResult> results;
+  std::vector<int> seen;
+  SweepOptions opt;
+  opt.results = &results;
+  opt.each_point = [&](int cpus, const std::function<void()>& run) {
+    const SimResult& r = results[seen.size()];
+    EXPECT_EQ(r.total, SimTime::zero()) << "the hook runs before its point";
+    run();
+    EXPECT_EQ(r.cpus, cpus) << "run() simulates this point";
+    EXPECT_GT(r.total, SimTime::zero());
+    seen.push_back(cpus);
+  };
+  const SpeedupCurve curve = sweep_cpus(c, counts, SimConfig{}, opt);
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 4}));
+  const SpeedupCurve plain = sweep_cpus(c, counts, SimConfig{});
+  for (std::size_t i = 0; i < curve.points().size(); ++i)
+    EXPECT_EQ(curve.points()[i].total, plain.points()[i].total);
 }
 
 }  // namespace

@@ -356,15 +356,24 @@ TEST(TimelineTest, PredictStampsCompileThenPerPointStages) {
                                             nullptr, &tl);
   ASSERT_EQ(r.status, Status::kOk) << r.error;
   bool saw_compile = false, saw_point = false;
+  const obs::Stage* simulate = nullptr;
   for (const obs::Stage& s : tl.stages()) {
     if (s.name == "compile") {
       saw_compile = true;
       EXPECT_EQ(s.depth, 0u);
       EXPECT_GE(s.dur_us, 0);
     }
+    if (s.name == "simulate") simulate = &s;
     if (s.name.rfind("cpus=", 0) == 0) {
       saw_point = true;
       EXPECT_EQ(s.depth, 1u);  // nested under the sweep
+      // The parent is stamped when it opens: it lists (and so prints,
+      // after a stable sort on start time) before each of its points,
+      // and its span contains theirs.
+      ASSERT_NE(simulate, nullptr) << s.name << " listed before simulate";
+      EXPECT_LE(simulate->start_us, s.start_us) << s.name;
+      EXPECT_GE(simulate->start_us + simulate->dur_us, s.start_us + s.dur_us)
+          << s.name;
     }
   }
   EXPECT_TRUE(saw_compile);
