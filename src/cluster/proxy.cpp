@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "server/auth.hpp"
+#include "server/handlers.hpp"
 #include "server/trace_cache.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -16,13 +17,13 @@ namespace vppb::cluster {
 namespace {
 
 using obs::LogLevel;
+using server::MergeRule;
 using server::Request;
 using server::ReqType;
 using server::Response;
 using server::StageSpan;
 using server::StatsBody;
 using server::Status;
-using server::WireSpan;
 
 /// Cap on the merged trace-collect response: shards dump up to 32k
 /// spans per ring, and the proxy concatenates all of them plus its own;
@@ -81,13 +82,29 @@ struct ProxyMetrics {
   }
 };
 
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
+/// Folds one shard's value of a StatsBody field into the cluster's.
+/// The objectives and burn rates merge pessimistically: the cluster's
+/// objective is the strictest configured one and its burn the worst
+/// shard's, so an operator paged on the merged number is paged no later
+/// than one watching every shard.
+template <typename T>
+void merge_field(T& into, const T& from, MergeRule rule) {
+  switch (rule) {
+    case MergeRule::kSum:
+      into += from;
+      break;
+    case MergeRule::kMax:
+      into = std::max(into, from);
+      break;
+    case MergeRule::kMinNonzero:
+      if (into == 0 || (from != 0 && from < into)) into = from;
+      break;
   }
-  return h;
+}
+
+template <typename T, std::size_t N>
+void merge_field(T (&into)[N], const T (&from)[N], MergeRule rule) {
+  for (std::size_t i = 0; i < N; ++i) merge_field(into[i], from[i], rule);
 }
 
 std::int64_t elapsed_ms(std::chrono::steady_clock::time_point t0) {
@@ -116,55 +133,10 @@ class InflightScope {
 }  // namespace
 
 void merge_stats(StatsBody& into, const StatsBody& from) {
-  into.requests += from.requests;
-  for (std::size_t i = 0; i < server::kReqTypeCount; ++i)
-    into.by_type[i] += from.by_type[i];
-  into.errors += from.errors;
-  into.overloads += from.overloads;
-  into.deadlines += from.deadlines;
-  into.cache_hits += from.cache_hits;
-  into.cache_misses += from.cache_misses;
-  into.cache_evictions += from.cache_evictions;
-  into.cache_waits += from.cache_waits;
-  into.cache_entries += from.cache_entries;
-  into.cache_bytes += from.cache_bytes;
-  into.latency_count += from.latency_count;
-  // Order statistics do not merge; the per-shard maximum is an honest
-  // upper bound ("no shard's p99 exceeds this"), which is the side an
-  // operator wants to be wrong on.
-  into.p50_us = std::max(into.p50_us, from.p50_us);
-  into.p90_us = std::max(into.p90_us, from.p90_us);
-  into.p99_us = std::max(into.p99_us, from.p99_us);
-  into.max_us = std::max(into.max_us, from.max_us);
-  into.budget_kills += from.budget_kills;
-  into.poisoned += from.poisoned;
-  into.poison_strikes += from.poison_strikes;
-  into.quarantined += from.quarantined;
-  into.watchdog_cancels += from.watchdog_cancels;
-  into.watchdog_replacements += from.watchdog_replacements;
-  into.quota_rejections += from.quota_rejections;
-  into.brownout_sheds += from.brownout_sheds;
-  into.stale_serves += from.stale_serves;
-  // SLO state merges pessimistically: the cluster's objective is the
-  // strictest configured one, and the cluster's burn is the worst
-  // shard's burn — an operator paged on the merged number is paged no
-  // later than they would be watching every shard.
-  const auto min_nonzero = [](double a, double b) {
-    if (a == 0.0) return b;
-    if (b == 0.0) return a;
-    return std::min(a, b);
-  };
-  into.slo_p99_ms = min_nonzero(into.slo_p99_ms, from.slo_p99_ms);
-  into.slo_availability =
-      std::max(into.slo_availability, from.slo_availability);
-  into.lat_burn_1m = std::max(into.lat_burn_1m, from.lat_burn_1m);
-  into.lat_burn_5m = std::max(into.lat_burn_5m, from.lat_burn_5m);
-  into.lat_burn_1h = std::max(into.lat_burn_1h, from.lat_burn_1h);
-  into.avail_burn_1m = std::max(into.avail_burn_1m, from.avail_burn_1m);
-  into.avail_burn_5m = std::max(into.avail_burn_5m, from.avail_burn_5m);
-  into.avail_burn_1h = std::max(into.avail_burn_1h, from.avail_burn_1h);
-  into.sampled_requests += from.sampled_requests;
-  into.trace_dropped += from.trace_dropped;
+  server::for_each_stats_field(
+      [](const char*, MergeRule rule, auto& into_f,
+         const auto& from_f) { merge_field(into_f, from_f, rule); },
+      into, from);
 }
 
 std::string merge_prometheus(
@@ -530,7 +502,8 @@ Response Proxy::single_flight(const Request& req, std::uint64_t route_key,
   Request canon = req;
   canon.origin_id = 0;
   const std::vector<std::uint8_t> encoded = server::encode(canon);
-  const std::uint64_t fkey = fnv1a(encoded.data(), encoded.size());
+  const std::uint64_t fkey =
+      server::content_key(encoded.data(), encoded.size());
 
   std::shared_ptr<Flight> flight;
   bool leader = false;
@@ -692,7 +665,7 @@ std::uint64_t Proxy::response_cache_key(const Request& req,
   canon.origin_id = 0;
   canon.deadline_ms = 0;
   const std::vector<std::uint8_t> encoded = server::encode(canon);
-  std::uint64_t h = fnv1a(encoded.data(), encoded.size());
+  std::uint64_t h = server::content_key(encoded.data(), encoded.size());
   // Splice the trace content key in (boost-style hash combine).
   h ^= route_key + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   return h;
@@ -895,23 +868,7 @@ Response Proxy::aggregate(const Request& req) {
     // The proxy's own rings join the merged dump as pid 0 (shard ids
     // start at 1), on the same absolute unix-ns timebase the shards
     // used, so the collector needs no clock negotiation.
-    const obs::Tracer& tracer = obs::Tracer::global();
-    const std::int64_t epoch_unix = tracer.epoch_unix_ns();
-    for (const obs::Tracer::SnapshotEvent& se : tracer.snapshot(1u << 15)) {
-      WireSpan w;
-      w.pid = 0;
-      w.tid = se.tid;
-      w.name = se.ev.name != nullptr ? se.ev.name : "?";
-      w.cat = se.ev.cat != nullptr ? se.ev.cat : "vppb";
-      w.start_unix_ns = epoch_unix + se.ev.start_ns;
-      w.dur_ns = se.ev.dur_ns;
-      w.trace_id = se.ev.trace_id;
-      if (se.ev.arg_name != nullptr) {
-        w.arg_name = se.ev.arg_name;
-        w.arg_value = se.ev.arg_value;
-      }
-      out.spans.push_back(std::move(w));
-    }
+    server::append_tracer_spans(0, out.spans);
     if (out.spans.size() > kMergedSpanCap) {
       obs::logf(LogLevel::kWarn, "proxy",
                 "tracedump truncated: %zu spans merged, keeping newest %zu",

@@ -305,8 +305,10 @@ class Proxy {
   int tasks_live_ = 0;
 };
 
-/// Sums `from` into `into`: counters add; latency percentiles take the
-/// per-shard maximum (an upper bound — order statistics do not merge).
+/// Folds `from` into `into`, each field by its rule in
+/// server::for_each_stats_field: counters add; percentiles and burn
+/// rates take the per-shard maximum (an upper bound — order statistics
+/// do not merge); the objectives take the strictest one configured.
 void merge_stats(server::StatsBody& into, const server::StatsBody& from);
 
 /// Merges Prometheus text expositions: samples with the same series

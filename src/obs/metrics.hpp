@@ -174,8 +174,10 @@ class Registry {
   /// sorted by name.
   std::string prometheus_text() const;
 
-  /// The process-wide registry every built-in instrumentation site
-  /// writes to.
+  /// The process-wide registry, for the layers a process has one of
+  /// (engine, loader, pool, guard, tracer, proxy).  An object a process
+  /// may hold several of (a server's Metrics, a TraceCache) owns its own
+  /// Registry instead, so two of them never share a counter.
   static Registry& global();
 
  private:

@@ -6,6 +6,7 @@
 
 #include "core/engine.hpp"
 #include "core/sweep.hpp"
+#include "obs/span.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "viz/analysis.hpp"
@@ -170,6 +171,31 @@ Response handle_analyze(const Request& req, TraceCache& cache,
   resp.report = viz::analyze(r, entry->trace).to_string();
   if (tl != nullptr) tl->stage("analyze-report", an0, tl->now_us() - an0);
   return resp;
+}
+
+void append_tracer_spans(std::uint64_t pid, std::vector<WireSpan>& out) {
+  const obs::Tracer& tracer = obs::Tracer::global();
+  // Absolute unix-ns timestamps: each process stamps events against its
+  // own captured system-clock epoch, so the collector merges dumps from
+  // proxy + shards without any clock negotiation.
+  const std::int64_t epoch_unix = tracer.epoch_unix_ns();
+  // Per-ring cap keeps the dump (64 threads x cap) under kMaxFrame even
+  // with every ring full.
+  for (const obs::Tracer::SnapshotEvent& se : tracer.snapshot(1u << 15)) {
+    WireSpan w;
+    w.pid = pid;
+    w.tid = se.tid;
+    w.name = se.ev.name != nullptr ? se.ev.name : "?";
+    w.cat = se.ev.cat != nullptr ? se.ev.cat : "vppb";
+    w.start_unix_ns = epoch_unix + se.ev.start_ns;
+    w.dur_ns = se.ev.dur_ns;
+    w.trace_id = se.ev.trace_id;
+    if (se.ev.arg_name != nullptr) {
+      w.arg_name = se.ev.arg_name;
+      w.arg_value = se.ev.arg_value;
+    }
+    out.push_back(std::move(w));
+  }
 }
 
 }  // namespace vppb::server

@@ -7,6 +7,9 @@
 // connection.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "core/guard.hpp"
 #include "obs/timeline.hpp"
 #include "server/deadline.hpp"
@@ -34,5 +37,10 @@ Response handle_analyze(const Request& req, TraceCache& cache,
                         const Deadline& deadline = Deadline(),
                         const core::RunGuard* guard = nullptr,
                         obs::Timeline* tl = nullptr);
+
+/// The tracedump body: appends this process's tracer rings to `out` as
+/// wire spans stamped with `pid` (the shard id; 0 for the proxy or a
+/// standalone vppbd).
+void append_tracer_spans(std::uint64_t pid, std::vector<WireSpan>& out);
 
 }  // namespace vppb::server

@@ -1,162 +1,91 @@
 #include "server/metrics.hpp"
 
-#include "obs/metrics.hpp"
 #include "util/stats.hpp"
 
 namespace vppb::server {
 
-namespace {
-
-/// Registry handles mirroring the request-path counters, so the
-/// `metricsdump` exposition shows server traffic next to the cache,
-/// pool, engine, and loader families.  The exact by-type breakdown and
-/// percentile ring stay in Metrics (the wire StatsBody needs them).
-struct ServerMetrics {
-  obs::Counter& requests;
-  obs::Counter& errors;
-  obs::Counter& overloads;
-  obs::Counter& deadlines;
-  obs::Counter& budgets;
-  obs::Counter& poisoned;
-  obs::Counter& watchdog_cancels;
-  obs::Counter& watchdog_replacements;
-  obs::Counter& sampled;
-  obs::Counter& auth_failures;
-  obs::Counter& idle_reaps;
-  obs::Histogram& latency_us;
-
-  static ServerMetrics& get() {
-    auto& reg = obs::Registry::global();
-    static ServerMetrics m{
-        reg.counter("vppb_server_requests_total", "Requests received"),
-        reg.counter("vppb_server_errors_total",
-                    "Requests that failed with an error status"),
-        reg.counter("vppb_server_overloads_total",
-                    "Requests rejected by admission control"),
-        reg.counter("vppb_server_deadlines_total",
-                    "Requests that missed their deadline"),
-        reg.counter("vppb_server_budget_kills_total",
-                    "Requests stopped by a resource budget"),
-        reg.counter("vppb_server_poisoned_total",
-                    "Requests rejected from the poison quarantine"),
-        reg.counter("vppb_server_watchdog_cancels_total",
-                    "Overdue requests cancelled by the watchdog"),
-        reg.counter("vppb_server_watchdog_replacements_total",
-                    "Wedged workers replaced by the watchdog"),
-        reg.counter("vppb_server_sampled_requests_total",
-                    "Requests carrying a distributed trace id"),
-        reg.counter("vppb_server_auth_failures_total",
-                    "TCP peers rejected by the authenticated handshake"),
-        reg.counter("vppb_server_idle_reaps_total",
-                    "Connections closed for idling past the deadline"),
-        reg.histogram("vppb_server_latency_us",
-                      "Admitted request latency, decode to response ready",
-                      obs::latency_us_bounds()),
-    };
-    return m;
-  }
-};
-
-}  // namespace
+Metrics::Metrics()
+    : requests(registry.counter("vppb_server_requests_total",
+                                "Requests received")),
+      errors(registry.counter("vppb_server_errors_total",
+                              "Requests that failed with an error status")),
+      overloads(registry.counter("vppb_server_overloads_total",
+                                 "Requests rejected by admission control")),
+      deadlines(registry.counter("vppb_server_deadlines_total",
+                                 "Requests that missed their deadline")),
+      budget_kills(registry.counter("vppb_server_budget_kills_total",
+                                    "Requests stopped by a resource budget")),
+      poisoned(registry.counter(
+          "vppb_server_poisoned_total",
+          "Requests rejected from the poison quarantine")),
+      watchdog_cancels(registry.counter(
+          "vppb_server_watchdog_cancels_total",
+          "Overdue requests cancelled by the watchdog")),
+      watchdog_replacements(registry.counter(
+          "vppb_server_watchdog_replacements_total",
+          "Wedged workers replaced by the watchdog")),
+      sampled(registry.counter("vppb_server_sampled_requests_total",
+                               "Requests carrying a distributed trace id")),
+      auth_failures(registry.counter(
+          "vppb_server_auth_failures_total",
+          "TCP peers rejected by the authenticated handshake")),
+      idle_reaps(registry.counter(
+          "vppb_server_idle_reaps_total",
+          "Connections closed for idling past the deadline")),
+      latency_us(registry.histogram(
+          "vppb_server_latency_us",
+          "Admitted request latency, decode to response ready",
+          obs::latency_us_bounds())),
+      in_flight(registry.gauge("vppb_server_in_flight",
+                               "Admitted requests currently running")),
+      admission_limit(registry.gauge("vppb_server_admission_limit",
+                                     "Admission control limit")),
+      slo_latency_burn_5m_milli(registry.gauge(
+          "vppb_slo_latency_burn_5m_milli",
+          "Latency error-budget burn rate over 5m, x1000")),
+      slo_availability_burn_5m_milli(registry.gauge(
+          "vppb_slo_availability_burn_5m_milli",
+          "Availability error-budget burn rate over 5m, x1000")),
+      slo_burning(registry.gauge(
+          "vppb_slo_burning",
+          "1 when a multi-window burn-rate alert is firing")) {}
 
 void Metrics::count_request(ReqType t) {
-  ServerMetrics::get().requests.inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++requests_;
-  ++by_type_[static_cast<std::size_t>(t)];
-}
-
-void Metrics::count_error() {
-  ServerMetrics::get().errors.inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++errors_;
-}
-
-void Metrics::count_overload() {
-  ServerMetrics::get().overloads.inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++overloads_;
-}
-
-void Metrics::count_deadline() {
-  ServerMetrics::get().deadlines.inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++deadlines_;
-}
-
-void Metrics::count_budget() {
-  ServerMetrics::get().budgets.inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++budget_kills_;
-}
-
-void Metrics::count_poisoned() {
-  ServerMetrics::get().poisoned.inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++poisoned_;
-}
-
-void Metrics::count_watchdog_cancel() {
-  ServerMetrics::get().watchdog_cancels.inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++watchdog_cancels_;
-}
-
-void Metrics::count_watchdog_replacement() {
-  ServerMetrics::get().watchdog_replacements.inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++watchdog_replacements_;
-}
-
-void Metrics::count_sampled() {
-  ServerMetrics::get().sampled.inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++sampled_;
-}
-
-void Metrics::count_auth_failure() {
-  ServerMetrics::get().auth_failures.inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++auth_failures_;
-}
-
-void Metrics::count_idle_reap() {
-  ServerMetrics::get().idle_reaps.inc();
-  std::lock_guard<std::mutex> lock(mu_);
-  ++idle_reaps_;
+  requests.inc();
+  by_type[static_cast<std::size_t>(t)].fetch_add(1,
+                                                 std::memory_order_relaxed);
 }
 
 void Metrics::record_latency_us(double us, std::uint64_t trace_id) {
-  ServerMetrics::get().latency_us.observe(us, trace_id);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++latencies_seen_;
-  if (latency_us_.size() < kMaxSamples) {
-    latency_us_.push_back(us);
+  latency_us.observe(us, trace_id);
+  std::lock_guard<std::mutex> lock(ring_mu_);
+  if (ring_.size() < kMaxSamples) {
+    ring_.push_back(us);
   } else {
-    latency_us_[ring_next_] = us;
+    ring_[ring_next_] = us;
     ring_next_ = (ring_next_ + 1) % kMaxSamples;
   }
 }
 
 void Metrics::snapshot(StatsBody& out) const {
+  out.requests = requests.value();
+  for (std::size_t i = 0; i < kReqTypeCount; ++i)
+    out.by_type[i] = by_type[i].load(std::memory_order_relaxed);
+  out.errors = errors.value();
+  out.overloads = overloads.value();
+  out.deadlines = deadlines.value();
+  out.budget_kills = budget_kills.value();
+  out.poisoned = poisoned.value();
+  out.watchdog_cancels = watchdog_cancels.value();
+  out.watchdog_replacements = watchdog_replacements.value();
+  out.sampled_requests = sampled.value();
+  out.auth_failures = auth_failures.value();
+  out.idle_reaps = idle_reaps.value();
+  out.latency_count = latency_us.count();
   std::vector<double> ring;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.requests = requests_;
-    for (std::size_t i = 0; i < kReqTypeCount; ++i)
-      out.by_type[i] = by_type_[i];
-    out.errors = errors_;
-    out.overloads = overloads_;
-    out.deadlines = deadlines_;
-    out.budget_kills = budget_kills_;
-    out.poisoned = poisoned_;
-    out.watchdog_cancels = watchdog_cancels_;
-    out.watchdog_replacements = watchdog_replacements_;
-    out.sampled_requests = sampled_;
-    out.auth_failures = auth_failures_;
-    out.idle_reaps = idle_reaps_;
-    out.latency_count = latencies_seen_;
-    ring = latency_us_;  // percentile work happens off-lock
+    std::lock_guard<std::mutex> lock(ring_mu_);
+    ring = ring_;  // percentile work happens off-lock
   }
   if (!ring.empty()) {
     // nth_element per percentile instead of one full sort: O(n) each on

@@ -94,84 +94,30 @@ ReqType req_type(std::uint64_t v) {
 // ---- StatsBody (shared by the top-level response and each per-shard
 // entry of an aggregated cluster response) -----------------------------------
 
+void put_field(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  put_u64(out, v);
+}
+void put_field(std::vector<std::uint8_t>& out, double v) { put_double(out, v); }
+void put_field(std::vector<std::uint8_t>& out,
+               const std::uint64_t (&vs)[kReqTypeCount]) {
+  for (std::uint64_t v : vs) put_u64(out, v);
+}
+
+void get_field(Reader& in, std::uint64_t& v) { v = in.u64(); }
+void get_field(Reader& in, double& v) { v = in.dbl(); }
+void get_field(Reader& in, std::uint64_t (&vs)[kReqTypeCount]) {
+  for (std::uint64_t& v : vs) v = in.u64();
+}
+
 void put_stats(std::vector<std::uint8_t>& out, const StatsBody& s) {
-  put_u64(out, s.requests);
-  for (std::uint64_t n : s.by_type) put_u64(out, n);
-  put_u64(out, s.errors);
-  put_u64(out, s.overloads);
-  put_u64(out, s.deadlines);
-  put_u64(out, s.cache_hits);
-  put_u64(out, s.cache_misses);
-  put_u64(out, s.cache_evictions);
-  put_u64(out, s.cache_waits);
-  put_u64(out, s.cache_entries);
-  put_u64(out, s.cache_bytes);
-  put_u64(out, s.latency_count);
-  put_double(out, s.p50_us);
-  put_double(out, s.p90_us);
-  put_double(out, s.p99_us);
-  put_double(out, s.max_us);
-  put_u64(out, s.budget_kills);
-  put_u64(out, s.poisoned);
-  put_u64(out, s.poison_strikes);
-  put_u64(out, s.quarantined);
-  put_u64(out, s.watchdog_cancels);
-  put_u64(out, s.watchdog_replacements);
-  put_u64(out, s.quota_rejections);
-  put_u64(out, s.brownout_sheds);
-  put_u64(out, s.stale_serves);
-  put_double(out, s.slo_p99_ms);
-  put_double(out, s.slo_availability);
-  put_double(out, s.lat_burn_1m);
-  put_double(out, s.lat_burn_5m);
-  put_double(out, s.lat_burn_1h);
-  put_double(out, s.avail_burn_1m);
-  put_double(out, s.avail_burn_5m);
-  put_double(out, s.avail_burn_1h);
-  put_u64(out, s.sampled_requests);
-  put_u64(out, s.trace_dropped);
-  put_u64(out, s.auth_failures);
-  put_u64(out, s.idle_reaps);
+  for_each_stats_field(
+      [&out](const char*, MergeRule, const auto& f) { put_field(out, f); },
+      s);
 }
 
 void get_stats(Reader& in, StatsBody& s) {
-  s.requests = in.u64();
-  for (std::uint64_t& n : s.by_type) n = in.u64();
-  s.errors = in.u64();
-  s.overloads = in.u64();
-  s.deadlines = in.u64();
-  s.cache_hits = in.u64();
-  s.cache_misses = in.u64();
-  s.cache_evictions = in.u64();
-  s.cache_waits = in.u64();
-  s.cache_entries = in.u64();
-  s.cache_bytes = in.u64();
-  s.latency_count = in.u64();
-  s.p50_us = in.dbl();
-  s.p90_us = in.dbl();
-  s.p99_us = in.dbl();
-  s.max_us = in.dbl();
-  s.budget_kills = in.u64();
-  s.poisoned = in.u64();
-  s.poison_strikes = in.u64();
-  s.quarantined = in.u64();
-  s.watchdog_cancels = in.u64();
-  s.watchdog_replacements = in.u64();
-  s.quota_rejections = in.u64();
-  s.brownout_sheds = in.u64();
-  s.stale_serves = in.u64();
-  s.slo_p99_ms = in.dbl();
-  s.slo_availability = in.dbl();
-  s.lat_burn_1m = in.dbl();
-  s.lat_burn_5m = in.dbl();
-  s.lat_burn_1h = in.dbl();
-  s.avail_burn_1m = in.dbl();
-  s.avail_burn_5m = in.dbl();
-  s.avail_burn_1h = in.dbl();
-  s.sampled_requests = in.u64();
-  s.trace_dropped = in.u64();
-  s.auth_failures = in.u64();
-  s.idle_reaps = in.u64();
+  for_each_stats_field(
+      [&in](const char*, MergeRule, auto& f) { get_field(in, f); }, s);
 }
 
 void check_version(Reader& in) {

@@ -36,7 +36,8 @@ enum class ReqType : std::uint8_t {
   kAnalyze = 2,   ///< contention / utilization report
   kStats = 3,     ///< server counters, cache hit rate, latencies
   kHealth = 4,    ///< readiness probe; bypasses admission control
-  kMetricsDump = 5,  ///< Prometheus text exposition of the obs registry
+  kMetricsDump = 5,  ///< Prometheus text of the process, server and
+                     ///< cache registries
   kTraceDump = 6,    ///< drain the span tracer's rings (aggregated by the
                      ///< proxy into a cluster-wide flame view)
 };
@@ -154,6 +155,66 @@ struct StatsBody {
   std::uint64_t idle_reaps = 0;     ///< connections closed for idling past
                                     ///< the server's idle deadline
 };
+
+/// How the cluster proxy folds one StatsBody field across shards.
+enum class MergeRule : std::uint8_t {
+  kSum,         ///< counters: the cluster total
+  kMax,         ///< percentiles (order statistics do not merge, so the
+                ///< per-shard maximum is an upper bound), burn rates (the
+                ///< worst shard) and the availability objective
+  kMinNonzero,  ///< the latency objective: the strictest one configured
+};
+
+/// The one list of StatsBody fields, in wire order.  Calls
+/// `fn(label, rule, field...)` once per field, passing that field of
+/// each body: one body to encode, decode or render it, two to merge the
+/// second into the first.  `label` is the field's row in the `vppb
+/// stats` table, or nullptr when the text shows it elsewhere (latency
+/// line, SLO block).  `by_type` is passed as the whole array and renders
+/// as one row per request type.  put_stats, get_stats, merge_stats and
+/// render_stats_text all walk this list; a new field goes at the end,
+/// with a protocol version bump.
+template <typename Fn, typename... Bodies>
+void for_each_stats_field(Fn&& fn, Bodies&... b) {
+  using R = MergeRule;
+  fn("requests", R::kSum, b.requests...);
+  fn(nullptr, R::kSum, b.by_type...);
+  fn("errors", R::kSum, b.errors...);
+  fn("overloads", R::kSum, b.overloads...);
+  fn("deadline misses", R::kSum, b.deadlines...);
+  fn("cache hits", R::kSum, b.cache_hits...);
+  fn("cache misses", R::kSum, b.cache_misses...);
+  fn("cache evictions", R::kSum, b.cache_evictions...);
+  fn("cache waits", R::kSum, b.cache_waits...);
+  fn("cache entries", R::kSum, b.cache_entries...);
+  fn("cache bytes", R::kSum, b.cache_bytes...);
+  fn(nullptr, R::kSum, b.latency_count...);
+  fn(nullptr, R::kMax, b.p50_us...);
+  fn(nullptr, R::kMax, b.p90_us...);
+  fn(nullptr, R::kMax, b.p99_us...);
+  fn(nullptr, R::kMax, b.max_us...);
+  fn("budget kills", R::kSum, b.budget_kills...);
+  fn("poisoned rejects", R::kSum, b.poisoned...);
+  fn("poison strikes", R::kSum, b.poison_strikes...);
+  fn("quarantined now", R::kSum, b.quarantined...);
+  fn("watchdog cancels", R::kSum, b.watchdog_cancels...);
+  fn("worker replacements", R::kSum, b.watchdog_replacements...);
+  fn("quota rejections", R::kSum, b.quota_rejections...);
+  fn("brownout sheds", R::kSum, b.brownout_sheds...);
+  fn("stale serves", R::kSum, b.stale_serves...);
+  fn(nullptr, R::kMinNonzero, b.slo_p99_ms...);
+  fn(nullptr, R::kMax, b.slo_availability...);
+  fn(nullptr, R::kMax, b.lat_burn_1m...);
+  fn(nullptr, R::kMax, b.lat_burn_5m...);
+  fn(nullptr, R::kMax, b.lat_burn_1h...);
+  fn(nullptr, R::kMax, b.avail_burn_1m...);
+  fn(nullptr, R::kMax, b.avail_burn_5m...);
+  fn(nullptr, R::kMax, b.avail_burn_1h...);
+  fn("sampled requests", R::kSum, b.sampled_requests...);
+  fn("trace drops", R::kSum, b.trace_dropped...);
+  fn("auth failures", R::kSum, b.auth_failures...);
+  fn("idle reaps", R::kSum, b.idle_reaps...);
+}
 
 /// One backend's slice of an aggregated cluster response (protocol v5).
 /// The proxy fills one per configured shard for stats / health /

@@ -33,6 +33,7 @@ Server::Server(ServerOptions opt)
   }
   cache_.configure_quarantine(opt_.poison_strikes, opt_.quarantine_ms);
   slo_.configure(obs::SloOptions{opt_.slo_p99_ms, opt_.slo_availability});
+  metrics_.admission_limit.set(opt_.admission_limit);
 }
 
 Server::~Server() { stop(); }
@@ -129,11 +130,11 @@ void Server::serve_connection(Conn* conn) {
       cfg.handshake_timeout_ms = static_cast<int>(opt_.auth_timeout_ms);
       auth_accept(conn->sock, cfg);
     } catch (const AuthError& e) {
-      metrics_.count_auth_failure();
+      metrics_.auth_failures.inc();
       obs::logf(LogLevel::kWarn, "server", "auth failed: %s", e.what());
       return;
     } catch (const Error& e) {
-      metrics_.count_auth_failure();
+      metrics_.auth_failures.inc();
       obs::logf(LogLevel::kDebug, "server", "handshake dropped: %s",
                 e.what());
       return;
@@ -172,7 +173,7 @@ void Server::serve_connection(Conn* conn) {
         // connection (the framing itself is intact).
         resp.status = Status::kError;
         resp.error = e.what();
-        metrics_.count_error();
+        metrics_.errors.inc();
       }
       // Every response names its origin, not just the probe types: the
       // routing tier attributes compute answers (failover, hedging) by
@@ -205,7 +206,7 @@ void Server::serve_connection(Conn* conn) {
     // Idle past the deadline, or a started frame trickling in too
     // slowly: reap the connection.  The slot it held is free again and
     // the server owes this peer nothing.
-    metrics_.count_idle_reap();
+    metrics_.idle_reaps.inc();
     obs::logf(LogLevel::kInfo, "server", "idle connection reaped: %s",
               e.what());
   } catch (const Error& e) {
@@ -253,7 +254,7 @@ void Server::client_release(std::uint64_t client) {
 
 Response Server::execute(const Request& req, std::uint64_t conn_key) {
   metrics_.count_request(req.type);
-  if (req.trace_id != 0) metrics_.count_sampled();
+  if (req.trace_id != 0) metrics_.sampled.inc();
   const auto t0 = std::chrono::steady_clock::now();
 
   // Health answers before admission: a readiness probe that can be
@@ -273,7 +274,7 @@ Response Server::execute(const Request& req, std::uint64_t conn_key) {
     try {
       cache_.check_poisoned(req.trace_path);
     } catch (const Poisoned& e) {
-      metrics_.count_poisoned();
+      metrics_.poisoned.inc();
       obs::logf(LogLevel::kWarn, "server", "poisoned: rejecting %s of %s",
                 to_string(req.type), req.trace_path.c_str());
       Response resp;
@@ -296,7 +297,7 @@ Response Server::execute(const Request& req, std::uint64_t conn_key) {
                                                     : conn_key;
   const bool client_gated = opt_.per_client_limit > 0;
   if (client_gated && !client_admit(client)) {
-    metrics_.count_overload();
+    metrics_.overloads.inc();
     obs::logf(LogLevel::kDebug, "server",
               "overload: client %llu over per-client limit %d",
               static_cast<unsigned long long>(client), opt_.per_client_limit);
@@ -316,7 +317,7 @@ Response Server::execute(const Request& req, std::uint64_t conn_key) {
       opt_.admission_limit) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     if (client_gated) client_release(client);
-    metrics_.count_overload();
+    metrics_.overloads.inc();
     obs::logf(LogLevel::kDebug, "server", "overload: rejecting %s request",
               to_string(req.type));
     Response resp;
@@ -396,10 +397,10 @@ Response Server::execute(const Request& req, std::uint64_t conn_key) {
     resp.type = req.type;
     resp.status = Status::kDeadlineExceeded;
     resp.error = "deadline exceeded: result completed too late";
-    metrics_.count_deadline();
+    metrics_.deadlines.inc();
   }
 
-  if (resp.status == Status::kError) metrics_.count_error();
+  if (resp.status == Status::kError) metrics_.errors.inc();
   const double latency_us =
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - t0)
@@ -458,17 +459,28 @@ Response Server::dispatch(const Request& req, ReqState& st) {
         return handle_analyze(req, cache_, st.deadline, &st.guard,
                               st.timeline.get());
       case ReqType::kStats:
-        return stats_response();
+        return stats_response(req.type);
       case ReqType::kHealth:
         return health_response();  // normally answered pre-admission
-      case ReqType::kMetricsDump:
-        return metricsdump_response();
-      case ReqType::kTraceDump:
-        return tracedump_response();
+      case ReqType::kMetricsDump: {
+        // The process-wide layers (engine, loader, pool, guard, tracer),
+        // then this server's request families, then its cache's.  The
+        // text rides in `report`, the channel `analyze` uses.
+        Response resp = stats_response(req.type);
+        resp.report = obs::Registry::global().prometheus_text() +
+                      metrics_.registry.prometheus_text() +
+                      cache_.registry().prometheus_text();
+        return resp;
+      }
+      case ReqType::kTraceDump: {
+        Response resp = stats_response(req.type);
+        append_tracer_spans(opt_.shard_id, resp.spans);
+        return resp;
+      }
     }
     throw Error("unhandled request type");
   } catch (const DeadlineExceeded& e) {
-    metrics_.count_deadline();
+    metrics_.deadlines.inc();
     Response resp;
     resp.type = req.type;
     resp.status = Status::kDeadlineExceeded;
@@ -484,10 +496,10 @@ Response Server::dispatch(const Request& req, ReqState& st) {
     // budget is on its way to quarantine.
     if (st.deadline.expired() && (e.trip() == core::GuardTrip::kCancelled ||
                                   e.trip() == core::GuardTrip::kWallTime)) {
-      metrics_.count_deadline();
+      metrics_.deadlines.inc();
       resp.status = Status::kDeadlineExceeded;
     } else {
-      metrics_.count_budget();
+      metrics_.budget_kills.inc();
       resp.status = Status::kBudgetExceeded;
       if (!st.trace_path.empty()) cache_.record_strike(st.trace_path);
     }
@@ -496,7 +508,7 @@ Response Server::dispatch(const Request& req, ReqState& st) {
   } catch (const Poisoned& e) {
     // The quarantine tripped between the pre-admission check and the
     // cache lookup (another worker's strike landed in the window).
-    metrics_.count_poisoned();
+    metrics_.poisoned.inc();
     Response resp;
     resp.type = req.type;
     resp.status = Status::kPoisoned;
@@ -564,7 +576,7 @@ void Server::watchdog_scan(const std::shared_ptr<ReqState>& st) {
     st->guard.cancel();
     st->cancelled = true;
     st->cancelled_at = now;
-    metrics_.count_watchdog_cancel();
+    metrics_.watchdog_cancels.inc();
     obs::logf(LogLevel::kWarn, "server",
               "watchdog: cancelled overdue %s request",
               to_string(st->type));
@@ -583,12 +595,12 @@ void Server::watchdog_scan(const std::shared_ptr<ReqState>& st) {
   if (st->deadline.expired()) {
     resp.status = Status::kDeadlineExceeded;
     resp.error = "deadline exceeded: worker unresponsive, request abandoned";
-    metrics_.count_deadline();
+    metrics_.deadlines.inc();
   } else {
     resp.status = Status::kBudgetExceeded;
     resp.error =
         "wall-time budget exceeded: worker unresponsive, request abandoned";
-    metrics_.count_budget();
+    metrics_.budget_kills.inc();
   }
   {
     std::lock_guard<std::mutex> lock(st->mu);
@@ -602,7 +614,7 @@ void Server::watchdog_scan(const std::shared_ptr<ReqState>& st) {
   if (replacements_made_ < opt_.watchdog_max_replacements) {
     ++replacements_made_;
     pool_->grow(1);
-    metrics_.count_watchdog_replacement();
+    metrics_.watchdog_replacements.inc();
     obs::logf(LogLevel::kWarn, "server",
               "watchdog: abandoned wedged %s request, grew pool "
               "(replacement %d of %d)",
@@ -616,132 +628,51 @@ void Server::watchdog_scan(const std::shared_ptr<ReqState>& st) {
   }
 }
 
-void Server::fill_cache_stats(StatsBody& out) {
-  const TraceCache::Stats cs = cache_.stats();
-  out.cache_hits = cs.hits;
-  out.cache_misses = cs.misses;
-  out.cache_evictions = cs.evictions;
-  out.cache_waits = cs.waits;
-  out.cache_entries = cs.entries;
-  out.cache_bytes = cs.bytes;
-  out.poison_strikes = cs.poison_strikes;
-  out.quarantined = cs.quarantined;
-}
-
-void Server::fill_slo(Response& resp) {
-  resp.stats.slo_p99_ms = opt_.slo_p99_ms;
-  resp.stats.slo_availability = opt_.slo_availability;
-  const obs::BurnRates burn = slo_.burn();
-  resp.stats.lat_burn_1m = burn.lat_1m;
-  resp.stats.lat_burn_5m = burn.lat_5m;
-  resp.stats.lat_burn_1h = burn.lat_1h;
-  resp.stats.avail_burn_1m = burn.avail_1m;
-  resp.stats.avail_burn_5m = burn.avail_5m;
-  resp.stats.avail_burn_1h = burn.avail_1h;
-  resp.stats.trace_dropped = obs::Tracer::global().dropped_count();
-  resp.slo_burning = burn.burning;
-}
-
-Response Server::stats_response() {
+Response Server::stats_response(ReqType type) {
   Response resp;
-  resp.type = ReqType::kStats;
+  resp.type = type;
   resp.shard_id = opt_.shard_id;
   resp.epoch = epoch_;
-  metrics_.snapshot(resp.stats);  // includes this stats request itself
-  fill_cache_stats(resp.stats);
-  fill_slo(resp);
+  StatsBody& s = resp.stats;
+  metrics_.snapshot(s);  // includes this request itself
+  const TraceCache::Stats cs = cache_.stats();
+  s.cache_hits = cs.hits;
+  s.cache_misses = cs.misses;
+  s.cache_evictions = cs.evictions;
+  s.cache_waits = cs.waits;
+  s.cache_entries = cs.entries;
+  s.cache_bytes = cs.bytes;
+  s.poison_strikes = cs.poison_strikes;
+  s.quarantined = cs.quarantined;
+  s.slo_p99_ms = opt_.slo_p99_ms;
+  s.slo_availability = opt_.slo_availability;
+  const obs::BurnRates burn = slo_.burn();
+  s.lat_burn_1m = burn.lat_1m;
+  s.lat_burn_5m = burn.lat_5m;
+  s.lat_burn_1h = burn.lat_1h;
+  s.avail_burn_1m = burn.avail_1m;
+  s.avail_burn_5m = burn.avail_5m;
+  s.avail_burn_1h = burn.avail_1h;
+  s.trace_dropped = obs::Tracer::global().dropped_count();
+  resp.slo_burning = burn.burning;
+  // The point-in-time gauges come from the same reading, so a
+  // metricsdump agrees with the body it rides with.  Burn rates export
+  // in milli-units (burn x1000): 1000 = burning exactly at the
+  // objective's sustainable rate.
+  metrics_.in_flight.set(in_flight_.load(std::memory_order_acquire));
+  metrics_.slo_latency_burn_5m_milli.set(
+      static_cast<std::int64_t>(burn.lat_5m * 1000.0));
+  metrics_.slo_availability_burn_5m_milli.set(
+      static_cast<std::int64_t>(burn.avail_5m * 1000.0));
+  metrics_.slo_burning.set(burn.burning ? 1 : 0);
   return resp;
 }
 
 Response Server::health_response() {
-  Response resp;
-  resp.type = ReqType::kHealth;
-  resp.shard_id = opt_.shard_id;
-  resp.epoch = epoch_;
+  Response resp = stats_response(ReqType::kHealth);
   resp.ready = running_.load();
-  resp.in_flight = static_cast<std::uint64_t>(
-      in_flight_.load(std::memory_order_acquire));
+  resp.in_flight = static_cast<std::uint64_t>(metrics_.in_flight.value());
   resp.admission_limit = static_cast<std::uint64_t>(opt_.admission_limit);
-  metrics_.snapshot(resp.stats);
-  fill_cache_stats(resp.stats);
-  fill_slo(resp);
-  return resp;
-}
-
-Response Server::tracedump_response() {
-  Response resp;
-  resp.type = ReqType::kTraceDump;
-  resp.shard_id = opt_.shard_id;
-  resp.epoch = epoch_;
-  const obs::Tracer& tracer = obs::Tracer::global();
-  // Absolute unix-ns timestamps: each process stamps events against its
-  // own captured system-clock epoch, so the collector merges dumps from
-  // proxy + shards without any clock negotiation.
-  const std::int64_t epoch_unix = tracer.epoch_unix_ns();
-  // Per-ring cap keeps the dump (64 threads x cap) under kMaxFrame even
-  // with every ring full.
-  for (const obs::Tracer::SnapshotEvent& se : tracer.snapshot(1u << 15)) {
-    WireSpan w;
-    w.pid = opt_.shard_id;
-    w.tid = se.tid;
-    w.name = se.ev.name != nullptr ? se.ev.name : "?";
-    w.cat = se.ev.cat != nullptr ? se.ev.cat : "vppb";
-    w.start_unix_ns = epoch_unix + se.ev.start_ns;
-    w.dur_ns = se.ev.dur_ns;
-    w.trace_id = se.ev.trace_id;
-    if (se.ev.arg_name != nullptr) {
-      w.arg_name = se.ev.arg_name;
-      w.arg_value = se.ev.arg_value;
-    }
-    resp.spans.push_back(std::move(w));
-  }
-  metrics_.snapshot(resp.stats);
-  fill_cache_stats(resp.stats);
-  fill_slo(resp);
-  return resp;
-}
-
-Response Server::metricsdump_response() {
-  // Refresh the point-in-time gauges the event paths cannot keep
-  // current on their own, then dump the whole registry.  The text rides
-  // in `report`, the same free-form channel `analyze` uses.
-  auto& reg = obs::Registry::global();
-  reg.gauge("vppb_server_in_flight", "Admitted requests currently running")
-      .set(in_flight_.load(std::memory_order_acquire));
-  reg.gauge("vppb_server_admission_limit", "Admission control limit")
-      .set(opt_.admission_limit);
-  const TraceCache::Stats cs = cache_.stats();  // also refreshes the
-                                                // quarantined gauge
-  reg.gauge("vppb_cache_entries", "Ready entries resident")
-      .set(static_cast<std::int64_t>(cs.entries));
-  reg.gauge("vppb_cache_bytes",
-            "Charged trace bytes resident (file + footprint)")
-      .set(static_cast<std::int64_t>(cs.bytes));
-  // Burn rates are dimensionless ratios; gauges are integral, so they
-  // export in milli-units (burn x1000) — 1000 = burning exactly at the
-  // objective's sustainable rate.
-  const obs::BurnRates burn = slo_.burn();
-  const auto milli = [](double v) {
-    return static_cast<std::int64_t>(v * 1000.0);
-  };
-  reg.gauge("vppb_slo_latency_burn_5m_milli",
-            "Latency error-budget burn rate over 5m, x1000")
-      .set(milli(burn.lat_5m));
-  reg.gauge("vppb_slo_availability_burn_5m_milli",
-            "Availability error-budget burn rate over 5m, x1000")
-      .set(milli(burn.avail_5m));
-  reg.gauge("vppb_slo_burning",
-            "1 when a multi-window burn-rate alert is firing")
-      .set(burn.burning ? 1 : 0);
-
-  Response resp;
-  resp.type = ReqType::kMetricsDump;
-  resp.shard_id = opt_.shard_id;
-  resp.epoch = epoch_;
-  resp.report = reg.prometheus_text();
-  metrics_.snapshot(resp.stats);  // keep the structured body populated too
-  fill_cache_stats(resp.stats);
-  fill_slo(resp);
   return resp;
 }
 

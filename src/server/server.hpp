@@ -219,14 +219,12 @@ class Server {
   void serve_connection(Conn* conn);
   Response execute(const Request& req, std::uint64_t conn_key);
   Response dispatch(const Request& req, ReqState& st);
-  Response stats_response();
+  /// The answer every stats, health, metricsdump and tracedump request
+  /// starts from: identity, the request counters and latency, the cache,
+  /// the SLO burn rates and verdict.  Also refreshes the point-in-time
+  /// gauges of the Metrics registry from the same reading.
+  Response stats_response(ReqType type);
   Response health_response();
-  Response metricsdump_response();
-  Response tracedump_response();
-  void fill_cache_stats(StatsBody& out);
-  /// Stamps the SLO burn rates + tracing telemetry into a stats body
-  /// and the breach verdict onto the response.
-  void fill_slo(Response& resp);
 
   core::RunLimits request_limits(const Request& req) const;
   bool client_admit(std::uint64_t client);

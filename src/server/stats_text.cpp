@@ -1,6 +1,7 @@
 #include "server/stats_text.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -18,31 +19,20 @@ std::string u64str(std::uint64_t v) {
 std::string render_stats_text(const StatsBody& s, bool aggregated) {
   TextTable table;
   table.header({"counter", "value"});
-  table.row({"requests", u64str(s.requests)});
-  for (std::size_t i = 0; i < kReqTypeCount; ++i) {
-    table.row({strprintf("  %s", to_string(static_cast<ReqType>(i))),
-               u64str(s.by_type[i])});
-  }
-  table.row({"errors", u64str(s.errors)});
-  table.row({"overloads", u64str(s.overloads)});
-  table.row({"deadline misses", u64str(s.deadlines)});
-  table.row({"budget kills", u64str(s.budget_kills)});
-  table.row({"poisoned rejects", u64str(s.poisoned)});
-  table.row({"poison strikes", u64str(s.poison_strikes)});
-  table.row({"quarantined now", u64str(s.quarantined)});
-  table.row({"watchdog cancels", u64str(s.watchdog_cancels)});
-  table.row({"worker replacements", u64str(s.watchdog_replacements)});
-  table.row({"quota rejections", u64str(s.quota_rejections)});
-  table.row({"brownout sheds", u64str(s.brownout_sheds)});
-  table.row({"stale serves", u64str(s.stale_serves)});
-  table.row({"sampled requests", u64str(s.sampled_requests)});
-  table.row({"trace drops", u64str(s.trace_dropped)});
-  table.row({"cache hits", u64str(s.cache_hits)});
-  table.row({"cache misses", u64str(s.cache_misses)});
-  table.row({"cache evictions", u64str(s.cache_evictions)});
-  table.row({"cache waits", u64str(s.cache_waits)});
-  table.row({"cache entries", u64str(s.cache_entries)});
-  table.row({"cache bytes", u64str(s.cache_bytes)});
+  // One row per labelled counter, in the field list's order; by_type
+  // expands to one indented row per request type.
+  for_each_stats_field(
+      [&table](const char* label, MergeRule, const auto& f) {
+        using F = std::remove_cvref_t<decltype(f)>;
+        if constexpr (std::is_array_v<F>) {
+          for (std::size_t i = 0; i < kReqTypeCount; ++i)
+            table.row({strprintf("  %s", to_string(static_cast<ReqType>(i))),
+                       u64str(f[i])});
+        } else if constexpr (std::is_same_v<F, std::uint64_t>) {
+          if (label != nullptr) table.row({label, u64str(f)});
+        }
+      },
+      s);
   std::string out = table.render();
   const std::uint64_t lookups = s.cache_hits + s.cache_misses;
   if (lookups > 0) {

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "trace/binary.hpp"
 #include "util/error.hpp"
@@ -39,54 +38,40 @@ std::size_t approx_footprint(const trace::Trace& t,
          t.threads.size() * (sizeof(trace::ThreadMeta) + 64);
 }
 
-/// Registry handles for the cache, registered once.  Counters are
-/// bumped at event time; the gauges are refreshed after every mutation
-/// under the cache lock, so the exposition always reflects the live
-/// occupancy of the (single, in practice) daemon cache.
-struct CacheMetrics {
-  obs::Counter& hits;
-  obs::Counter& misses;
-  obs::Counter& evictions;
-  obs::Counter& waits;
-  obs::Counter& strikes;
-  obs::Counter& quarantine_trips;
-  obs::Counter& poison_rejects;
-  obs::Gauge& entries;
-  obs::Gauge& bytes;
-  obs::Gauge& quarantined;
-
-  static CacheMetrics& get() {
-    auto& reg = obs::Registry::global();
-    static CacheMetrics m{
-        reg.counter("vppb_cache_hits_total",
-                    "Trace-cache lookups served from memory"),
-        reg.counter("vppb_cache_misses_total",
-                    "Trace-cache lookups that loaded from disk"),
-        reg.counter("vppb_cache_evictions_total", "LRU evictions"),
-        reg.counter("vppb_cache_waits_total",
-                    "Lookups that waited out another request's load"),
-        reg.counter("vppb_cache_poison_strikes_total",
-                    "Crash/budget-kill strikes recorded against traces"),
-        reg.counter("vppb_cache_quarantine_trips_total",
-                    "Content keys entering quarantine"),
-        reg.counter("vppb_cache_poison_rejects_total",
-                    "Lookups rejected because the content is quarantined"),
-        reg.gauge("vppb_cache_entries", "Ready entries resident"),
-        reg.gauge("vppb_cache_bytes",
-                  "Charged trace bytes resident (file + footprint)"),
-        reg.gauge("vppb_cache_quarantined",
-                  "Content keys quarantined right now"),
-    };
-    return m;
-  }
-};
-
 }  // namespace
+
+TraceCache::TraceCache(std::size_t max_entries, std::size_t max_bytes,
+                       util::FaultPlan* faults)
+    : max_entries_(max_entries),
+      max_bytes_(max_bytes),
+      faults_(faults),
+      hits_(registry_.counter("vppb_cache_hits_total",
+                              "Trace-cache lookups served from memory")),
+      misses_(registry_.counter("vppb_cache_misses_total",
+                                "Trace-cache lookups that loaded from disk")),
+      evictions_(registry_.counter("vppb_cache_evictions_total",
+                                   "LRU evictions")),
+      waits_(registry_.counter(
+          "vppb_cache_waits_total",
+          "Lookups that waited out another request's load")),
+      poison_strikes_(registry_.counter(
+          "vppb_cache_poison_strikes_total",
+          "Crash/budget-kill strikes recorded against traces")),
+      quarantine_trips_(registry_.counter("vppb_cache_quarantine_trips_total",
+                                          "Content keys entering quarantine")),
+      poison_rejects_(registry_.counter(
+          "vppb_cache_poison_rejects_total",
+          "Lookups rejected because the content is quarantined")),
+      entries_(registry_.gauge("vppb_cache_entries", "Ready entries resident")),
+      bytes_(registry_.gauge(
+          "vppb_cache_bytes",
+          "Charged trace bytes resident (file + footprint)")),
+      quarantined_(registry_.gauge("vppb_cache_quarantined",
+                                   "Content keys quarantined right now")) {}
 
 std::shared_ptr<const TraceCache::Entry> TraceCache::get(
     const std::string& path, const core::RunGuard* guard, bool* loaded) {
   obs::Span get_span("cache.get", "cache");
-  CacheMetrics& cm = CacheMetrics::get();
   if (loaded != nullptr) *loaded = false;
   // Injected faults surface as the same exception types the real
   // failures would: allocation failure and I/O error.  Both are thrown
@@ -110,8 +95,7 @@ std::shared_ptr<const TraceCache::Entry> TraceCache::get(
     auto it = slots_.find(key);
     if (it == slots_.end()) break;  // nobody has (or is loading) it
     if (it->second.entry) {
-      ++hits_;
-      cm.hits.inc();
+      hits_.inc();
       lru_.splice(lru_.begin(), lru_, it->second.lru);
       return it->second.entry;
     }
@@ -120,14 +104,12 @@ std::shared_ptr<const TraceCache::Entry> TraceCache::get(
     // slot, in which case this request retries as the loader.
     if (!waited) {
       waited = true;
-      ++waits_;
-      cm.waits.inc();
+      waits_.inc();
     }
     loaded_cv_.wait(lock);
   }
 
-  ++misses_;
-  cm.misses.inc();
+  misses_.inc();
   if (loaded != nullptr) *loaded = true;
   slots_.emplace(key, Slot{});  // loading marker
   lock.unlock();
@@ -160,10 +142,9 @@ std::shared_ptr<const TraceCache::Entry> TraceCache::get(
   slot.entry = entry;
   lru_.push_front(key);
   slot.lru = lru_.begin();
-  bytes_ += entry->bytes;
+  bytes_.add(static_cast<std::int64_t>(entry->bytes));
   evict_locked();
-  cm.entries.set(static_cast<std::int64_t>(lru_.size()));
-  cm.bytes.set(static_cast<std::int64_t>(bytes_));
+  entries_.set(static_cast<std::int64_t>(lru_.size()));
   loaded_cv_.notify_all();
   return entry;
 }
@@ -173,14 +154,14 @@ void TraceCache::evict_locked() {
   // at the front and is never evicted by its own insertion unless it
   // alone exceeds the budget (then the cache simply does not retain it).
   while (!lru_.empty() &&
-         (lru_.size() > max_entries_ || bytes_ > max_bytes_)) {
+         (lru_.size() > max_entries_ ||
+          static_cast<std::size_t>(bytes_.value()) > max_bytes_)) {
     const std::uint64_t victim = lru_.back();
     lru_.pop_back();
     auto it = slots_.find(victim);
-    bytes_ -= it->second.entry->bytes;
+    bytes_.sub(static_cast<std::int64_t>(it->second.entry->bytes));
     slots_.erase(it);
-    ++evictions_;
-    CacheMetrics::get().evictions.inc();
+    evictions_.inc();
   }
 }
 
@@ -199,21 +180,18 @@ void TraceCache::record_strike(const std::string& path) noexcept {
   } catch (...) {
     return;  // unreadable content cannot recur, so nothing to quarantine
   }
-  CacheMetrics& cm = CacheMetrics::get();
   std::lock_guard<std::mutex> lock(mu_);
   if (strikes_to_trip_ <= 0) return;
   PoisonState& ps = poison_[key];
   poison_keys_.store(poison_.size(), std::memory_order_release);
   ++ps.strikes;
-  ++poison_strikes_;
-  cm.strikes.inc();
+  poison_strikes_.inc();
   if (ps.strikes >= strikes_to_trip_) {
     // Strikes are kept (not reset) through the trip: after the window
     // expires the decay halves them, so a repeat offender re-trips on
     // fewer new strikes than a first-time one.
     ++ps.trips;
-    ++quarantine_trips_;
-    cm.quarantine_trips.inc();
+    quarantine_trips_.inc();
     ps.until = std::chrono::steady_clock::now() +
                std::chrono::milliseconds(quarantine_ms_);
   }
@@ -234,8 +212,7 @@ void TraceCache::check_poisoned_locked(std::uint64_t key) {
   if (ps.until == std::chrono::steady_clock::time_point{}) return;
   const auto now = std::chrono::steady_clock::now();
   if (now < ps.until) {
-    ++poison_rejects_;
-    CacheMetrics::get().poison_rejects.inc();
+    poison_rejects_.inc();
     throw Poisoned(strprintf(
         "trace content %016llx is quarantined after %d strikes "
         "(crashes or budget kills); retry after the quarantine decays",
@@ -254,21 +231,21 @@ void TraceCache::check_poisoned_locked(std::uint64_t key) {
 TraceCache::Stats TraceCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.waits = waits_;
+  s.hits = hits_.value();
+  s.misses = misses_.value();
+  s.evictions = evictions_.value();
+  s.waits = waits_.value();
   s.entries = lru_.size();
-  s.bytes = bytes_;
-  s.poison_strikes = poison_strikes_;
-  s.quarantine_trips = quarantine_trips_;
-  s.poison_rejects = poison_rejects_;
+  s.bytes = static_cast<std::size_t>(bytes_.value());
+  s.poison_strikes = poison_strikes_.value();
+  s.quarantine_trips = quarantine_trips_.value();
+  s.poison_rejects = poison_rejects_.value();
   const auto now = std::chrono::steady_clock::now();
   for (const auto& [key, ps] : poison_) {
     if (ps.until != std::chrono::steady_clock::time_point{} && now < ps.until)
       ++s.quarantined;
   }
-  CacheMetrics::get().quarantined.set(static_cast<std::int64_t>(s.quarantined));
+  quarantined_.set(static_cast<std::int64_t>(s.quarantined));
   return s;
 }
 

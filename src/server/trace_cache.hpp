@@ -43,6 +43,7 @@
 
 #include "core/compiler.hpp"
 #include "core/guard.hpp"
+#include "obs/metrics.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -94,8 +95,7 @@ class TraceCache {
   /// — kCacheEnomem (std::bad_alloc) and kCacheEio (vppb::Error) — on
   /// the load path, for recovery testing.
   TraceCache(std::size_t max_entries, std::size_t max_bytes,
-             util::FaultPlan* faults = nullptr)
-      : max_entries_(max_entries), max_bytes_(max_bytes), faults_(faults) {}
+             util::FaultPlan* faults = nullptr);
 
   /// Returns the cached entry for the trace at `path`, loading (parse +
   /// compile) on first sight of its content.  Waiting out another
@@ -125,7 +125,13 @@ class TraceCache {
   /// dispatch path.
   void check_poisoned(const std::string& path);
 
+  /// Reads the counters and refreshes the time-dependent `quarantined`
+  /// gauge, so a registry() exposition taken after it is current.
   Stats stats() const;
+
+  /// This cache's families (vppb_cache_*), the same objects stats()
+  /// reads; a vppbd's metricsdump prints them last.
+  const obs::Registry& registry() const { return registry_; }
 
  private:
   struct PoisonState {
@@ -149,15 +155,24 @@ class TraceCache {
   const std::size_t max_bytes_;
   util::FaultPlan* faults_ = nullptr;
 
+  // Every counter and gauge is kept once, here; the references point
+  // into registry_, which is therefore declared first.
+  obs::Registry registry_;
+  obs::Counter& hits_;
+  obs::Counter& misses_;
+  obs::Counter& evictions_;
+  obs::Counter& waits_;
+  obs::Counter& poison_strikes_;
+  obs::Counter& quarantine_trips_;
+  obs::Counter& poison_rejects_;
+  obs::Gauge& entries_;      ///< ready entries; set after every insert
+  obs::Gauge& bytes_;        ///< charged bytes resident: the budget ledger
+  obs::Gauge& quarantined_;  ///< refreshed by stats()
+
   mutable std::mutex mu_;
   std::condition_variable loaded_cv_;  ///< a load finished (or failed)
   std::unordered_map<std::uint64_t, Slot> slots_;
   std::list<std::uint64_t> lru_;  ///< most-recent first, ready keys only
-  std::size_t bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t waits_ = 0;
 
   int strikes_to_trip_ = 0;  ///< <= 0: circuit breaker disabled
   std::int64_t quarantine_ms_ = 30000;
@@ -165,9 +180,6 @@ class TraceCache {
   /// any strike history.  0 means no file read is ever needed.
   std::atomic<std::size_t> poison_keys_{0};
   std::unordered_map<std::uint64_t, PoisonState> poison_;
-  std::uint64_t poison_strikes_ = 0;
-  std::uint64_t quarantine_trips_ = 0;
-  std::uint64_t poison_rejects_ = 0;
 };
 
 }  // namespace vppb::server

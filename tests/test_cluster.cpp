@@ -32,6 +32,7 @@
 #include "server/stats_text.hpp"
 #include "server/trace_cache.hpp"
 #include "solaris/program.hpp"
+#include "stats_cases.hpp"
 #include "trace/io.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -284,22 +285,63 @@ TEST(StatsTextTest, ClusterRenderAddsShardTable) {
 // ---- merge helpers ---------------------------------------------------------
 
 TEST(MergeTest, StatsCountersSumAndPercentilesUpperBound) {
-  server::StatsBody a, b;
-  a.requests = 3;
-  a.cache_hits = 2;
-  a.p99_us = 100.0;
-  a.latency_count = 3;
-  b.requests = 5;
-  b.cache_hits = 1;
-  b.p99_us = 900.0;
-  b.latency_count = 5;
-  server::StatsBody merged;
-  merge_stats(merged, a);
-  merge_stats(merged, b);
-  EXPECT_EQ(merged.requests, 8u);
-  EXPECT_EQ(merged.cache_hits, 3u);
-  EXPECT_EQ(merged.latency_count, 8u);
-  EXPECT_DOUBLE_EQ(merged.p99_us, 900.0);
+  // `a` has the larger doubles and is merged first, so a maximum cannot
+  // pass by keeping whichever side came last.
+  const server::StatsBody a = server::every_stats_field(100, 10.0);
+  const server::StatsBody b = server::every_stats_field(1000, 1.0);
+  server::StatsBody m;
+  merge_stats(m, a);
+  merge_stats(m, b);
+  // Counters sum.
+  EXPECT_EQ(m.requests, a.requests + b.requests);
+  for (std::size_t i = 0; i < server::kReqTypeCount; ++i)
+    EXPECT_EQ(m.by_type[i], a.by_type[i] + b.by_type[i]) << i;
+  EXPECT_EQ(m.errors, a.errors + b.errors);
+  EXPECT_EQ(m.overloads, a.overloads + b.overloads);
+  EXPECT_EQ(m.deadlines, a.deadlines + b.deadlines);
+  EXPECT_EQ(m.cache_hits, a.cache_hits + b.cache_hits);
+  EXPECT_EQ(m.cache_misses, a.cache_misses + b.cache_misses);
+  EXPECT_EQ(m.cache_evictions, a.cache_evictions + b.cache_evictions);
+  EXPECT_EQ(m.cache_waits, a.cache_waits + b.cache_waits);
+  EXPECT_EQ(m.cache_entries, a.cache_entries + b.cache_entries);
+  EXPECT_EQ(m.cache_bytes, a.cache_bytes + b.cache_bytes);
+  EXPECT_EQ(m.latency_count, a.latency_count + b.latency_count);
+  EXPECT_EQ(m.budget_kills, a.budget_kills + b.budget_kills);
+  EXPECT_EQ(m.poisoned, a.poisoned + b.poisoned);
+  EXPECT_EQ(m.poison_strikes, a.poison_strikes + b.poison_strikes);
+  EXPECT_EQ(m.quarantined, a.quarantined + b.quarantined);
+  EXPECT_EQ(m.watchdog_cancels, a.watchdog_cancels + b.watchdog_cancels);
+  EXPECT_EQ(m.watchdog_replacements,
+            a.watchdog_replacements + b.watchdog_replacements);
+  EXPECT_EQ(m.quota_rejections, a.quota_rejections + b.quota_rejections);
+  EXPECT_EQ(m.brownout_sheds, a.brownout_sheds + b.brownout_sheds);
+  EXPECT_EQ(m.stale_serves, a.stale_serves + b.stale_serves);
+  EXPECT_EQ(m.sampled_requests, a.sampled_requests + b.sampled_requests);
+  EXPECT_EQ(m.trace_dropped, a.trace_dropped + b.trace_dropped);
+  EXPECT_EQ(m.auth_failures, a.auth_failures + b.auth_failures);
+  EXPECT_EQ(m.idle_reaps, a.idle_reaps + b.idle_reaps);
+  // Percentiles and burn rates take the maximum: an upper bound, and
+  // the worst shard's burn.
+  EXPECT_DOUBLE_EQ(m.p50_us, a.p50_us);
+  EXPECT_DOUBLE_EQ(m.p90_us, a.p90_us);
+  EXPECT_DOUBLE_EQ(m.p99_us, a.p99_us);
+  EXPECT_DOUBLE_EQ(m.max_us, a.max_us);
+  EXPECT_DOUBLE_EQ(m.lat_burn_1m, a.lat_burn_1m);
+  EXPECT_DOUBLE_EQ(m.lat_burn_5m, a.lat_burn_5m);
+  EXPECT_DOUBLE_EQ(m.lat_burn_1h, a.lat_burn_1h);
+  EXPECT_DOUBLE_EQ(m.avail_burn_1m, a.avail_burn_1m);
+  EXPECT_DOUBLE_EQ(m.avail_burn_5m, a.avail_burn_5m);
+  EXPECT_DOUBLE_EQ(m.avail_burn_1h, a.avail_burn_1h);
+  // Objectives: the strictest latency bound, the highest availability.
+  EXPECT_DOUBLE_EQ(m.slo_p99_ms, b.slo_p99_ms);
+  EXPECT_DOUBLE_EQ(m.slo_availability, a.slo_availability);
+  // A shard with no latency objective does not loosen the cluster's.
+  server::StatsBody off = a;
+  off.slo_p99_ms = 0.0;
+  server::StatsBody one;
+  merge_stats(one, off);
+  merge_stats(one, b);
+  EXPECT_DOUBLE_EQ(one.slo_p99_ms, b.slo_p99_ms);
 }
 
 TEST(MergeTest, PrometheusSamplesSumAcrossSections) {

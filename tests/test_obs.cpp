@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/compiler.hpp"
@@ -169,10 +170,20 @@ TEST(ServerMetrics, StatsTextSurfacesFailureCountersAndHitRate) {
   s.deadlines = 4;
   s.cache_hits = 3;
   s.cache_misses = 1;
+  s.auth_failures = 5;
+  s.idle_reaps = 6;
   const std::string text = server::render_stats_text(s);
   EXPECT_NE(text.find("errors"), std::string::npos);
   EXPECT_NE(text.find("overloads"), std::string::npos);
   EXPECT_NE(text.find("deadline misses"), std::string::npos);
+  const std::pair<const char*, const char*> rows[] = {{"auth failures", "5"},
+                                                      {"idle reaps", "6"}};
+  for (const auto& [label, value] : rows) {
+    const std::size_t at = text.find(label);
+    ASSERT_NE(at, std::string::npos) << "no row for " << label;
+    const std::string line = text.substr(at, text.find('\n', at) - at);
+    EXPECT_NE(line.find(value), std::string::npos) << line;
+  }
   EXPECT_NE(text.find("metricsdump"), std::string::npos);
   EXPECT_NE(text.find("cache hit rate: 75.0%"), std::string::npos);
 }

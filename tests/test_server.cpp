@@ -18,6 +18,7 @@
 
 #include "core/engine.hpp"
 #include "core/sweep.hpp"
+#include "obs/metrics.hpp"
 #include "recorder/recorder.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
@@ -26,6 +27,7 @@
 #include "server/trace_cache.hpp"
 #include "solaris/program.hpp"
 #include "solaris/solaris.hpp"
+#include "stats_cases.hpp"
 #include "trace/io.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -157,6 +159,27 @@ TEST(ProtocolTest, ResponseRoundTrip) {
   EXPECT_EQ(back.stats.by_type[0], 40u);
   EXPECT_EQ(back.stats.cache_hits, 39u);
   EXPECT_DOUBLE_EQ(back.stats.p99_us, 1234.5);
+}
+
+TEST(ProtocolTest, StatsBytesArePinnedAtV8) {
+  // Every StatsBody field distinct, at the top level and in one shard
+  // entry: a field dropped, duplicated or moved changes the bytes.
+  Response resp;
+  resp.type = ReqType::kStats;
+  resp.stats = every_stats_field(1, 0.5);
+  ShardInfo shard;
+  shard.shard_id = 3;
+  shard.epoch = 0x5eed;
+  shard.healthy = true;
+  shard.endpoint = "cdir/shard3.sock";
+  shard.stats = every_stats_field(200, 0.25);
+  resp.shards.push_back(shard);
+
+  const std::vector<std::uint8_t> bytes = encode(resp);
+  EXPECT_EQ(kProtocolVersion, 8);
+  EXPECT_EQ(bytes.size(), 362u);
+  EXPECT_EQ(content_key(bytes.data(), bytes.size()), 0x4de6237587679932ULL);
+  EXPECT_EQ(encode(decode_response(bytes)), bytes);
 }
 
 TEST(ProtocolTest, ErrorResponseRoundTrip) {
@@ -502,6 +525,87 @@ TEST_F(ServerTest, MetricsDumpServesPrometheusTextAndStructuredStats) {
   EXPECT_NE(text.find("overloads"), std::string::npos);
   EXPECT_NE(text.find("cache hit rate: 50.0%"), std::string::npos);
   server.stop();
+}
+
+/// The value of the unlabeled sample `name` in Prometheus text.  Fails
+/// the test unless the sample is printed exactly once.
+std::uint64_t prometheus_value(const std::string& text,
+                               const std::string& name) {
+  std::uint64_t value = 0;
+  int seen = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t eol = text.find('\n', pos);
+    if (eol == std::string::npos) eol = text.size();
+    const std::string line = text.substr(pos, eol - pos);
+    pos = eol + 1;
+    if (line.compare(0, name.size() + 1, name + " ") != 0) continue;
+    value = std::stoull(line.substr(name.size() + 1));
+    ++seen;
+  }
+  EXPECT_EQ(seen, 1) << name << " printed " << seen << " times";
+  return value;
+}
+
+TEST_F(ServerTest, EachServersMetricsDumpAgreesWithItsOwnStats) {
+  // Two servers in one process with different traffic: each one's
+  // metricsdump must count its own requests and cache lookups, exactly
+  // as its stats does, not the sum over the process.
+  const trace::Trace t = record_fork_join(4, SimTime::millis(2));
+  TempFile trace_file("two");
+  trace::save_file(t, trace_file.path());
+  TempFile sock_a("twoa");
+  TempFile sock_b("twob");
+  ServerOptions so;
+  so.jobs = 2;
+  so.unix_path = sock_a.path();
+  Server a(so);
+  so.unix_path = sock_b.path();
+  Server b(so);
+  a.start();
+  b.start();
+  Client ca = Client::connect_unix(sock_a.path());
+  Client cb = Client::connect_unix(sock_b.path());
+  for (int i = 0; i < 2; ++i)
+    ASSERT_EQ(ca.call(predict_request(trace_file.path(), 4)).status,
+              Status::kOk);
+  for (int i = 0; i < 5; ++i)
+    ASSERT_EQ(cb.call(predict_request(trace_file.path(), 2)).status,
+              Status::kOk);
+
+  std::uint64_t requests[2] = {};
+  Client* clients[2] = {&ca, &cb};
+  for (int i = 0; i < 2; ++i) {
+    Request dump;
+    dump.type = ReqType::kMetricsDump;
+    const Response d = clients[i]->call(dump);
+    ASSERT_EQ(d.status, Status::kOk) << d.error;
+    Request stats;
+    stats.type = ReqType::kStats;
+    const Response s = clients[i]->call(stats);
+    ASSERT_EQ(s.status, Status::kOk) << s.error;
+    // The stats request counts itself, one request after the dump.
+    EXPECT_EQ(prometheus_value(d.report, "vppb_server_requests_total") + 1,
+              s.stats.requests)
+        << "server " << i;
+    EXPECT_EQ(prometheus_value(d.report, "vppb_cache_hits_total"),
+              s.stats.cache_hits)
+        << "server " << i;
+    EXPECT_EQ(prometheus_value(d.report, "vppb_cache_misses_total"),
+              s.stats.cache_misses)
+        << "server " << i;
+    requests[i] = s.stats.requests;
+  }
+  EXPECT_EQ(requests[0], 4u);
+  EXPECT_EQ(requests[1], 7u);
+
+  // Server and cache families live in each server's own registries,
+  // never in the process-wide one.
+  const std::string global = obs::Registry::global().prometheus_text();
+  for (const char* prefix : {"vppb_server_", "vppb_cache_", "vppb_slo_"})
+    EXPECT_EQ(global.find(prefix), std::string::npos) << prefix;
+  a.stop();
+  b.stop();
 }
 
 TEST_F(ServerTest, SimulateDigestMatchesOfflineAndSvgRenders) {
