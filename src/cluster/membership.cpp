@@ -80,7 +80,7 @@ ShardEndpoint ShardEndpoint::parse(std::uint64_t id,
 
 Membership::Membership(std::vector<ShardEndpoint> shards,
                        MembershipOptions opt)
-    : opt_(opt), ring_(opt.vnodes), full_ring_(opt.vnodes),
+    : opt_(opt), live_ring_(opt.vnodes), full_ring_(opt.vnodes),
       rng_(opt.seed ? opt.seed : 1) {
   shards_.reserve(shards.size());
   for (auto& ep : shards) {
@@ -146,7 +146,7 @@ bool Membership::probe(std::size_t idx) {
     Shard& s = shards_[idx];
     if (s.healthy) {
       s.healthy = false;
-      ring_.remove(s.endpoint.id);
+      live_ring_.remove(s.endpoint.id);
     }
     return false;
   }
@@ -157,7 +157,7 @@ bool Membership::probe(std::size_t idx) {
     if (!s.healthy) {
       s.healthy = true;
       s.prev_backoff_ms = 0;
-      ring_.add(s.endpoint.id);
+      live_ring_.add(s.endpoint.id);
       obs::logf(obs::LogLevel::kInfo, "cluster",
                 "shard %llu (%s) is up (epoch %016llx)",
                 static_cast<unsigned long long>(s.endpoint.id),
@@ -168,7 +168,7 @@ bool Membership::probe(std::size_t idx) {
     s.last_stats = resp.stats;
   } else if (s.healthy) {
     s.healthy = false;
-    ring_.remove(s.endpoint.id);
+    live_ring_.remove(s.endpoint.id);
   }
   return ready;
 }
@@ -208,8 +208,8 @@ std::vector<std::size_t> Membership::route(std::uint64_t key,
                                            std::size_t n) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::size_t> out;
-  if (ring_.empty()) return out;
-  for (std::uint64_t id : ring_.owners(key, n)) {
+  if (live_ring_.empty()) return out;
+  for (std::uint64_t id : live_ring_.owners(key, n)) {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       if (shards_[i].endpoint.id == id) {
         out.push_back(i);
@@ -229,7 +229,7 @@ void Membership::eject(std::size_t idx) {
       ++s.ejections;
       s.prev_backoff_ms = 0;
       s.next_probe = std::chrono::steady_clock::now();
-      ring_.remove(s.endpoint.id);
+      live_ring_.remove(s.endpoint.id);
       s.pool.clear();  // every pooled connection shares the dead peer
       obs::logf(obs::LogLevel::kWarn, "cluster",
                 "shard %llu (%s) ejected; re-probing with backoff",

@@ -190,7 +190,7 @@ class Membership {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;  ///< wakes the prober (eject, stop)
-  Ring ring_;
+  Ring live_ring_;
   Ring full_ring_;  ///< every configured shard; immutable after ctor
   std::uint64_t rng_;
   bool running_ = false;

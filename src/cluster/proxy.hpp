@@ -34,12 +34,13 @@
 //                   already gave up).
 //
 //   Aggregation     stats / health / metricsdump fan out to every
-//                   shard and come back merged (counters summed,
-//                   latency percentiles upper-bounded by the per-shard
-//                   maxima) plus a per-shard ShardInfo breakdown, so
-//                   `vppb stats --watch` works unchanged against the
-//                   proxy.  Down shards contribute their last-known
-//                   stats, marked unhealthy.
+//                   shard and come back merged (counters and latency
+//                   histogram buckets summed, so cluster percentiles
+//                   are exact at bucket resolution) plus a per-shard
+//                   ShardInfo breakdown, so `vppb stats --watch` works
+//                   unchanged against the proxy.  Down shards
+//                   contribute their last-known stats, marked
+//                   unhealthy.
 //
 //   Global quota    A per-client token bucket (cluster/quota.hpp) in
 //                   front of the routing: one identity's rate budget
@@ -306,9 +307,9 @@ class Proxy {
 };
 
 /// Folds `from` into `into`, each field by its rule in
-/// server::for_each_stats_field: counters add; percentiles and burn
-/// rates take the per-shard maximum (an upper bound — order statistics
-/// do not merge); the objectives take the strictest one configured.
+/// server::for_each_stats_field: counters and latency buckets add; burn
+/// rates take the worst shard's; the objectives take the strictest one
+/// configured.
 void merge_stats(server::StatsBody& into, const server::StatsBody& from);
 
 /// Merges Prometheus text expositions: samples with the same series

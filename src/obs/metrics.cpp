@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace vppb::obs {
@@ -43,7 +47,6 @@ void Histogram::observe(double v, std::uint64_t exemplar_trace_id) {
                               std::memory_order_relaxed);
     exemplar_ids_[idx].store(exemplar_trace_id, std::memory_order_relaxed);
   }
-  count_.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t old = sum_bits_.load(std::memory_order_relaxed);
   while (true) {
     const std::uint64_t want = std::bit_cast<std::uint64_t>(
@@ -51,6 +54,12 @@ void Histogram::observe(double v, std::uint64_t exemplar_trace_id) {
     if (sum_bits_.compare_exchange_weak(old, want, std::memory_order_relaxed))
       break;
   }
+}
+
+std::uint64_t Histogram::count() const {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i <= bounds_.size(); ++i) total += bucket_count(i);
+  return total;
 }
 
 double Histogram::sum() const {
@@ -62,12 +71,39 @@ double Histogram::exemplar_value(std::size_t i) const {
       std::memory_order_relaxed));
 }
 
+namespace {
+// 2^kMinLog2 .. 2^kMaxLog2 microseconds in kSteps equal steps per power
+// of two.
+constexpr int kMinLog2 = 5, kMaxLog2 = 22, kSteps = 8;
+static_assert((kMaxLog2 - kMinLog2) * kSteps + 2 == kLatencyBuckets);
+}  // namespace
+
 const std::vector<double>& latency_us_bounds() {
-  static const std::vector<double> kBounds = {
-      50,     100,    250,    500,     1000,    2500,     5000,
-      10000,  25000,  50000,  100000,  250000,  500000,   1000000,
-      2500000};
+  static const std::vector<double> kBounds = [] {
+    std::vector<double> b;
+    for (int p = kMinLog2; p < kMaxLog2; ++p)
+      for (int j = 0; j < kSteps; ++j)
+        b.push_back(std::ldexp(1.0 + static_cast<double>(j) / kSteps, p));
+    b.push_back(std::ldexp(1.0, kMaxLog2));
+    return b;
+  }();
   return kBounds;
+}
+
+double quantile(std::span<const std::uint64_t, kLatencyBuckets> counts,
+                double q) {
+  const std::vector<double>& bounds = latency_us_bounds();
+  const std::uint64_t n =
+      std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
+  if (n == 0) return 0.0;
+  const std::uint64_t rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n))));
+  std::uint64_t cum = 0;
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    cum += counts[i];
+    if (cum >= rank) return bounds[i];
+  }
+  return std::numeric_limits<double>::infinity();
 }
 
 Counter& Registry::counter(std::string_view name, std::string_view help) {
@@ -126,10 +162,12 @@ void append_help_type(std::string& out, const std::string& name,
   out += '\n';
 }
 
+/// The shortest text that parses back to exactly `v` (a bucket edge of
+/// 2359296 prints as "2359296", not "2.3593e+06").
 std::string format_double(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return std::string(buf);
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, res.ptr);
 }
 
 }  // namespace
@@ -152,6 +190,8 @@ std::string Registry::prometheus_text() const {
   }
   for (const auto& [name, h] : histograms_) {
     append_help_type(out, name, h->help(), "histogram");
+    // `_count` is the +Inf bucket of this same pass, so the two agree
+    // however many writers are observing meanwhile.
     std::uint64_t cum = 0;
     for (std::size_t i = 0; i <= h->bounds().size(); ++i) {
       cum += h->bucket_count(i);
@@ -176,7 +216,7 @@ std::string Registry::prometheus_text() const {
                   format_double(h->sum()).c_str());
     out += buf;
     std::snprintf(buf, sizeof(buf), "%s_count %" PRIu64 "\n", name.c_str(),
-                  h->count());
+                  cum);
     out += buf;
   }
   return out;

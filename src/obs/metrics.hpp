@@ -17,7 +17,9 @@
 // (set-dominated, not increment-dominated).  Histograms keep one
 // atomic per bucket plus packed-double sum; bounds are inclusive
 // upper edges with Prometheus `le` semantics and an implicit +Inf
-// overflow bucket.
+// overflow bucket.  Every latency histogram shares one set of
+// log-linear edges, so bucket counts from different histograms or
+// processes add up, and quantile() reads a percentile from the sum.
 //
 // This library is the bottom layer of the tree (linked by util and
 // everything above); it depends only on the standard library.
@@ -28,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,8 +109,9 @@ class Gauge {
 /// Fixed-bucket histogram.  `bounds` are inclusive upper edges in
 /// ascending order (Prometheus `le`); observations above the last edge
 /// land in the implicit +Inf bucket.  observe() is a binary search
-/// over the edges plus two relaxed RMWs (bucket, count) and one CAS
-/// loop (packed-double sum).
+/// over the edges plus one relaxed RMW (bucket) and one CAS loop
+/// (packed-double sum).  The buckets are the only count, so a reader
+/// can never see a total that disagrees with them.
 class Histogram {
  public:
   Histogram(std::string name, std::string help, std::vector<double> bounds);
@@ -132,7 +136,8 @@ class Histogram {
     return exemplar_ids_[i].load(std::memory_order_relaxed);
   }
   double exemplar_value(std::size_t i) const;
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  /// Sum of the buckets.
+  std::uint64_t count() const;
   double sum() const;
   const std::string& name() const { return name_; }
   const std::string& help() const { return help_; }
@@ -144,13 +149,27 @@ class Histogram {
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds+1 cells
   std::unique_ptr<std::atomic<std::uint64_t>[]> exemplar_ids_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> exemplar_bits_;  // double
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_bits_{0};  // bit-packed double
 };
 
-/// Standard microsecond-latency edges shared by the server, pool, and
-/// loader histograms so their expositions are comparable.
+/// Buckets of a latency histogram: the edges of latency_us_bounds()
+/// plus +Inf.  The stats wire format carries this many counts.
+inline constexpr std::size_t kLatencyBuckets = 138;
+
+/// Microsecond-latency edges shared by every latency histogram (server,
+/// pool), so their counts add up across histograms and processes: 8
+/// linear steps per power of two from 32 us to 2^22 us (about 4.2 s).
+/// For a sample above 32 us, its bucket's edge is less than 1/8 above
+/// it.
 const std::vector<double>& latency_us_bounds();
+
+/// The upper edge of the bucket that holds the q-quantile (q in [0, 1]:
+/// the sample of rank ceil(q * n), at least 1) of the samples counted
+/// in `counts`, non-cumulative, one per edge of latency_us_bounds() then
+/// +Inf.  An upper bound on the true quantile.  0 when no sample is
+/// counted; +inf when the rank falls past the last edge.
+double quantile(std::span<const std::uint64_t, kLatencyBuckets> counts,
+                double q);
 
 /// Named home for every metric in the process.  Registration takes a
 /// mutex and allocates; do it once at an instrumentation site (e.g. a

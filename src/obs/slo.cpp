@@ -30,7 +30,7 @@ void SloTracker::record(double latency_us, bool ok, std::int64_t now_s) {
   if (now_s < 0) now_s = steady_s();
   std::lock_guard<std::mutex> lk(mu_);
   if (!opt_.enabled()) return;
-  Bucket& b = ring_[static_cast<std::size_t>(now_s) % kBuckets];
+  Bucket& b = slots_[static_cast<std::size_t>(now_s) % kBuckets];
   if (b.sec != now_s) b = Bucket{now_s, 0, 0, 0};
   ++b.total;
   if (opt_.p99_ms > 0.0 && latency_us > opt_.p99_ms * 1000.0) ++b.slow;
@@ -46,7 +46,7 @@ void SloTracker::window_sum(std::int64_t now_s, std::int64_t window_s,
       window_s, static_cast<std::int64_t>(kBuckets));
   for (std::int64_t s = now_s; s > now_s - span && s > lo; --s) {
     if (s < 0) break;
-    const Bucket& b = ring_[static_cast<std::size_t>(s) % kBuckets];
+    const Bucket& b = slots_[static_cast<std::size_t>(s) % kBuckets];
     if (b.sec != s) continue;  // slot empty or recycled for another stamp
     *total += b.total;
     *slow += b.slow;

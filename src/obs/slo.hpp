@@ -84,7 +84,7 @@ class SloTracker {
 
   SloOptions opt_;
   mutable std::mutex mu_;
-  std::vector<Bucket> ring_ = std::vector<Bucket>(kBuckets);
+  std::vector<Bucket> slots_ = std::vector<Bucket>(kBuckets);
 };
 
 }  // namespace vppb::obs

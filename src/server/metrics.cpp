@@ -1,7 +1,5 @@
 #include "server/metrics.hpp"
 
-#include "util/stats.hpp"
-
 namespace vppb::server {
 
 Metrics::Metrics()
@@ -56,17 +54,6 @@ void Metrics::count_request(ReqType t) {
                                                  std::memory_order_relaxed);
 }
 
-void Metrics::record_latency_us(double us, std::uint64_t trace_id) {
-  latency_us.observe(us, trace_id);
-  std::lock_guard<std::mutex> lock(ring_mu_);
-  if (ring_.size() < kMaxSamples) {
-    ring_.push_back(us);
-  } else {
-    ring_[ring_next_] = us;
-    ring_next_ = (ring_next_ + 1) % kMaxSamples;
-  }
-}
-
 void Metrics::snapshot(StatsBody& out) const {
   out.requests = requests.value();
   for (std::size_t i = 0; i < kReqTypeCount; ++i)
@@ -81,23 +68,8 @@ void Metrics::snapshot(StatsBody& out) const {
   out.sampled_requests = sampled.value();
   out.auth_failures = auth_failures.value();
   out.idle_reaps = idle_reaps.value();
-  out.latency_count = latency_us.count();
-  std::vector<double> ring;
-  {
-    std::lock_guard<std::mutex> lock(ring_mu_);
-    ring = ring_;  // percentile work happens off-lock
-  }
-  if (!ring.empty()) {
-    // nth_element per percentile instead of one full sort: O(n) each on
-    // the 64k ring, and the request path is never blocked behind a
-    // sort since the lock is already released.
-    out.p50_us = percentile_nth(ring, 50.0);
-    out.p90_us = percentile_nth(ring, 90.0);
-    out.p99_us = percentile_nth(ring, 99.0);
-    double mx = ring.front();
-    for (double v : ring) mx = v > mx ? v : mx;
-    out.max_us = mx;
-  }
+  for (std::size_t i = 0; i < obs::kLatencyBuckets; ++i)
+    out.latency_buckets[i] = latency_us.bucket_count(i);
 }
 
 }  // namespace vppb::server

@@ -3,15 +3,13 @@
 // histogram, and the in-flight, admission and SLO gauges.  The `stats`
 // request reads them through snapshot() and `metricsdump` prints the
 // registry, so both channels read the same objects.  Writers increment
-// the counter they mean: one relaxed atomic add, no lock.  Percentiles
-// for the wire StatsBody come from a ring of recent latency samples and
-// are computed lazily at snapshot time.
+// the counter or observe the histogram they mean: relaxed atomics, no
+// lock.  The wire StatsBody carries the latency histogram's bucket
+// counts; readers take percentiles from them with obs::quantile.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "server/protocol.hpp"
@@ -20,9 +18,6 @@ namespace vppb::server {
 
 class Metrics {
  public:
-  /// Latency reservoir size; public so tests can exercise wrap-around.
-  static constexpr std::size_t kMaxSamples = 1 << 16;
-
   Metrics();
   Metrics(const Metrics&) = delete;
   Metrics& operator=(const Metrics&) = delete;
@@ -42,7 +37,10 @@ class Metrics {
   obs::Counter& sampled;                ///< requests carrying a trace_id
   obs::Counter& auth_failures;  ///< TCP peers rejected by the v8 handshake
   obs::Counter& idle_reaps;     ///< connections closed past the idle deadline
-  obs::Histogram& latency_us;   ///< admitted requests, decode to response
+  /// Admitted requests, decode to response ready; `trace_id` of a
+  /// sampled request is the bucket's exemplar.  Overload rejections are
+  /// counted, not timed: their latency is the admission check.
+  obs::Histogram& latency_us;
 
   // Gauges the server sets: admission_limit once at construction, the
   // rest whenever it answers a stats, health or dump request.
@@ -59,21 +57,9 @@ class Metrics {
   /// Counts one received request: the total and its type.
   void count_request(ReqType t);
 
-  /// Records the server-side latency of an executed (admitted) request,
-  /// from frame decode to response ready.  Overload rejections are
-  /// counted, not timed — their latency is the admission check.
-  /// `trace_id`, when nonzero, is captured as the latency histogram
-  /// bucket's exemplar.
-  void record_latency_us(double us, std::uint64_t trace_id = 0);
-
-  /// Fills the request-side counters and latency percentiles of `out`
-  /// (the cache fields are the TraceCache's to fill).
+  /// Fills the request-side counters and latency buckets of `out` (the
+  /// cache fields are the TraceCache's to fill).
   void snapshot(StatsBody& out) const;
-
- private:
-  mutable std::mutex ring_mu_;  ///< guards the ring only
-  std::size_t ring_next_ = 0;
-  std::vector<double> ring_;    ///< ring buffer once at kMaxSamples
 };
 
 }  // namespace vppb::server

@@ -98,14 +98,15 @@ void put_field(std::vector<std::uint8_t>& out, std::uint64_t v) {
   put_u64(out, v);
 }
 void put_field(std::vector<std::uint8_t>& out, double v) { put_double(out, v); }
-void put_field(std::vector<std::uint8_t>& out,
-               const std::uint64_t (&vs)[kReqTypeCount]) {
+template <std::size_t N>
+void put_field(std::vector<std::uint8_t>& out, const std::uint64_t (&vs)[N]) {
   for (std::uint64_t v : vs) put_u64(out, v);
 }
 
 void get_field(Reader& in, std::uint64_t& v) { v = in.u64(); }
 void get_field(Reader& in, double& v) { v = in.dbl(); }
-void get_field(Reader& in, std::uint64_t (&vs)[kReqTypeCount]) {
+template <std::size_t N>
+void get_field(Reader& in, std::uint64_t (&vs)[N]) {
   for (std::uint64_t& v : vs) v = in.u64();
 }
 

@@ -21,11 +21,12 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/socket.hpp"
 
 namespace vppb::server {
 
-constexpr std::uint8_t kProtocolVersion = 8;  ///< v8: hostile-network hardening (HMAC-SHA256 authenticated TCP handshake, kAuthFailed, bounded preambles, partition-tolerant deadlines)
+constexpr std::uint8_t kProtocolVersion = 9;  ///< v9: stats carry latency histogram buckets, not percentiles
 /// Upper bound on a frame payload (a full SVG render fits comfortably;
 /// a corrupt or hostile length prefix does not).
 constexpr std::size_t kMaxFrame = 64u << 20;
@@ -105,7 +106,7 @@ struct WirePoint {
 };
 
 /// The stats payload: request counters, cache effectiveness, and the
-/// server-side latency distribution of executed requests.
+/// server-side latency histogram of executed requests.
 struct StatsBody {
   std::uint64_t requests = 0;      ///< all received requests, by arrival
   std::uint64_t by_type[kReqTypeCount] = {};  ///< indexed by ReqType
@@ -118,11 +119,12 @@ struct StatsBody {
   std::uint64_t cache_waits = 0;   ///< single-flight waits on a load
   std::uint64_t cache_entries = 0;
   std::uint64_t cache_bytes = 0;
-  std::uint64_t latency_count = 0;  ///< executed (admitted) requests
-  double p50_us = 0.0;
-  double p90_us = 0.0;
-  double p99_us = 0.0;
-  double max_us = 0.0;
+  /// Executed (admitted) requests by latency: the non-cumulative
+  /// `vppb_server_latency_us` bucket counts over obs::latency_us_bounds(),
+  /// the last one +Inf (protocol v9).  Every tier uses the same edges,
+  /// so summed buckets give exact cluster percentiles at bucket
+  /// resolution through obs::quantile.
+  std::uint64_t latency_buckets[obs::kLatencyBuckets] = {};
   // Resource-governance counters (protocol v4).
   std::uint64_t budget_kills = 0;    ///< responses with kBudgetExceeded
   std::uint64_t poisoned = 0;        ///< responses with kPoisoned
@@ -158,10 +160,9 @@ struct StatsBody {
 
 /// How the cluster proxy folds one StatsBody field across shards.
 enum class MergeRule : std::uint8_t {
-  kSum,         ///< counters: the cluster total
-  kMax,         ///< percentiles (order statistics do not merge, so the
-                ///< per-shard maximum is an upper bound), burn rates (the
-                ///< worst shard) and the availability objective
+  kSum,         ///< counters and latency buckets: the cluster total
+  kMax,         ///< burn rates (the worst shard) and the availability
+                ///< objective
   kMinNonzero,  ///< the latency objective: the strictest one configured
 };
 
@@ -170,8 +171,8 @@ enum class MergeRule : std::uint8_t {
 /// each body: one body to encode, decode or render it, two to merge the
 /// second into the first.  `label` is the field's row in the `vppb
 /// stats` table, or nullptr when the text shows it elsewhere (latency
-/// line, SLO block).  `by_type` is passed as the whole array and renders
-/// as one row per request type.  put_stats, get_stats, merge_stats and
+/// line, SLO block).  The arrays are passed whole: `by_type` renders as
+/// one row per request type.  put_stats, get_stats, merge_stats and
 /// render_stats_text all walk this list; a new field goes at the end,
 /// with a protocol version bump.
 template <typename Fn, typename... Bodies>
@@ -188,11 +189,7 @@ void for_each_stats_field(Fn&& fn, Bodies&... b) {
   fn("cache waits", R::kSum, b.cache_waits...);
   fn("cache entries", R::kSum, b.cache_entries...);
   fn("cache bytes", R::kSum, b.cache_bytes...);
-  fn(nullptr, R::kSum, b.latency_count...);
-  fn(nullptr, R::kMax, b.p50_us...);
-  fn(nullptr, R::kMax, b.p90_us...);
-  fn(nullptr, R::kMax, b.p99_us...);
-  fn(nullptr, R::kMax, b.max_us...);
+  fn(nullptr, R::kSum, b.latency_buckets...);
   fn("budget kills", R::kSum, b.budget_kills...);
   fn("poisoned rejects", R::kSum, b.poisoned...);
   fn("poison strikes", R::kSum, b.poison_strikes...);

@@ -405,7 +405,7 @@ Response Server::execute(const Request& req, std::uint64_t conn_key) {
       std::chrono::duration<double, std::micro>(
           std::chrono::steady_clock::now() - t0)
           .count();
-  metrics_.record_latency_us(latency_us, req.sampled ? req.trace_id : 0);
+  metrics_.latency_us.observe(latency_us, req.sampled ? req.trace_id : 0);
   if (compute) {
     // SLO accounting covers compute only: probes and dumps are not the
     // service the objectives are about.  Overload and poison rejections

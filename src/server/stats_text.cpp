@@ -1,6 +1,7 @@
 #include "server/stats_text.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <type_traits>
 
 #include "util/strings.hpp"
@@ -16,15 +17,16 @@ std::string u64str(std::uint64_t v) {
 
 }  // namespace
 
-std::string render_stats_text(const StatsBody& s, bool aggregated) {
+std::string render_stats_text(const StatsBody& s) {
   TextTable table;
   table.header({"counter", "value"});
   // One row per labelled counter, in the field list's order; by_type
-  // expands to one indented row per request type.
+  // expands to one indented row per request type.  The latency buckets
+  // become the latency line below.
   for_each_stats_field(
       [&table](const char* label, MergeRule, const auto& f) {
         using F = std::remove_cvref_t<decltype(f)>;
-        if constexpr (std::is_array_v<F>) {
+        if constexpr (std::is_same_v<F, std::uint64_t[kReqTypeCount]>) {
           for (std::size_t i = 0; i < kReqTypeCount; ++i)
             table.row({strprintf("  %s", to_string(static_cast<ReqType>(i))),
                        u64str(f[i])});
@@ -40,21 +42,17 @@ std::string render_stats_text(const StatsBody& s, bool aggregated) {
                      100.0 * static_cast<double>(s.cache_hits) /
                          static_cast<double>(lookups));
   }
-  if (s.latency_count > 0) {
-    if (aggregated) {
-      // Merged across shards: these are per-shard maxima (no shard's
-      // percentile exceeds the figure), not a merged distribution.
-      out += strprintf("latency (us, per-shard max): p50 <= %.0f  "
-                       "p90 <= %.0f  p99 <= %.0f  max %.0f "
-                       "over %s requests\n",
-                       s.p50_us, s.p90_us, s.p99_us, s.max_us,
-                       u64str(s.latency_count).c_str());
-    } else {
-      out += strprintf("latency (us): p50 %.0f  p90 %.0f  p99 %.0f  "
-                       "max %.0f over %s requests\n",
-                       s.p50_us, s.p90_us, s.p99_us, s.max_us,
-                       u64str(s.latency_count).c_str());
-    }
+  const std::uint64_t executed =
+      std::accumulate(std::begin(s.latency_buckets),
+                      std::end(s.latency_buckets), std::uint64_t{0});
+  if (executed > 0) {
+    const auto q = [&s](double p) {
+      return obs::quantile(s.latency_buckets, p);
+    };
+    out += strprintf("latency (us): p50 <= %.0f  p90 <= %.0f  p99 <= %.0f  "
+                     "max <= %.0f over %s requests\n",
+                     q(0.5), q(0.9), q(0.99), q(1.0),
+                     u64str(executed).c_str());
   }
   out += render_slo_text(s);
   return out;
@@ -83,7 +81,7 @@ std::string render_slo_text(const StatsBody& s) {
 }
 
 std::string render_cluster_stats_text(const Response& r) {
-  std::string out = render_stats_text(r.stats, !r.shards.empty());
+  std::string out = render_stats_text(r.stats);
   if (r.slo_burning)
     out += "SLO BURNING: error budget is being spent faster than the "
            "multi-window alert thresholds allow\n";
@@ -106,7 +104,8 @@ std::string render_cluster_stats_text(const Response& r) {
                sh.healthy ? "up" : "down", sh.endpoint,
                u64str(sh.stats.requests), u64str(sh.stats.errors),
                u64str(sh.stats.cache_hits), u64str(sh.stats.cache_entries),
-               strprintf("%.0f", sh.stats.p99_us),
+               strprintf("%.0f", obs::quantile(sh.stats.latency_buckets,
+                                               0.99)),
                strprintf("%.2f", burn5m)});
   }
   out += table.render();

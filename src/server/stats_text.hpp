@@ -14,13 +14,10 @@ namespace vppb::server {
 
 /// The `vppb request stats` / `vppb stats` view: a counter table (one
 /// row per request type), cache effectiveness including the hit rate,
-/// and the latency distribution when any request has executed.
-///
-/// `aggregated` marks the percentiles as cluster-merged: order
-/// statistics do not merge, so the proxy reports the per-shard maximum
-/// — an upper bound — and the render must say so instead of letting it
-/// read as a true merged percentile.
-std::string render_stats_text(const StatsBody& s, bool aggregated = false);
+/// and the latency percentiles when any request has executed.  The
+/// percentiles are bucket upper edges, read from a vppbd's own latency
+/// buckets or a proxy's summed ones alike.
+std::string render_stats_text(const StatsBody& s);
 
 /// Just the SLO block (objectives + multi-window burn rates); empty
 /// string when no objective is configured.  Appended by

@@ -35,34 +35,6 @@ double median(std::vector<double> xs) {
   return 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
-double percentile(std::vector<double> xs, double p) {
-  VPPB_CHECK_MSG(!xs.empty(), "percentile of empty sample");
-  VPPB_CHECK_MSG(p >= 0.0 && p <= 100.0, "percentile out of range: " << p);
-  std::sort(xs.begin(), xs.end());
-  if (xs.size() == 1) return xs[0];
-  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= xs.size()) return xs.back();
-  return xs[lo] * (1.0 - frac) + xs[lo + 1] * frac;
-}
-
-double percentile_nth(std::vector<double>& xs, double p) {
-  VPPB_CHECK_MSG(!xs.empty(), "percentile of empty sample");
-  VPPB_CHECK_MSG(p >= 0.0 && p <= 100.0, "percentile out of range: " << p);
-  if (xs.size() == 1) return xs[0];
-  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const double frac = rank - static_cast<double>(lo);
-  const auto lo_it = xs.begin() + static_cast<std::ptrdiff_t>(lo);
-  std::nth_element(xs.begin(), lo_it, xs.end());
-  if (lo + 1 >= xs.size() || frac == 0.0) return *lo_it;
-  // The interpolation partner is the smallest element above the lo-th;
-  // nth_element left it somewhere in the (unordered) right partition.
-  const double hi = *std::min_element(lo_it + 1, xs.end());
-  return *lo_it * (1.0 - frac) + hi * frac;
-}
-
 double prediction_error(double real, double predicted) {
   VPPB_CHECK_MSG(real != 0.0, "prediction_error with zero real value");
   return (real - predicted) / real;

@@ -31,15 +31,6 @@ class Accumulator {
 /// sorts; fine for the handful of repetitions we run.
 double median(std::vector<double> xs);
 
-/// Percentile in [0,100] with linear interpolation.
-double percentile(std::vector<double> xs, double p);
-
-/// Same value as percentile(), computed with nth_element instead of a
-/// full sort — O(n) per call instead of O(n log n), which matters when
-/// the sample is a 64k latency ring read under a lock.  Destructive:
-/// reorders `xs`.
-double percentile_nth(std::vector<double>& xs, double p);
-
 /// The paper's error definition: (real - predicted) / real.
 double prediction_error(double real, double predicted);
 

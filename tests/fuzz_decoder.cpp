@@ -297,7 +297,8 @@ int run(std::uint64_t seed, std::uint64_t iterations,
       sh.healthy = id == 1;
       sh.endpoint = "cdir/shard.sock";
       sh.stats.requests = id * 3;
-      sh.stats.p99_us = 1234.5;
+      sh.stats.latency_buckets[60] = 1234;
+      sh.stats.latency_buckets[obs::kLatencyBuckets - 1] = id;
       resp.shards.push_back(sh);
     }
     seeds.push_back(server::encode(resp));

@@ -1,4 +1,4 @@
-// A StatsBody with every field set, shared by the pinned v8 stats-bytes
+// A StatsBody with every field set, shared by the pinned v9 stats-bytes
 // test (test_server) and the merge-rule test (test_cluster).  It names
 // each field by hand on purpose: those tests check
 // server::for_each_stats_field, so they must not fill their input by
@@ -11,9 +11,9 @@
 
 namespace vppb::server {
 
-/// Every StatsBody field set to its own value: counters count up from
-/// `base` in wire order; doubles are `step` times their position among
-/// the doubles (1, 2, ...).
+/// Every StatsBody field set to its own value: counters (latency buckets
+/// included) count up from `base` in wire order; doubles are `step`
+/// times their position among the doubles (1, 2, ...).
 inline StatsBody every_stats_field(std::uint64_t base, double step) {
   std::uint64_t n = base;
   double k = 0.0;
@@ -31,11 +31,7 @@ inline StatsBody every_stats_field(std::uint64_t base, double step) {
   s.cache_waits = count();
   s.cache_entries = count();
   s.cache_bytes = count();
-  s.latency_count = count();
-  s.p50_us = real();
-  s.p90_us = real();
-  s.p99_us = real();
-  s.max_us = real();
+  for (std::uint64_t& v : s.latency_buckets) v = count();
   s.budget_kills = count();
   s.poisoned = count();
   s.poison_strikes = count();

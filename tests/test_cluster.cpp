@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -27,6 +28,7 @@
 #include "recorder/recorder.hpp"
 #include "server/client.hpp"
 #include "server/handlers.hpp"
+#include "server/metrics.hpp"
 #include "server/protocol.hpp"
 #include "server/server.hpp"
 #include "server/stats_text.hpp"
@@ -193,7 +195,8 @@ TEST(ProtocolV5Test, ClusterResponseRoundTrip) {
     sh.endpoint = id == 1 ? "cdir/shard0.sock" : "127.0.0.1:9000";
     sh.stats.requests = id * 5;
     sh.stats.cache_hits = id;
-    sh.stats.p99_us = 123.5 * static_cast<double>(id);
+    sh.stats.latency_buckets[id] = id * 7;
+    sh.stats.latency_buckets[obs::kLatencyBuckets - 1] = id;
     sh.stats.watchdog_cancels = id;
     resp.shards.push_back(sh);
   }
@@ -207,7 +210,9 @@ TEST(ProtocolV5Test, ClusterResponseRoundTrip) {
     EXPECT_EQ(back.shards[i].healthy, resp.shards[i].healthy);
     EXPECT_EQ(back.shards[i].endpoint, resp.shards[i].endpoint);
     EXPECT_EQ(back.shards[i].stats.requests, resp.shards[i].stats.requests);
-    EXPECT_EQ(back.shards[i].stats.p99_us, resp.shards[i].stats.p99_us);
+    for (std::size_t b = 0; b < obs::kLatencyBuckets; ++b)
+      EXPECT_EQ(back.shards[i].stats.latency_buckets[b],
+                resp.shards[i].stats.latency_buckets[b]);
     EXPECT_EQ(back.shards[i].stats.watchdog_cancels,
               resp.shards[i].stats.watchdog_cancels);
   }
@@ -305,7 +310,9 @@ TEST(MergeTest, StatsCountersSumAndPercentilesUpperBound) {
   EXPECT_EQ(m.cache_waits, a.cache_waits + b.cache_waits);
   EXPECT_EQ(m.cache_entries, a.cache_entries + b.cache_entries);
   EXPECT_EQ(m.cache_bytes, a.cache_bytes + b.cache_bytes);
-  EXPECT_EQ(m.latency_count, a.latency_count + b.latency_count);
+  for (std::size_t i = 0; i < obs::kLatencyBuckets; ++i)
+    EXPECT_EQ(m.latency_buckets[i],
+              a.latency_buckets[i] + b.latency_buckets[i]) << i;
   EXPECT_EQ(m.budget_kills, a.budget_kills + b.budget_kills);
   EXPECT_EQ(m.poisoned, a.poisoned + b.poisoned);
   EXPECT_EQ(m.poison_strikes, a.poison_strikes + b.poison_strikes);
@@ -320,12 +327,7 @@ TEST(MergeTest, StatsCountersSumAndPercentilesUpperBound) {
   EXPECT_EQ(m.trace_dropped, a.trace_dropped + b.trace_dropped);
   EXPECT_EQ(m.auth_failures, a.auth_failures + b.auth_failures);
   EXPECT_EQ(m.idle_reaps, a.idle_reaps + b.idle_reaps);
-  // Percentiles and burn rates take the maximum: an upper bound, and
-  // the worst shard's burn.
-  EXPECT_DOUBLE_EQ(m.p50_us, a.p50_us);
-  EXPECT_DOUBLE_EQ(m.p90_us, a.p90_us);
-  EXPECT_DOUBLE_EQ(m.p99_us, a.p99_us);
-  EXPECT_DOUBLE_EQ(m.max_us, a.max_us);
+  // Burn rates take the maximum: the worst shard's burn.
   EXPECT_DOUBLE_EQ(m.lat_burn_1m, a.lat_burn_1m);
   EXPECT_DOUBLE_EQ(m.lat_burn_5m, a.lat_burn_5m);
   EXPECT_DOUBLE_EQ(m.lat_burn_1h, a.lat_burn_1h);
@@ -342,6 +344,38 @@ TEST(MergeTest, StatsCountersSumAndPercentilesUpperBound) {
   merge_stats(one, off);
   merge_stats(one, b);
   EXPECT_DOUBLE_EQ(one.slo_p99_ms, b.slo_p99_ms);
+}
+
+TEST(MergeTest, NineToOneFastSlowSplitMergesExactly) {
+  // Shard 0 serves 900 fast requests (0.8-1.2 ms); shard 1 serves 100
+  // slow ones (90 at 20-24 ms, 10 at 400-480 ms).  One more Metrics sees
+  // every sample, as a single server taking all the traffic would.
+  server::Metrics fast, slow, all;
+  const auto observe = [&all](server::Metrics& shard, double us) {
+    shard.latency_us.observe(us);
+    all.latency_us.observe(us);
+  };
+  for (int i = 0; i < 900; ++i) observe(fast, 800.0 + (i * 37) % 400);
+  for (int i = 0; i < 90; ++i) observe(slow, 20000.0 + (i * 53) % 4000);
+  for (int i = 0; i < 10; ++i) observe(slow, 400000.0 + i * 8000.0);
+  server::StatsBody a, b, u, merged;
+  fast.snapshot(a);
+  slow.snapshot(b);
+  all.snapshot(u);
+  merge_stats(merged, a);
+  merge_stats(merged, b);
+  for (std::size_t i = 0; i < obs::kLatencyBuckets; ++i)
+    EXPECT_EQ(merged.latency_buckets[i], u.latency_buckets[i]) << i;
+  const auto q = [](const server::StatsBody& s, double p) {
+    return obs::quantile(s.latency_buckets, p);
+  };
+  for (double p : {0.5, 0.9, 0.99}) EXPECT_EQ(q(merged, p), q(u, p)) << p;
+  EXPECT_LE(q(merged, 0.5), 1.125 * 1200.0);
+  EXPECT_LE(q(merged, 0.99), 1.125 * 24000.0);
+  // The maximum of the per-shard quantiles, the slow shard's, is more
+  // than 10x off at p50 and p99.
+  for (double p : {0.5, 0.99})
+    EXPECT_GT(std::max(q(a, p), q(b, p)), 10.0 * q(u, p)) << p;
 }
 
 TEST(MergeTest, PrometheusSamplesSumAcrossSections) {

@@ -1,17 +1,21 @@
 // Tests for the observability layer: the sharded metrics registry, the
 // span tracer and its Chrome-trace export, the structured logger, the
 // env helpers — and the properties the rest of the tree relies on:
-// percentile_nth matching the sort-based percentile, the server latency
-// ring surviving wrap-around, and simulation digests being bit-identical
-// with tracing on or off.
+// quantiles read from the shared latency buckets staying within 1/8 of
+// the sample, `_count` agreeing with the buckets under concurrent
+// writers, and simulation digests being bit-identical with tracing on
+// or off.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <future>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -28,12 +32,9 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "recorder/recorder.hpp"
-#include "server/metrics.hpp"
 #include "server/stats_text.hpp"
 #include "solaris/program.hpp"
 #include "util/env.hpp"
-#include "util/rng.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -130,36 +131,98 @@ TEST(Registry, PoolInstrumentationReachesTheGlobalRegistry) {
   EXPECT_NE(text.find("vppb_pool_queue_depth"), std::string::npos);
 }
 
-// ---- percentiles ---------------------------------------------------------
+// ---- latency buckets and quantiles --------------------------------------
 
-TEST(Stats, PercentileNthMatchesSortBased) {
-  Rng rng(42);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform(0, 400));
-    std::vector<double> xs(n);
-    for (double& x : xs) x = rng.uniform(0, 10000) / 7.0;
-    for (double p : {0.0, 17.5, 50.0, 90.0, 99.0, 100.0}) {
-      std::vector<double> scratch = xs;
-      EXPECT_DOUBLE_EQ(percentile_nth(scratch, p), percentile(xs, p))
-          << "n=" << n << " p=" << p;
+TEST(LatencyHistogram, QuantileIsTheEdgeAtMostAnEighthAboveTheSample) {
+  const std::vector<double>& edges = obs::latency_us_bounds();
+  ASSERT_EQ(edges.size() + 1, obs::kLatencyBuckets);
+  const auto one_sample = [](double v, double q) {
+    obs::Histogram h("t_one_us", "", obs::latency_us_bounds());
+    h.observe(v);
+    std::uint64_t counts[obs::kLatencyBuckets];
+    for (std::size_t i = 0; i < obs::kLatencyBuckets; ++i)
+      counts[i] = h.bucket_count(i);
+    return obs::quantile(counts, q);
+  };
+  // A sample on an edge, or 1 us to either side of it, reads in
+  // [v, 1.125 v]; past the last edge it reads +inf.
+  for (double edge : edges) {
+    for (double v : {edge - 1.0, edge, edge + 1.0}) {
+      for (double q : {0.0, 0.5, 0.99, 1.0}) {
+        const double got = one_sample(v, q);
+        if (v > edges.back()) {
+          EXPECT_EQ(got, std::numeric_limits<double>::infinity()) << v;
+        } else {
+          EXPECT_GE(got, v) << "v=" << v << " q=" << q;
+          EXPECT_LE(got, 1.125 * v) << "v=" << v << " q=" << q;
+        }
+      }
     }
   }
+  // An empty histogram reads 0.
+  const std::uint64_t none[obs::kLatencyBuckets] = {};
+  EXPECT_EQ(obs::quantile(none, 0.5), 0.0);
+  EXPECT_EQ(obs::quantile(none, 0.99), 0.0);
+  // A sample far above the last edge reads +inf.
+  EXPECT_EQ(one_sample(1e12, 0.5), std::numeric_limits<double>::infinity());
+  // The rank is ceil(q * n): of 9 fast and 1 slow sample, p90 is fast
+  // and p91 slow.
+  obs::Histogram h("t_rank_us", "", obs::latency_us_bounds());
+  for (int i = 0; i < 9; ++i) h.observe(100.0);
+  h.observe(10000.0);
+  std::uint64_t counts[obs::kLatencyBuckets];
+  for (std::size_t i = 0; i < obs::kLatencyBuckets; ++i)
+    counts[i] = h.bucket_count(i);
+  EXPECT_EQ(obs::quantile(counts, 0.90), 104.0);
+  EXPECT_EQ(obs::quantile(counts, 0.91), 10240.0);
+  EXPECT_EQ(h.count(), 10u);
+
+  // Every `le` label parses back to its edge exactly.
+  obs::Registry reg;
+  reg.histogram("t_edges_us", "Edges", obs::latency_us_bounds());
+  const std::string text = reg.prometheus_text();
+  std::vector<double> labels;
+  const std::string_view key = "t_edges_us_bucket{le=\"";
+  for (std::size_t at = text.find(key); at != std::string::npos;
+       at = text.find(key, at + 1)) {
+    const std::size_t from = at + key.size();
+    const std::string label = text.substr(from, text.find('"', from) - from);
+    if (label != "+Inf") labels.push_back(std::strtod(label.c_str(), nullptr));
+  }
+  EXPECT_EQ(labels, edges);
+  EXPECT_NE(text.find("le=\"2359296\""), std::string::npos);
 }
 
-TEST(ServerMetrics, LatencyRingWrapAroundKeepsRecentSamples) {
-  server::Metrics m;
-  // Fill the ring with slow samples, then overwrite every slot with
-  // fast ones: the percentiles must describe the recent window only.
-  for (std::size_t i = 0; i < server::Metrics::kMaxSamples; ++i)
-    m.record_latency_us(1000.0);
-  for (std::size_t i = 0; i < server::Metrics::kMaxSamples; ++i)
-    m.record_latency_us(10.0);
-  server::StatsBody s;
-  m.snapshot(s);
-  EXPECT_EQ(s.latency_count, 2 * server::Metrics::kMaxSamples);
-  EXPECT_DOUBLE_EQ(s.p50_us, 10.0);
-  EXPECT_DOUBLE_EQ(s.p99_us, 10.0);
-  EXPECT_DOUBLE_EQ(s.max_us, 10.0);  // max is over the ring, not all time
+TEST(Registry, PrometheusCountEqualsTheInfBucketUnderConcurrentWrites) {
+  obs::Registry reg;
+  obs::Histogram& h =
+      reg.histogram("t_live_us", "Latency", obs::latency_us_bounds());
+  std::atomic<bool> done{false};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 3; ++t) {
+    writers.emplace_back([&h, &done, t]() {
+      for (std::uint64_t i = 0; !done.load(std::memory_order_relaxed); ++i)
+        h.observe(static_cast<double>(40 + (i * 7919 + t * 104729) % 500000));
+    });
+  }
+  const auto sample = [](const std::string& text, const std::string& key) {
+    const std::size_t at = text.find(key);
+    return at == std::string::npos
+               ? std::string("missing")
+               : text.substr(at + key.size(),
+                             text.find('\n', at) - at - key.size());
+  };
+  int mismatches = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string text = reg.prometheus_text();
+    const std::string inf = sample(text, "t_live_us_bucket{le=\"+Inf\"} ");
+    const std::string count = sample(text, "t_live_us_count ");
+    if (inf != count || inf == "missing") ++mismatches;
+  }
+  done = true;
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(h.count(), 0u);
 }
 
 TEST(ServerMetrics, StatsTextSurfacesFailureCountersAndHitRate) {

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -138,7 +139,7 @@ TEST(ProtocolTest, ResponseRoundTrip) {
   resp.stats.requests = 42;
   resp.stats.by_type[0] = 40;
   resp.stats.cache_hits = 39;
-  resp.stats.p99_us = 1234.5;
+  resp.stats.latency_buckets[40] = 1234;
 
   const Response back = decode_response(encode(resp));
   EXPECT_EQ(back.status, resp.status);
@@ -158,10 +159,10 @@ TEST(ProtocolTest, ResponseRoundTrip) {
   EXPECT_EQ(back.stats.requests, 42u);
   EXPECT_EQ(back.stats.by_type[0], 40u);
   EXPECT_EQ(back.stats.cache_hits, 39u);
-  EXPECT_DOUBLE_EQ(back.stats.p99_us, 1234.5);
+  EXPECT_EQ(back.stats.latency_buckets[40], 1234u);
 }
 
-TEST(ProtocolTest, StatsBytesArePinnedAtV8) {
+TEST(ProtocolTest, StatsBytesArePinnedAtV9) {
   // Every StatsBody field distinct, at the top level and in one shard
   // entry: a field dropped, duplicated or moved changes the bytes.
   Response resp;
@@ -176,9 +177,9 @@ TEST(ProtocolTest, StatsBytesArePinnedAtV8) {
   resp.shards.push_back(shard);
 
   const std::vector<std::uint8_t> bytes = encode(resp);
-  EXPECT_EQ(kProtocolVersion, 8);
-  EXPECT_EQ(bytes.size(), 362u);
-  EXPECT_EQ(content_key(bytes.data(), bytes.size()), 0x4de6237587679932ULL);
+  EXPECT_EQ(kProtocolVersion, 9);
+  EXPECT_EQ(bytes.size(), 742u);
+  EXPECT_EQ(content_key(bytes.data(), bytes.size()), 0xa6f63c4ae18554caULL);
   EXPECT_EQ(encode(decode_response(bytes)), bytes);
 }
 
@@ -476,7 +477,10 @@ TEST_F(ServerTest, EightClientsBitIdenticalToOfflineAndOneCompile) {
   EXPECT_EQ(stats.stats.cache_hits, static_cast<std::uint64_t>(kClients - 1));
   EXPECT_EQ(stats.stats.overloads, 0u);
   // The stats request's own latency is recorded after its snapshot.
-  EXPECT_EQ(stats.stats.latency_count, static_cast<std::uint64_t>(kClients));
+  EXPECT_EQ(std::accumulate(std::begin(stats.stats.latency_buckets),
+                            std::end(stats.stats.latency_buckets),
+                            std::uint64_t{0}),
+            static_cast<std::uint64_t>(kClients));
   server.stop();
 }
 

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <thread>
@@ -34,6 +35,7 @@
 #include "core/sweep.hpp"
 #include "machine/validate.hpp"
 #include "obs/log.hpp"
+#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "recorder/recorder.hpp"
 #include "server/auth.hpp"
@@ -788,8 +790,9 @@ int cmd_trace_collect(Flags& flags) {
 
 /// `vppb top`: the live per-shard dashboard.  Re-issues the stats
 /// request on an interval and renders one row per shard — rps from the
-/// request-count delta, latency p99, the 5m burn rates — plus a cluster
-/// footer with the brownout/stale counters and the SLO verdict.
+/// request-count delta, p99 from the latency-bucket deltas, the 5m burn
+/// rates — plus a cluster footer with the brownout/stale counters and
+/// the SLO verdict.
 int cmd_top(Flags& flags) {
   server::Request req;
   req.type = server::ReqType::kStats;
@@ -799,7 +802,7 @@ int cmd_top(Flags& flags) {
   if (count <= 0) count = std::numeric_limits<std::int64_t>::max();
 
   std::optional<server::Client> client;
-  std::unordered_map<std::uint64_t, std::uint64_t> prev_requests;
+  std::unordered_map<std::uint64_t, server::StatsBody> prev;
   bool have_prev = false;
   for (std::int64_t taken = 0; taken < count;) {
     server::Response r;
@@ -823,19 +826,24 @@ int cmd_top(Flags& flags) {
                   "avail burn 5m", "requests", "errors"});
     const auto row = [&](std::uint64_t id, const char* state,
                          const server::StatsBody& s) {
+      server::StatsBody& before = prev[id];  // zeros for a new shard
       double rps = 0.0;
-      if (have_prev) {
-        const auto it = prev_requests.find(id);
-        const std::uint64_t before =
-            it != prev_requests.end() ? it->second : 0;
-        if (s.requests >= before)
-          rps = static_cast<double>(s.requests - before) * 1000.0 /
-                static_cast<double>(interval_ms);
-      }
-      prev_requests[id] = s.requests;
+      if (have_prev && s.requests >= before.requests)
+        rps = static_cast<double>(s.requests - before.requests) * 1000.0 /
+              static_cast<double>(interval_ms);
+      // p99 of the requests since the last poll.  A bucket that went
+      // down means the shard restarted, so all its counts are new.
+      const bool same_run =
+          std::ranges::equal(before.latency_buckets, s.latency_buckets,
+                             std::less_equal<>());
+      std::uint64_t recent[obs::kLatencyBuckets];
+      for (std::size_t i = 0; i < obs::kLatencyBuckets; ++i)
+        recent[i] = s.latency_buckets[i] -
+                    (same_run ? before.latency_buckets[i] : 0);
+      before = s;
       table.row({strprintf("%llu", static_cast<unsigned long long>(id)),
                  state, strprintf("%.1f", rps),
-                 strprintf("%.2f", s.p99_us / 1000.0),
+                 strprintf("%.2f", obs::quantile(recent, 0.99) / 1000.0),
                  strprintf("%.2f", s.lat_burn_5m),
                  strprintf("%.2f", s.avail_burn_5m),
                  strprintf("%llu",
