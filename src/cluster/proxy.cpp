@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <unistd.h>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "server/auth.hpp"
 #include "server/handlers.hpp"
 #include "server/trace_cache.hpp"
 #include "util/error.hpp"
@@ -227,132 +225,42 @@ Proxy::Proxy(ProxyOptions opt)
     : opt_(normalize(std::move(opt))),
       membership_(opt_.shards, opt_.membership),
       quota_(opt_.quota),
-      hedge_pool_(std::max(2, opt_.hedge_jobs)) {
+      hedge_pool_(std::max(2, opt_.hedge_jobs)),
+      listener_(opt_, "proxy", ProxyMetrics::get().auth_failures,
+                ProxyMetrics::get().idle_reaps,
+                [this](std::vector<std::uint8_t>& payload,
+                       std::uint64_t conn_key) {
+                  return server::encode(server::answer_frame(
+                      payload, [&](const Request& req) {
+                        return execute(req, conn_key);
+                      }));
+                }) {
   slo_.configure(obs::SloOptions{opt_.slo_p99_ms, opt_.slo_availability});
 }
 
 Proxy::~Proxy() { stop(); }
 
 void Proxy::start() {
-  VPPB_CHECK_MSG(!running_.load(), "proxy already started");
-  if (!opt_.unix_path.empty()) {
-    listener_ = util::listen_unix(opt_.unix_path);
-    endpoint_ = opt_.unix_path;
-  } else {
-    port_ = opt_.tcp_port;
-    listener_ = util::listen_tcp(port_);
-    endpoint_ = strprintf("127.0.0.1:%u", port_);
-  }
+  VPPB_CHECK_MSG(!listener_.running(), "proxy already started");
   membership_.start();  // one synchronous probe round populates the ring
   ProxyMetrics::get().shards_up.set(
       static_cast<std::int64_t>(membership_.up_count()));
   if (opt_.tracing) obs::Tracer::global().enable();
-  running_.store(true);
-  accept_thread_ = std::thread(&Proxy::accept_loop, this);
+  listener_.start();
   obs::logf(LogLevel::kInfo, "proxy",
             "routing on %s across %zu shards (%zu up, hedge %lld ms)",
-            endpoint_.c_str(), membership_.shard_count(),
+            endpoint().c_str(), membership_.shard_count(),
             membership_.up_count(),
             static_cast<long long>(opt_.hedge_ms));
 }
 
 void Proxy::stop() {
-  if (!running_.exchange(false)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  listener_.close();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (auto& c : conns_) c->sock.shutdown_read();
-  }
-  for (auto& c : conns_)
-    if (c->thread.joinable()) c->thread.join();
-  conns_.clear();
+  if (!listener_.stop()) return;
   {
     std::unique_lock<std::mutex> lock(drain_mu_);
     drain_cv_.wait(lock, [&]() { return tasks_live_ == 0; });
   }
   membership_.stop();
-  if (!opt_.unix_path.empty()) ::unlink(opt_.unix_path.c_str());
-  obs::logf(LogLevel::kInfo, "proxy", "stopped (drained) on %s",
-            endpoint_.c_str());
-}
-
-void Proxy::accept_loop() {
-  while (running_.load()) {
-    util::Socket s = util::accept_with_timeout(listener_, 100);
-    if (!s.valid()) continue;
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (!running_.load()) break;
-    conns_.push_back(std::make_unique<Conn>());
-    Conn* conn = conns_.back().get();
-    conn->sock = std::move(s);
-    conn->key = next_conn_key_.fetch_add(1);
-    conn->thread = std::thread(&Proxy::serve_connection, this, conn);
-  }
-}
-
-void Proxy::serve_connection(Conn* conn) {
-  // Same accept-path gate as the shard server: TCP connections prove
-  // key knowledge before the first frame is read; Unix connections are
-  // local by construction and skip the handshake.
-  if (opt_.unix_path.empty()) {
-    server::AuthConfig auth;
-    auth.key = opt_.auth_key;
-    auth.handshake_timeout_ms = opt_.auth_timeout_ms;
-    try {
-      server::auth_accept(conn->sock, auth);
-    } catch (const server::AuthError& e) {
-      ProxyMetrics::get().auth_failures.inc();
-      obs::logf(LogLevel::kWarn, "proxy", "auth rejected: %s", e.what());
-      return;
-    } catch (const Error& e) {
-      ProxyMetrics::get().auth_failures.inc();
-      obs::logf(LogLevel::kDebug, "proxy", "handshake aborted: %s",
-                e.what());
-      return;
-    }
-    conn->sock.set_keepalive(30, 10, 3, 45000);
-  }
-  if (opt_.idle_timeout_ms > 0)
-    conn->sock.set_recv_timeout(static_cast<int>(opt_.idle_timeout_ms));
-  server::FrameLimits limits;
-  if (opt_.max_request_frame_bytes > 0)
-    limits.max_bytes = opt_.max_request_frame_bytes;
-  limits.frame_deadline_ms = opt_.frame_deadline_ms;
-  try {
-    std::vector<std::uint8_t> payload;
-    while (server::read_frame(conn->sock, payload, limits)) {
-      Response resp;
-      std::uint64_t trace_id = 0;
-      try {
-        const Request req = server::decode_request(payload);
-        trace_id = req.trace_id;
-        resp = execute(req, conn->key);
-      } catch (const Error& e) {
-        // Undecodable request, unreadable trace file, every shard
-        // down: a typed answer on an intact connection.
-        resp.status = Status::kError;
-        resp.error = e.what();
-      }
-      // Echo the caller's trace id even on stale-cache answers, whose
-      // stored copy carries whatever id first populated them.
-      resp.trace_id = trace_id;
-      server::write_frame(conn->sock, server::encode(resp));
-    }
-  } catch (const util::SocketTimeout& e) {
-    ProxyMetrics::get().idle_reaps.inc();
-    obs::logf(LogLevel::kInfo, "proxy", "idle connection reaped: %s",
-              e.what());
-  } catch (const Error& e) {
-    obs::logf(LogLevel::kDebug, "proxy", "connection dropped: %s", e.what());
-  }
-  // Shut the wire down the moment we stop serving it: the Conn object
-  // outlives this thread (joined at stop()), and without the shutdown a
-  // peer blocked on recv would wait for the proxy's exit, not ours.
-  conn->sock.shutdown_both();
 }
 
 Response Proxy::error_response(const Request& req,
@@ -888,30 +796,31 @@ Response Proxy::aggregate(const Request& req) {
     for (const auto& sh : out.shards) any_up = any_up || sh.healthy;
     out.ready = out.ready && any_up;
   }
-  // The proxy's own resilience layers are part of the cluster's story:
-  // the merged stats carry its quota/brownout/stale counters (shards
-  // report zeros for these), and health says when load is being shed.
-  out.stats.quota_rejections += quota_.rejections();
-  out.stats.brownout_sheds += brownout_sheds_.load();
-  out.stats.stale_serves += stale_serves_.load();
-  out.stats.sampled_requests += sampled_.load();
-  out.stats.trace_dropped += obs::Tracer::global().dropped_count();
-  // Cluster SLO verdict: the proxy's own client-facing burn, or any
-  // shard already in breach.
+  // The proxy's own layers are part of the cluster's story: their
+  // numbers fold in as if the proxy were one more shard.  Shards report
+  // zeros for its quota/brownout/stale counters, and a disabled SLO
+  // tracker reports zeros, which every MergeRule ignores.
+  const ProxyMetrics& pm = ProxyMetrics::get();
   const obs::BurnRates burn = slo_.burn();
-  if (slo_.enabled()) {
-    out.stats.slo_p99_ms = opt_.slo_p99_ms;
-    out.stats.slo_availability = opt_.slo_availability;
-    out.stats.lat_burn_1m = std::max(out.stats.lat_burn_1m, burn.lat_1m);
-    out.stats.lat_burn_5m = std::max(out.stats.lat_burn_5m, burn.lat_5m);
-    out.stats.lat_burn_1h = std::max(out.stats.lat_burn_1h, burn.lat_1h);
-    out.stats.avail_burn_1m =
-        std::max(out.stats.avail_burn_1m, burn.avail_1m);
-    out.stats.avail_burn_5m =
-        std::max(out.stats.avail_burn_5m, burn.avail_5m);
-    out.stats.avail_burn_1h =
-        std::max(out.stats.avail_burn_1h, burn.avail_1h);
-  }
+  StatsBody own;
+  own.quota_rejections = quota_.rejections();
+  own.brownout_sheds = brownout_sheds_.load();
+  own.stale_serves = stale_serves_.load();
+  own.sampled_requests = sampled_.load();
+  own.trace_dropped = obs::Tracer::global().dropped_count();
+  own.auth_failures = pm.auth_failures.value();
+  own.idle_reaps = pm.idle_reaps.value();
+  own.slo_p99_ms = opt_.slo_p99_ms;
+  own.slo_availability = opt_.slo_availability;
+  own.lat_burn_1m = burn.lat_1m;
+  own.lat_burn_5m = burn.lat_5m;
+  own.lat_burn_1h = burn.lat_1h;
+  own.avail_burn_1m = burn.avail_1m;
+  own.avail_burn_5m = burn.avail_5m;
+  own.avail_burn_1h = burn.avail_1h;
+  merge_stats(out.stats, own);
+  // Cluster SLO verdict: the proxy's own client-facing burn, or any
+  // shard already in breach; health says when load is being shed.
   out.slo_burning = burn.burning || shard_burning;
   std::size_t live = 0, total = 0;
   out.brownout = brownout_active(&live, &total);

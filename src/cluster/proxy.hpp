@@ -80,7 +80,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -88,18 +87,15 @@
 #include "cluster/quota.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeline.hpp"
+#include "server/listener.hpp"
 #include "server/protocol.hpp"
-#include "util/socket.hpp"
 #include "util/thread_pool.hpp"
 
 namespace vppb::cluster {
 
-struct ProxyOptions {
-  /// Listen endpoint, same convention as ServerOptions: unix path
-  /// preferred, loopback TCP otherwise (0 = ephemeral).
-  std::string unix_path;
-  std::uint16_t tcp_port = 0;
-
+/// Unless `membership` names its own upstream key, the listener's
+/// auth_key is also used when dialing TCP shards.
+struct ProxyOptions : server::ListenerOptions {
   std::vector<ShardEndpoint> shards;
   MembershipOptions membership;
 
@@ -133,23 +129,6 @@ struct ProxyOptions {
   /// responses are never cached — they dwarf everything else).
   std::size_t response_cache_entries = 256;
 
-  // --- hostile-network hardening (protocol v8) -----------------------
-  /// Shared auth key for the proxy's own TCP listener: every accepted
-  /// TCP connection must pass the v8 challenge–response before its
-  /// first frame is read.  Empty = handshake still runs but proof is
-  /// optional.  Unix listeners never handshake.  The same key is used
-  /// upstream (membership.auth_key) when dialing TCP shards.
-  std::string auth_key;
-  std::int64_t auth_timeout_ms = 5000;
-  /// Client connections idle past this are reaped (0 = never) —
-  /// slowloris cannot hold proxy threads open.
-  std::int64_t idle_timeout_ms = 0;
-  /// Total per-frame read deadline once the length prefix arrived
-  /// (0 = unbounded); defeats byte-trickle senders.
-  std::int64_t frame_deadline_ms = 0;
-  /// Hard cap on a client frame (0 = protocol max).
-  std::size_t max_request_frame_bytes = 0;
-
   /// Always-on span capture, same convention as ServerOptions: the
   /// proxy's own rings feed the cluster-wide `vppb trace-collect`.
   bool tracing = true;
@@ -175,8 +154,8 @@ class Proxy {
   void start();
   void stop();  ///< graceful drain; idempotent
 
-  const std::string& endpoint() const { return endpoint_; }
-  std::uint16_t tcp_port() const { return port_; }
+  const std::string& endpoint() const { return listener_.endpoint(); }
+  std::uint16_t tcp_port() const { return listener_.tcp_port(); }
   Membership& membership() { return membership_; }
 
   /// True when a brownout trigger holds right now; fills the live /
@@ -185,12 +164,6 @@ class Proxy {
                        std::size_t* total = nullptr) const;
 
  private:
-  struct Conn {
-    util::Socket sock;
-    std::thread thread;
-    std::uint64_t key = 0;  ///< fallback identity for anonymous clients
-  };
-
   /// One proxy-cached compute response: the answer, when it landed,
   /// and which shard incarnations have served this exact request
   /// (warm-replica preference during failover).
@@ -223,8 +196,8 @@ class Proxy {
     std::vector<std::size_t> failed_shards;
   };
 
-  void accept_loop();
-  void serve_connection(Conn* conn);
+  /// `conn_key` (the listener's connection number) is the identity of
+  /// an anonymous client.
   server::Response execute(const server::Request& req,
                            std::uint64_t conn_key);
   /// `tl` (optional) is the proxy-side stage timeline for
@@ -277,19 +250,9 @@ class Proxy {
   obs::SloTracker slo_;
   util::ThreadPool hedge_pool_;
 
-  util::Socket listener_;
-  std::string endpoint_;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread accept_thread_;
-
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<Conn>> conns_;
-
   std::mutex flight_mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Flight>> flights_;
 
-  std::atomic<std::uint64_t> next_conn_key_{1};
   std::atomic<int> inflight_{0};  ///< compute requests being forwarded
   std::atomic<std::uint64_t> brownout_sheds_{0};
   std::atomic<std::uint64_t> stale_serves_{0};
@@ -304,6 +267,9 @@ class Proxy {
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
   int tasks_live_ = 0;
+
+  /// Last: its IO threads call into everything above.
+  server::FrameListener listener_;
 };
 
 /// Folds `from` into `into`, each field by its rule in

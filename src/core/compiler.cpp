@@ -183,7 +183,6 @@ CompiledTrace compile(const trace::Trace& trace, const RunGuard* guard) {
     s.op = r.op;
     s.obj = r.obj;
     s.arg = r.arg;
-    s.arg2 = r.arg2;
     s.loc = r.loc;
     s.logged_at = r.at;
     if (trace::op_is_single(r.op)) {

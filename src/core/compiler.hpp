@@ -32,8 +32,8 @@ struct Step {
   SimTime op_cost;   ///< library time of the call itself
   trace::Op op = trace::Op::kThrExit;
   trace::ObjectRef obj;
-  std::int64_t arg = 0;      ///< call argument (priority, flags, …)
-  std::int64_t arg2 = 0;     ///< secondary argument (mutex of a cond wait)
+  std::int64_t arg = 0;      ///< call argument (priority, flags, the mutex
+                             ///< of a cond wait, …)
   std::int64_t outcome = 0;  ///< return value (created tid, try success, …)
   SimTime delay;     ///< recorded sleep length of a timed-out cond_timedwait
   std::uint32_t loc = 0;     ///< source location of the call

@@ -1,13 +1,11 @@
 // vppbd — the resident prediction service.
 //
-// Threading model: one accept thread polls the listener; each accepted
-// connection gets a lightweight IO thread that reads one frame at a
-// time, runs the request through admission control, and writes the
-// response before reading the next frame (strict request/response per
-// connection — no reordering, no per-connection queues).  The compute
-// itself runs on a shared util::ThreadPool: the IO thread posts the
-// handler and blocks for the result, so CPU-bound work is bounded by
-// the pool size no matter how many clients connect.
+// Threading model: connections come through a FrameListener
+// (server/listener.hpp), one IO thread each; the server answers each
+// frame through admission control.  The compute itself runs on a shared
+// util::ThreadPool: the IO thread posts the handler and blocks for the
+// result, so CPU-bound work is bounded by the pool size no matter how
+// many clients connect.
 //
 // Admission is a bounded in-flight count, not a queue that grows: a
 // request arriving while `admission_limit` requests are admitted (on a
@@ -15,10 +13,9 @@
 // Status::kOverloaded.  Clients see explicit backpressure instead of
 // unbounded latency, and a misbehaving client cannot pile up work.
 //
-// stop() drains gracefully: stop accepting, half-close the read side of
-// every connection (in-flight requests finish and their responses are
-// delivered), join everything.  `vppb serve` wires SIGINT/SIGTERM to
-// exactly this.
+// stop() drains gracefully: the listener's drain (in-flight requests
+// finish and their responses are delivered), then the worker tasks and
+// the watchdog.  `vppb serve` wires SIGINT/SIGTERM to exactly this.
 //
 // Resource governance (the hang-proofing layer): every admitted request
 // carries a core::RunGuard armed with the server ceilings (max_steps /
@@ -51,22 +48,16 @@
 #include "obs/slo.hpp"
 #include "obs/timeline.hpp"
 #include "server/deadline.hpp"
+#include "server/listener.hpp"
 #include "server/metrics.hpp"
 #include "server/protocol.hpp"
 #include "server/trace_cache.hpp"
 #include "util/fault.hpp"
-#include "util/socket.hpp"
 #include "util/thread_pool.hpp"
 
 namespace vppb::server {
 
-struct ServerOptions {
-  /// Unix-domain socket path; preferred when non-empty (any stale
-  /// socket file is replaced).
-  std::string unix_path;
-  /// Loopback TCP port, used when unix_path is empty.  0 = ephemeral
-  /// (read the bound port from Server::tcp_port after start()).
-  std::uint16_t tcp_port = 0;
+struct ServerOptions : ListenerOptions {
   /// Workers of the owned pool (0 = all hardware threads).  Ignored
   /// when `pool` is set.
   int jobs = 0;
@@ -117,29 +108,6 @@ struct ServerOptions {
   /// Assigned by the operator or the cluster launcher; 0 = standalone.
   std::uint64_t shard_id = 0;
 
-  // --- hostile-network hardening (protocol v8) ---
-  /// Shared key for the TCP handshake (empty = open listener).  Unix
-  /// sockets never authenticate: the socket file's permissions are the
-  /// local trust boundary, and the loopback digest baseline must stay
-  /// byte-identical.
-  std::string auth_key;
-  /// Bound on each handshake read/write; a peer that connects and then
-  /// goes silent is dropped after this.
-  std::int64_t auth_timeout_ms = 5000;
-  /// Idle-connection reap: a connection with no new frame for this many
-  /// milliseconds is closed (slowloris defense).  0 = never reap,
-  /// preserving the long-lived-idle-client behaviour local tools rely
-  /// on.
-  std::int64_t idle_timeout_ms = 0;
-  /// Total time a *started* frame may take to arrive before the
-  /// connection is dropped (defeats one-byte-per-window trickling).
-  /// 0 = unbounded.
-  std::int64_t frame_deadline_ms = 0;
-  /// Ceiling on accepted request frames, bytes (hostile peers should
-  /// not get to pick allocation sizes up to the full 64 MiB protocol
-  /// cap).  0 = the protocol cap.
-  std::size_t max_request_frame_bytes = 0;
-
   /// Always-on span capture: start() enables the process-wide tracer so
   /// tracedump always has rings to drain (overhead is gated < 3% by
   /// bench_obs).  Embedders that manage the tracer themselves turn it
@@ -169,8 +137,8 @@ class Server {
   void stop();
 
   /// Human-readable bound endpoint ("path.sock" or "127.0.0.1:port").
-  const std::string& endpoint() const { return endpoint_; }
-  std::uint16_t tcp_port() const { return port_; }
+  const std::string& endpoint() const { return listener_.endpoint(); }
+  std::uint16_t tcp_port() const { return listener_.tcp_port(); }
 
   /// Start-time epoch: unique per process start, so a routing tier can
   /// tell "the same shard restarted" (same id, new epoch — cold cache)
@@ -181,12 +149,6 @@ class Server {
   Metrics& metrics() { return metrics_; }
 
  private:
-  struct Conn {
-    util::Socket sock;
-    std::thread thread;
-    std::uint64_t id = 0;  ///< per-client fallback identity
-  };
-
   /// Shared state of one admitted request.  The IO thread waits on it;
   /// the worker delivers into it; the watchdog may cancel it or — when
   /// the worker is wedged — deliver a typed answer in the worker's
@@ -215,8 +177,9 @@ class Server {
     std::chrono::steady_clock::time_point cancelled_at{};
   };
 
-  void accept_loop();
-  void serve_connection(Conn* conn);
+  /// The listener's per-frame callback.
+  std::vector<std::uint8_t> serve_frame(std::vector<std::uint8_t>& payload,
+                                        std::uint64_t conn_id);
   Response execute(const Request& req, std::uint64_t conn_key);
   Response dispatch(const Request& req, ReqState& st);
   /// The answer every stats, health, metricsdump and tracedump request
@@ -240,24 +203,15 @@ class Server {
   Metrics metrics_;
   obs::SloTracker slo_;
 
-  util::Socket listener_;
-  std::string endpoint_;
-  std::uint16_t port_ = 0;
   std::uint64_t epoch_ = 0;
-  std::atomic<bool> running_{false};
   std::atomic<int> in_flight_{0};
-  std::thread accept_thread_;
-
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<Conn>> conns_;
-  std::atomic<std::uint64_t> next_conn_id_{1};
 
   std::mutex client_mu_;
   std::unordered_map<std::uint64_t, int> client_in_flight_;
 
   std::thread watchdog_thread_;
-  /// Separate from running_: the watchdog must keep rescuing draining
-  /// connections after stop() flips running_ off.
+  /// Separate from the listener's running flag: the watchdog must keep
+  /// rescuing draining connections after the listener stops.
   std::atomic<bool> watchdog_stop_{false};
   std::mutex watch_mu_;
   std::condition_variable watch_cv_;  ///< wakes the watchdog for stop()
@@ -269,6 +223,9 @@ class Server {
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
   int tasks_live_ = 0;
+
+  /// Last: its IO threads call into everything above.
+  FrameListener listener_;
 };
 
 }  // namespace vppb::server

@@ -42,7 +42,8 @@ enum class Op : std::uint8_t {
   kSemaDestroy,
   kCondInit,
   kCondWait,      ///< obj = condvar, arg = mutex id
-  kCondTimedwait, ///< return arg: 1 = woken, 0 = timed out; call arg2 = mutex id
+  kCondTimedwait, ///< obj = condvar, arg = mutex id; return arg: 1 =
+                  ///< woken, 0 = timed out
   kCondSignal,
   kCondBroadcast,
   kCondDestroy,
@@ -92,7 +93,8 @@ struct Record {
   Op op = Op::kStartCollect;
   ObjectRef obj;            ///< primary object (sync object or thread)
   std::int64_t arg = 0;     ///< op-specific (see Op comments)
-  std::int64_t arg2 = 0;    ///< secondary (e.g. mutex id of a cond wait)
+  std::int64_t arg2 = 0;    ///< secondary; the recorder writes 0 (a cond
+                            ///< wait's mutex is in `arg`)
   std::uint32_t loc = 0;    ///< index into the trace's source-location table
 };
 

@@ -163,8 +163,7 @@ class Linter {
       cond_mutex_.erase(pending);
       return;
     }
-    const std::uint32_t mutex_id = static_cast<std::uint32_t>(
-        r.op == Op::kCondWait ? r.arg : r.arg2);
+    const std::uint32_t mutex_id = static_cast<std::uint32_t>(r.arg);
     cond_mutex_[r.tid] = mutex_id;
     auto it = mutex_owner_.find(mutex_id);
     if (it == mutex_owner_.end() || it->second != r.tid)

@@ -2,10 +2,11 @@
 // primitives, the challenge–response handshake (accept, reject, replay,
 // truncation, downgrade refusal), bounded socket operations (connect
 // deadlines, send timeouts, total-frame deadlines, partial writes under
-// a tiny SO_SNDBUF), the server's idle-reap and frame-ceiling defenses,
-// the membership pool's bound + idle reaper, and the netem relay's
-// fault schedules.  `ctest -L net` runs this suite; it is tsan-clean —
-// every cross-thread handoff goes through sockets or joins.
+// a tiny SO_SNDBUF), the idle-reap and frame-ceiling defenses of both
+// tiers (vppbd and the proxy share one accept path), the membership
+// pool's bound + idle reaper, and the netem relay's fault schedules.
+// `ctest -L net` runs this suite; it is tsan-clean — every cross-thread
+// handoff goes through sockets or joins.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -17,12 +18,14 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/membership.hpp"
+#include "cluster/proxy.hpp"
 #include "server/auth.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
@@ -426,17 +429,56 @@ TEST(SocketHardeningTest, RecvDeadlineDefeatsByteTrickle) {
   trickler.join();
 }
 
-// ---- the server's accept-path defenses -------------------------------------
+// ---- the accept-path defenses, on both tiers -------------------------------
 
-TEST(ServerAuthTest, TcpEndToEndWithKey) {
+/// One serving tier under test, listening on the options it was made
+/// with: a vppbd, or a proxy over one in-process vppbd.
+struct Tier {
+  std::unique_ptr<TempFile> shard_sock;
+  std::unique_ptr<Server> shard;
+  std::unique_ptr<cluster::Proxy> proxy;
+
+  std::uint16_t tcp_port() const {
+    return proxy ? proxy->tcp_port() : shard->tcp_port();
+  }
+};
+
+using TierFactory = Tier (*)(const ListenerOptions& lo, int jobs);
+
+Tier make_vppbd(const ListenerOptions& lo, int jobs) {
   ServerOptions so;
-  so.tcp_port = 0;
-  so.jobs = 2;
-  so.auth_key = "integration-key";
-  Server server(so);
-  server.start();
+  static_cast<ListenerOptions&>(so) = lo;
+  so.jobs = jobs;
+  Tier tier;
+  tier.shard = std::make_unique<Server>(so);
+  tier.shard->start();
+  return tier;
+}
 
-  Client good = Client::connect_tcp("", server.tcp_port(),
+Tier make_proxy(const ListenerOptions& lo, int jobs) {
+  Tier tier;
+  tier.shard_sock = std::make_unique<TempFile>("shard");
+  ServerOptions so;
+  so.unix_path = tier.shard_sock->path();
+  so.jobs = jobs;
+  so.shard_id = 1;
+  tier.shard = std::make_unique<Server>(so);
+  tier.shard->start();
+  cluster::ProxyOptions po;
+  static_cast<ListenerOptions&>(po) = lo;
+  po.shards.push_back(cluster::ShardEndpoint::parse(1, so.unix_path));
+  tier.proxy = std::make_unique<cluster::Proxy>(po);
+  tier.proxy->start();
+  return tier;
+}
+
+void tcp_end_to_end_with_key(TierFactory make) {
+  ListenerOptions lo;
+  lo.tcp_port = 0;
+  lo.auth_key = "integration-key";
+  Tier tier = make(lo, 2);
+
+  Client good = Client::connect_tcp("", tier.tcp_port(),
                                     "integration-key", 2000);
   Request req;
   req.type = ReqType::kHealth;
@@ -445,17 +487,24 @@ TEST(ServerAuthTest, TcpEndToEndWithKey) {
   EXPECT_TRUE(r.ready);
 
   // Wrong key: a typed AuthError before any frame is exchanged, and
-  // the server's stats count the rejection.
+  // the tier's stats count the rejection.
   EXPECT_THROW(
-      Client::connect_tcp("", server.tcp_port(), "not-the-key", 2000),
+      Client::connect_tcp("", tier.tcp_port(), "not-the-key", 2000),
       AuthError);
   // Missing key: same typed rejection, client-side.
-  EXPECT_THROW(Client::connect_tcp("", server.tcp_port(), "", 2000),
+  EXPECT_THROW(Client::connect_tcp("", tier.tcp_port(), "", 2000),
                AuthError);
 
   const StatsBody stats = fetch_stats(good);
   EXPECT_GE(stats.auth_failures, 1u);
-  server.stop();
+}
+
+TEST(ServerAuthTest, TcpEndToEndWithKey) {
+  tcp_end_to_end_with_key(make_vppbd);
+}
+
+TEST(ProxyAuthTest, TcpEndToEndWithKey) {
+  tcp_end_to_end_with_key(make_proxy);
 }
 
 TEST(ServerAuthTest, AuthErrorIsNeverRetried) {
@@ -476,41 +525,40 @@ TEST(ServerAuthTest, AuthErrorIsNeverRetried) {
   server.stop();
 }
 
-TEST(ServerAuthTest, SlowlorisIsReaped) {
-  ServerOptions so;
-  so.tcp_port = 0;
-  so.jobs = 1;
-  so.auth_key = "reap-key";
-  so.idle_timeout_ms = 200;
-  Server server(so);
-  server.start();
+void slowloris_is_reaped(TierFactory make) {
+  ListenerOptions lo;
+  lo.tcp_port = 0;
+  lo.auth_key = "reap-key";
+  lo.idle_timeout_ms = 200;
+  Tier tier = make(lo, 1);
 
   // An authenticated client that then goes silent: the connection must
   // not outlive the idle deadline.
-  Client idler = Client::connect_tcp("", server.tcp_port(), "reap-key", 2000);
+  Client idler = Client::connect_tcp("", tier.tcp_port(), "reap-key", 2000);
   Request health;
   health.type = ReqType::kHealth;
   ASSERT_EQ(idler.call(health).status, Status::kOk);
   std::this_thread::sleep_for(std::chrono::milliseconds(700));
 
-  Client fresh = Client::connect_tcp("", server.tcp_port(), "reap-key", 2000);
+  Client fresh = Client::connect_tcp("", tier.tcp_port(), "reap-key", 2000);
   const StatsBody stats = fetch_stats(fresh);
   EXPECT_GE(stats.idle_reaps, 1u)
       << "the idle connection must have been reaped";
-  server.stop();
 }
 
-TEST(ServerHardeningTest, OversizedFrameHeaderRejected) {
+TEST(ServerAuthTest, SlowlorisIsReaped) { slowloris_is_reaped(make_vppbd); }
+
+TEST(ProxyAuthTest, SlowlorisIsReaped) { slowloris_is_reaped(make_proxy); }
+
+void oversized_frame_header_rejected(TierFactory make) {
   TempFile sock("oversized");
-  ServerOptions so;
-  so.unix_path = sock.path();
-  so.jobs = 1;
-  so.max_request_frame_bytes = 1 << 20;
-  Server server(so);
-  server.start();
+  ListenerOptions lo;
+  lo.unix_path = sock.path();
+  lo.max_request_frame_bytes = 1 << 20;
+  Tier tier = make(lo, 1);
 
   // A hostile length prefix far above the configured ceiling: the
-  // server must drop the connection without allocating the claimed
+  // tier must drop the connection without allocating the claimed
   // buffer (the ceiling is checked before the body read).
   {
     Socket raw = util::connect_unix(sock.path());
@@ -522,28 +570,33 @@ TEST(ServerHardeningTest, OversizedFrameHeaderRejected) {
         static_cast<std::uint8_t>((claimed >> 24) & 0xff)};
     raw.send_all(hdr, sizeof hdr);
     std::uint8_t byte = 0;
-    // The server closes on us; EOF (0) or a reset both prove it.
+    // The tier closes on us; EOF (0) or a reset both prove it.
     try {
       EXPECT_EQ(raw.recv_exact(&byte, 1), 0u);
     } catch (const Error&) {
     }
   }
-  // The daemon itself is unharmed.
+  // The tier itself is unharmed.
   Client c = Client::connect_unix(sock.path());
   Request health;
   health.type = ReqType::kHealth;
   EXPECT_EQ(c.call(health).status, Status::kOk);
-  server.stop();
 }
 
-TEST(ServerHardeningTest, FrameDeadlineDefeatsTrickledBody) {
+TEST(ServerHardeningTest, OversizedFrameHeaderRejected) {
+  oversized_frame_header_rejected(make_vppbd);
+}
+
+TEST(ProxyHardeningTest, OversizedFrameHeaderRejected) {
+  oversized_frame_header_rejected(make_proxy);
+}
+
+void frame_deadline_defeats_trickled_body(TierFactory make) {
   TempFile sock("trickle");
-  ServerOptions so;
-  so.unix_path = sock.path();
-  so.jobs = 1;
-  so.frame_deadline_ms = 300;
-  Server server(so);
-  server.start();
+  ListenerOptions lo;
+  lo.unix_path = sock.path();
+  lo.frame_deadline_ms = 300;
+  Tier tier = make(lo, 1);
 
   {
     Socket raw = util::connect_unix(sock.path());
@@ -560,15 +613,22 @@ TEST(ServerHardeningTest, FrameDeadlineDefeatsTrickledBody) {
         raw.send_all(&b, 1);
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       }
-      FAIL() << "server kept reading a trickled frame past its deadline";
+      FAIL() << "tier kept reading a trickled frame past its deadline";
     } catch (const Error&) {
-      // The server dropped us: exactly the point.
+      // The tier dropped us: exactly the point.
     }
   }
   Client c = Client::connect_unix(sock.path());
   const StatsBody stats = fetch_stats(c);
   EXPECT_GE(stats.idle_reaps, 1u);
-  server.stop();
+}
+
+TEST(ServerHardeningTest, FrameDeadlineDefeatsTrickledBody) {
+  frame_deadline_defeats_trickled_body(make_vppbd);
+}
+
+TEST(ProxyHardeningTest, FrameDeadlineDefeatsTrickledBody) {
+  frame_deadline_defeats_trickled_body(make_proxy);
 }
 
 // ---- membership pool bound + reaper ----------------------------------------

@@ -445,11 +445,36 @@ int cmd_validate(Flags& flags) {
   return 0;
 }
 
-int cmd_serve(Flags& flags) {
-  server::ServerOptions opt;
+/// Blocks SIGINT and SIGTERM and returns them as a set for sigwait.
+/// Call before any thread exists, so every server, pool and relay
+/// thread inherits the mask and only sigwait sees the signals.
+sigset_t block_shutdown_signals() {
+  sigset_t set;
+  sigemptyset(&set);
+  sigaddset(&set, SIGINT);
+  sigaddset(&set, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &set, nullptr);
+  return set;
+}
+
+/// The listener flags of `serve`, `proxy` and `cluster`'s proxy;
+/// `default_socket` is used when neither --socket nor --port is given.
+void read_listener_flags(Flags& flags, const char* default_socket,
+                         server::ListenerOptions& opt) {
   opt.unix_path = flags.str("socket");
   opt.tcp_port = static_cast<std::uint16_t>(flags.i64("port"));
-  if (opt.unix_path.empty() && opt.tcp_port == 0) opt.unix_path = "vppb.sock";
+  if (opt.unix_path.empty() && opt.tcp_port == 0)
+    opt.unix_path = default_socket;
+  opt.auth_key = server::load_auth_key(flags.str("auth-key-file"));
+  opt.idle_timeout_ms = flags.i64("idle-timeout-ms");
+  opt.frame_deadline_ms = flags.i64("frame-deadline-ms");
+  opt.max_request_frame_bytes =
+      static_cast<std::size_t>(flags.i64("max-request-frame-mb")) << 20;
+}
+
+int cmd_serve(Flags& flags) {
+  server::ServerOptions opt;
+  read_listener_flags(flags, "vppb.sock", opt);
   opt.jobs = static_cast<int>(flags.i64("jobs"));
   opt.admission_limit = static_cast<int>(flags.i64("admission"));
   opt.cache_entries = static_cast<std::size_t>(flags.i64("cache-entries"));
@@ -466,19 +491,8 @@ int cmd_serve(Flags& flags) {
   opt.shard_id = static_cast<std::uint64_t>(flags.i64("shard-id"));
   opt.slo_p99_ms = flags.dbl("slo-p99-ms");
   opt.slo_availability = flags.dbl("slo-availability");
-  opt.auth_key = server::load_auth_key(flags.str("auth-key-file"));
-  opt.idle_timeout_ms = flags.i64("idle-timeout-ms");
-  opt.frame_deadline_ms = flags.i64("frame-deadline-ms");
-  opt.max_request_frame_bytes =
-      static_cast<std::size_t>(flags.i64("max-request-frame-mb")) << 20;
 
-  // Block the shutdown signals before any thread exists, so every
-  // server/pool thread inherits the mask and only sigwait sees them.
-  sigset_t set;
-  sigemptyset(&set);
-  sigaddset(&set, SIGINT);
-  sigaddset(&set, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &set, nullptr);
+  sigset_t set = block_shutdown_signals();
 
   server::Server srv(opt);
   srv.start();
@@ -522,10 +536,7 @@ int run_proxy_until_signal(cluster::Proxy& proxy, sigset_t* set) {
 
 cluster::ProxyOptions proxy_options_from_flags(Flags& flags) {
   cluster::ProxyOptions opt;
-  opt.unix_path = flags.str("socket");
-  opt.tcp_port = static_cast<std::uint16_t>(flags.i64("port"));
-  if (opt.unix_path.empty() && opt.tcp_port == 0)
-    opt.unix_path = "vppb-proxy.sock";
+  read_listener_flags(flags, "vppb-proxy.sock", opt);
   opt.hedge_ms = flags.i64("hedge-ms");
   opt.forward_timeout_ms = static_cast<int>(flags.i64("forward-timeout-ms"));
   opt.membership.vnodes = static_cast<int>(flags.i64("vnodes"));
@@ -539,11 +550,6 @@ cluster::ProxyOptions proxy_options_from_flags(Flags& flags) {
   opt.stale_ms = flags.i64("stale-ms");
   opt.slo_p99_ms = flags.dbl("slo-p99-ms");
   opt.slo_availability = flags.dbl("slo-availability");
-  opt.auth_key = server::load_auth_key(flags.str("auth-key-file"));
-  opt.idle_timeout_ms = flags.i64("idle-timeout-ms");
-  opt.frame_deadline_ms = flags.i64("frame-deadline-ms");
-  opt.max_request_frame_bytes =
-      static_cast<std::size_t>(flags.i64("max-request-frame-mb")) << 20;
   if (flags.i64("connect-timeout-ms") > 0)
     opt.membership.dial_timeout_ms =
         static_cast<int>(flags.i64("connect-timeout-ms"));
@@ -562,11 +568,7 @@ int cmd_proxy(Flags& flags) {
     throw Error("proxy needs --shards EP[,EP...] (unix socket paths "
                 "or loopback ports)");
 
-  sigset_t set;
-  sigemptyset(&set);
-  sigaddset(&set, SIGINT);
-  sigaddset(&set, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &set, nullptr);
+  sigset_t set = block_shutdown_signals();
 
   cluster::Proxy proxy(std::move(opt));
   proxy.start();
@@ -599,11 +601,7 @@ int cmd_cluster(Flags& flags) {
     copt.serve_args.push_back(strprintf("%g", flags.dbl("slo-availability")));
   }
 
-  sigset_t set;
-  sigemptyset(&set);
-  sigaddset(&set, SIGINT);
-  sigaddset(&set, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &set, nullptr);
+  sigset_t set = block_shutdown_signals();
 
   cluster::LocalCluster shards(copt);
   shards.start();
@@ -1121,11 +1119,7 @@ int cmd_netem(Flags& flags) {
   if (flags.i64("connect-timeout-ms") > 0)
     opt.connect_timeout_ms = static_cast<int>(flags.i64("connect-timeout-ms"));
 
-  sigset_t set;
-  sigemptyset(&set);
-  sigaddset(&set, SIGINT);
-  sigaddset(&set, SIGTERM);
-  pthread_sigmask(SIG_BLOCK, &set, nullptr);
+  sigset_t set = block_shutdown_signals();
 
   util::NetemRelay relay(std::move(opt));
   relay.start();
