@@ -10,7 +10,7 @@
 #include <fstream>
 
 #include "core/engine.hpp"
-#include "trace/io.hpp"
+#include "trace/binary.hpp"
 #include "util/error.hpp"
 #include "util/flags.hpp"
 #include "viz/visualizer.hpp"
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    const trace::Trace log = trace::load_file(flags.positional()[0]);
+    const trace::Trace log = trace::load_any_file(flags.positional()[0]);
     core::SimConfig cfg;
     cfg.hw.cpus = static_cast<int>(flags.i64("cpus"));
     cfg.sched.lwps = static_cast<int>(flags.i64("lwps"));

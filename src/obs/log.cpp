@@ -73,8 +73,6 @@ void Logger::set_sink(Sink sink) {
   sink_ = std::move(sink);
 }
 
-namespace {
-
 void append_json_escaped(std::string& out, std::string_view s) {
   for (const char ch : s) {
     const unsigned char c = static_cast<unsigned char>(ch);
@@ -95,8 +93,6 @@ void append_json_escaped(std::string& out, std::string_view s) {
     }
   }
 }
-
-}  // namespace
 
 void Logger::log(LogLevel level, const char* component, std::string_view msg) {
   if (!enabled(level)) return;

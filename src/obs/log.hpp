@@ -99,4 +99,11 @@ __attribute__((format(printf, 3, 4)))
 #endif
 void logf(LogLevel level, const char* component, const char* fmt, ...);
 
+/// Appends `s` escaped for the inside of a JSON string: `"` and `\`
+/// get a backslash; newline, carriage return and tab become `\n`, `\r`
+/// and `\t`; other bytes below 0x20 become `\u00XX`; every other byte
+/// (UTF-8 included) is copied as is.  The JSON log sink, the Chrome
+/// trace export and `vppb trace-collect` all escape with it.
+void append_json_escaped(std::string& out, std::string_view s);
+
 }  // namespace vppb::obs

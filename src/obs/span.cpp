@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 
 namespace vppb::obs {
@@ -104,36 +105,15 @@ std::size_t Tracer::dropped_count() const {
 
 namespace {
 
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const unsigned char c = static_cast<unsigned char>(*s);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-}
-
 void append_event(std::string& out, const SpanEvent& ev, std::uint64_t pid,
                   std::uint32_t tid, bool* first) {
   if (!*first) out += ",\n";
   *first = false;
   char buf[160];
   out += R"({"name":")";
-  append_escaped(out, ev.name != nullptr ? ev.name : "?");
+  append_json_escaped(out, ev.name != nullptr ? ev.name : "?");
   out += R"(","cat":")";
-  append_escaped(out, ev.cat != nullptr ? ev.cat : "vppb");
+  append_json_escaped(out, ev.cat != nullptr ? ev.cat : "vppb");
   // Chrome trace timestamps are microseconds; keep ns precision via
   // the fractional part.
   if (ev.dur_ns >= 0) {
@@ -161,7 +141,7 @@ void append_event(std::string& out, const SpanEvent& ev, std::uint64_t pid,
     if (ev.arg_name != nullptr) {
       if (!first_arg) out += ',';
       out += '"';
-      append_escaped(out, ev.arg_name);
+      append_json_escaped(out, ev.arg_name);
       std::snprintf(buf, sizeof(buf), R"(":%)" PRId64, ev.arg_value);
       out += buf;
     }

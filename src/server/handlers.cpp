@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -49,6 +50,49 @@ std::shared_ptr<const TraceCache::Entry> timed_get(
   auto entry = cache.get(req.trace_path, guard, &loaded);
   tl->stage(loaded ? "compile" : "cache-lookup", t0, tl->now_us() - t0);
   return entry;
+}
+
+/// Returns fn(), stamping the time it took as the timeline stage `name`.
+template <typename Fn>
+auto timed(obs::Timeline* tl, const char* name, Fn&& fn) {
+  const std::int64_t t0 = tl != nullptr ? tl->now_us() : 0;
+  auto out = fn();
+  if (tl != nullptr) tl->stage(name, t0, tl->now_us() - t0);
+  return out;
+}
+
+/// The common front of simulate and analyze: one run at req.cpus.  The
+/// response (of `type`) carries the run's result fields; the run and
+/// its cache entry stay for the caller's render or report stage.
+struct OneRun {
+  Response resp;
+  std::shared_ptr<const TraceCache::Entry> entry;
+  core::SimResult result;
+};
+
+OneRun run_once(ReqType type, const Request& req, TraceCache& cache,
+                const Deadline& deadline, const core::RunGuard* guard,
+                obs::Timeline* tl) {
+  check_range("cpus", req.cpus, 1, kMaxRequestCpus);
+  OneRun run;
+  run.resp.type = type;
+  deadline.check("trace load");
+  run.entry = timed_get(cache, req, guard, tl);
+  core::SimConfig cfg = base_config(req);
+  cfg.hw.cpus = req.cpus;
+
+  deadline.check("simulation");
+  run.result = timed(tl, "simulate", [&] {
+    return core::SweepRunner::shared().run(run.entry->compiled, cfg, guard);
+  });
+  const core::SimResult& r = run.result;
+  run.resp.total_ns = r.total.ns();
+  run.resp.speedup = r.speedup;
+  run.resp.cpus = r.cpus;
+  run.resp.lwps = r.lwps;
+  run.resp.events = r.events.size();
+  run.resp.digest = core::digest(r);
+  return run;
 }
 
 }  // namespace
@@ -112,65 +156,27 @@ Response handle_predict(const Request& req, TraceCache& cache,
 Response handle_simulate(const Request& req, TraceCache& cache,
                          const Deadline& deadline,
                          const core::RunGuard* guard, obs::Timeline* tl) {
-  check_range("cpus", req.cpus, 1, kMaxRequestCpus);
-  Response resp;
-  resp.type = ReqType::kSimulate;
-  deadline.check("trace load");
-  const std::shared_ptr<const TraceCache::Entry> entry =
-      timed_get(cache, req, guard, tl);
-  core::SimConfig cfg = base_config(req);
-  cfg.hw.cpus = req.cpus;
-
-  deadline.check("simulation");
-  const std::int64_t sim0 = tl != nullptr ? tl->now_us() : 0;
-  const core::SimResult r =
-      core::SweepRunner::shared().run(entry->compiled, cfg, guard);
-  if (tl != nullptr) tl->stage("simulate", sim0, tl->now_us() - sim0);
-  resp.total_ns = r.total.ns();
-  resp.speedup = r.speedup;
-  resp.cpus = r.cpus;
-  resp.lwps = r.lwps;
-  resp.events = r.events.size();
-  resp.digest = core::digest(r);
+  OneRun run = run_once(ReqType::kSimulate, req, cache, deadline, guard, tl);
   if (req.want_svg) {
     deadline.check("SVG render");
-    const std::int64_t svg0 = tl != nullptr ? tl->now_us() : 0;
-    viz::Visualizer v(r, entry->trace);
-    v.compress_threads();
-    resp.svg = viz::render_svg(v, viz::RenderOptions{});
-    if (tl != nullptr) tl->stage("render-svg", svg0, tl->now_us() - svg0);
+    run.resp.svg = timed(tl, "render-svg", [&run] {
+      viz::Visualizer v(run.result, run.entry->trace);
+      v.compress_threads();
+      return viz::render_svg(v, viz::RenderOptions{});
+    });
   }
-  return resp;
+  return std::move(run.resp);
 }
 
 Response handle_analyze(const Request& req, TraceCache& cache,
                         const Deadline& deadline,
                         const core::RunGuard* guard, obs::Timeline* tl) {
-  check_range("cpus", req.cpus, 1, kMaxRequestCpus);
-  Response resp;
-  resp.type = ReqType::kAnalyze;
-  deadline.check("trace load");
-  const std::shared_ptr<const TraceCache::Entry> entry =
-      timed_get(cache, req, guard, tl);
-  core::SimConfig cfg = base_config(req);
-  cfg.hw.cpus = req.cpus;
-
-  deadline.check("simulation");
-  const std::int64_t sim0 = tl != nullptr ? tl->now_us() : 0;
-  const core::SimResult r =
-      core::SweepRunner::shared().run(entry->compiled, cfg, guard);
-  if (tl != nullptr) tl->stage("simulate", sim0, tl->now_us() - sim0);
-  resp.total_ns = r.total.ns();
-  resp.speedup = r.speedup;
-  resp.cpus = r.cpus;
-  resp.lwps = r.lwps;
-  resp.events = r.events.size();
-  resp.digest = core::digest(r);
+  OneRun run = run_once(ReqType::kAnalyze, req, cache, deadline, guard, tl);
   deadline.check("analysis report");
-  const std::int64_t an0 = tl != nullptr ? tl->now_us() : 0;
-  resp.report = viz::analyze(r, entry->trace).to_string();
-  if (tl != nullptr) tl->stage("analyze-report", an0, tl->now_us() - an0);
-  return resp;
+  run.resp.report = timed(tl, "analyze-report", [&run] {
+    return viz::analyze(run.result, run.entry->trace).to_string();
+  });
+  return std::move(run.resp);
 }
 
 void append_tracer_spans(std::uint64_t pid, std::vector<WireSpan>& out) {

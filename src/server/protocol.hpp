@@ -5,11 +5,13 @@
 //
 //   [u32 little-endian payload length | 1 .. kMaxFrame] [payload bytes]
 //
-// Payloads use the same primitives as the binary trace format: LEB128
+// Payloads use the binary trace format's codec (util/wire.hpp): LEB128
 // varints, zigzag for signed values, IEEE-754 bit patterns for doubles,
-// length-prefixed strings.  The first payload byte is the protocol
-// version, the second the message type, so a server can reject frames
-// from the future with a precise error instead of a crash.
+// length-prefixed strings.  Each message and entry type lists its fields
+// once, in one walk that both encode() and the decoders run
+// (protocol.cpp).  The first payload byte is the protocol version, the
+// second the message type, so a server can reject frames from the
+// future with a precise error instead of a crash.
 //
 // One request frame yields exactly one response frame; a client may
 // send any number of requests sequentially over one connection.  All
@@ -172,7 +174,7 @@ enum class MergeRule : std::uint8_t {
 /// second into the first.  `label` is the field's row in the `vppb
 /// stats` table, or nullptr when the text shows it elsewhere (latency
 /// line, SLO block).  The arrays are passed whole: `by_type` renders as
-/// one row per request type.  put_stats, get_stats, merge_stats and
+/// one row per request type.  encode(), the decoders, merge_stats and
 /// render_stats_text all walk this list; a new field goes at the end,
 /// with a protocol version bump.
 template <typename Fn, typename... Bodies>

@@ -12,8 +12,7 @@
 #include "obs/span.hpp"
 #include "trace/chunked.hpp"
 #include "trace/io.hpp"
-#include "trace/record_reader.hpp"
-#include "trace/varint.hpp"
+#include "trace/entry_codec.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -23,10 +22,6 @@ namespace {
 
 constexpr char kMagic[4] = {'V', 'P', 'P', 'B'};
 constexpr std::uint8_t kVersion = 1;
-
-using wire::put_i64;
-using wire::put_str;
-using wire::put_u64;
 
 void add_issue(LoadReport* report, IssueKind kind, std::size_t offset,
                std::string message) {
@@ -38,15 +33,15 @@ void add_issue(LoadReport* report, IssueKind kind, std::size_t offset,
 /// ends the section (longest valid prefix) instead of throwing; the
 /// same checks throw in strict mode so corrupt logs cannot slip through
 /// with a clean bill of health.
-void read_records(wire::TryReader& in, Trace& trace, std::uint64_t nrecords,
-                  const LoadOptions& opt, LoadReport* report) {
+void read_records(wire::TryReader& in, RecordScan& scan, Trace& trace,
+                  std::uint64_t nrecords, const LoadOptions& opt,
+                  LoadReport* report) {
   // A record encodes to >= 9 bytes (9 fields, >= 1 byte each), so a
   // "giant header" declaring more records than the payload could hold
   // must not drive the reservation: cap by what the bytes can supply.
   trace.records.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(nrecords, in.remaining() / 9 + 1)));
 
-  RecordScan scan;
   for (std::uint64_t i = 0; i < nrecords; ++i) {
     if (scan.read_one(in, trace)) continue;
     if (!opt.salvage)
@@ -69,77 +64,60 @@ Trace from_binary_impl(const std::uint8_t* data, std::size_t size,
   // The table sections (strings, threads, locations) are all-or-nothing
   // even under salvage: records are meaningless without them, so a
   // corrupt table is an unrecoverable log, not a short one.
-  wire::Reader header(data + 5, size - 5);
+  wire::TryReader header(data + 5, size - 5);
   Trace trace;
+  RecordScan scan;
+  const auto bad = [&header](const std::string& why) {
+    return Error(strprintf("binary trace: %s (byte %zu)", why.c_str(),
+                           5 + header.pos()));
+  };
+  const auto count = [&](const char* what) {
+    std::uint64_t n;
+    if (!header.u64(n)) throw bad(strprintf("%s count truncated", what));
+    VPPB_CHECK_MSG(n <= header.remaining(),
+                   what << " table declares " << n << " entries but only "
+                        << header.remaining() << " bytes remain");
+    return n;
+  };
 
-  const std::uint64_t nstrings = header.u64();
-  VPPB_CHECK_MSG(nstrings <= header.remaining(),
-                 "string table declares " << nstrings
-                     << " entries but only " << header.remaining()
-                     << " bytes remain");
+  const std::uint64_t nstrings = count("string");
   for (std::uint64_t i = 0; i < nstrings; ++i) {
-    const std::string s = header.str();
+    std::string s;
+    if (!header.str(s)) throw bad("string entry truncated");
     const std::uint32_t id = trace.strings.intern(s);
     VPPB_CHECK_MSG(id == i + 1, "binary trace string table not in order");
   }
 
-  const std::uint64_t nthreads = header.u64();
-  VPPB_CHECK_MSG(nthreads <= header.remaining(),
-                 "thread table declares " << nthreads
-                     << " entries but only " << header.remaining()
-                     << " bytes remain");
+  const std::uint64_t nthreads = count("thread");
   for (std::uint64_t i = 0; i < nthreads; ++i) {
     ThreadMeta t;
-    t.tid = static_cast<ThreadId>(header.i64());
-    t.name = static_cast<std::uint32_t>(header.u64());
-    t.start_func = static_cast<std::uint32_t>(header.u64());
-    t.bound = header.u64() != 0;
-    t.initial_priority = static_cast<int>(header.i64());
-    VPPB_CHECK_MSG(t.name < trace.strings.size() &&
-                       t.start_func < trace.strings.size(),
-                   "binary trace thread has bad string ids");
+    if (!scan.read_thread(header, trace, t)) throw bad(scan.message);
     trace.threads.push_back(t);
   }
 
   trace.locations.clear();
-  const std::uint64_t nlocs = header.u64();
-  VPPB_CHECK_MSG(nlocs <= header.remaining(),
-                 "location table declares " << nlocs
-                     << " entries but only " << header.remaining()
-                     << " bytes remain");
+  const std::uint64_t nlocs = count("location");
   for (std::uint64_t i = 0; i < nlocs; ++i) {
     SourceLoc loc;
-    loc.file = static_cast<std::uint32_t>(header.u64());
-    loc.func = static_cast<std::uint32_t>(header.u64());
-    loc.line = static_cast<std::uint32_t>(header.u64());
-    VPPB_CHECK_MSG(loc.file < trace.strings.size() &&
-                       loc.func < trace.strings.size(),
-                   "binary trace location has bad string ids");
+    if (!scan.read_location(header, trace, loc)) throw bad(scan.message);
     trace.locations.push_back(loc);
   }
 
-  const std::uint64_t nrecords = header.u64();
+  std::uint64_t nrecords;
+  if (!header.u64(nrecords)) throw bad("record count truncated");
   wire::TryReader records_in(data + 5 + header.pos(),
                              size - 5 - header.pos());
-  read_records(records_in, trace, nrecords, opt, report);
+  read_records(records_in, scan, trace, nrecords, opt, report);
 
-  if (report != nullptr) {
-    report->records_recovered = trace.records.size();
+  if (report != nullptr)
     report->records_dropped = static_cast<std::size_t>(
         nrecords - std::min<std::uint64_t>(nrecords, trace.records.size()));
-  }
   if (!records_in.at_end() && trace.records.size() == nrecords) {
     if (!opt.salvage) throw Error("trailing bytes in binary trace");
     add_issue(report, IssueKind::kTrailingData, 5 + header.pos() + records_in.pos(),
               strprintf("%zu trailing bytes ignored", records_in.remaining()));
   }
-  if (opt.salvage) {
-    trim_open_calls(trace, report);
-    if (report != nullptr) {
-      report->records_recovered = trace.records.size();
-      report->salvaged |= !report->issues.empty();
-    }
-  }
+  finish_load(trace, opt, report);
   return trace;
 }
 
@@ -153,40 +131,19 @@ std::vector<std::uint8_t> to_binary(const Trace& trace) {
 
   // Strings: the pool is reconstructed by interning in order, so only
   // the non-empty entries (ids 1..n-1) are stored.
-  put_u64(out, trace.strings.size() - 1);
+  wire::put_u64(out, trace.strings.size() - 1);
   for (std::uint32_t id = 1; id < trace.strings.size(); ++id)
-    put_str(out, trace.strings.get(id));
+    wire::put_str(out, trace.strings.get(id));
 
-  put_u64(out, trace.threads.size());
-  for (const ThreadMeta& t : trace.threads) {
-    put_i64(out, t.tid);
-    put_u64(out, t.name);
-    put_u64(out, t.start_func);
-    put_u64(out, t.bound ? 1 : 0);
-    put_i64(out, t.initial_priority);
-  }
+  wire::put_u64(out, trace.threads.size());
+  for (const ThreadMeta& t : trace.threads) put_thread(out, t);
 
-  put_u64(out, trace.locations.size());
-  for (const SourceLoc& loc : trace.locations) {
-    put_u64(out, loc.file);
-    put_u64(out, loc.func);
-    put_u64(out, loc.line);
-  }
+  wire::put_u64(out, trace.locations.size());
+  for (const SourceLoc& loc : trace.locations) put_location(out, loc);
 
-  put_u64(out, trace.records.size());
+  wire::put_u64(out, trace.records.size());
   std::int64_t prev_ns = 0;
-  for (const Record& r : trace.records) {
-    put_u64(out, static_cast<std::uint64_t>(r.at.ns() - prev_ns));
-    prev_ns = r.at.ns();
-    put_i64(out, r.tid);
-    put_u64(out, r.phase == Phase::kReturn ? 1 : 0);
-    put_u64(out, static_cast<std::uint64_t>(r.op));
-    put_u64(out, static_cast<std::uint64_t>(r.obj.kind));
-    put_u64(out, r.obj.id);
-    put_i64(out, r.arg);
-    put_i64(out, r.arg2);
-    put_u64(out, r.loc);
-  }
+  for (const Record& r : trace.records) put_record(out, r, prev_ns);
   return out;
 }
 
@@ -205,10 +162,6 @@ Trace from_binary(const std::uint8_t* data, std::size_t size,
 
 void save_binary_file(const Trace& trace, const std::string& path) {
   util::atomic_write_file(path, to_binary(trace));
-}
-
-Trace load_binary_file(const std::string& path) {
-  return from_binary(read_file_bytes(path));
 }
 
 Trace load_any_file(const std::string& path) {

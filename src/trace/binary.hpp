@@ -52,7 +52,6 @@ Trace from_any(const std::uint8_t* data, std::size_t size,
 /// temp file + atomic rename so a crash mid-save never clobbers a
 /// previous good log.
 void save_binary_file(const Trace& trace, const std::string& path);
-Trace load_binary_file(const std::string& path);
 Trace load_any_file(const std::string& path);
 Trace load_any_file(const std::string& path, const LoadOptions& opt,
                     LoadReport* report);

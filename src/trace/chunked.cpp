@@ -8,9 +8,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "trace/binary.hpp"
-#include "trace/record_reader.hpp"
-#include "trace/varint.hpp"
+#include "trace/entry_codec.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -31,58 +29,26 @@ enum : std::uint64_t {
   kTagRecord = 4,
 };
 
-using wire::put_i64;
-using wire::put_str;
-using wire::put_u64;
-
+// An item is its tag, then the entry as the binary format writes it.
 void put_string_item(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u64(out, kTagString);
-  put_str(out, s);
+  wire::put_u64(out, kTagString);
+  wire::put_str(out, s);
 }
 
 void put_thread_item(std::vector<std::uint8_t>& out, const ThreadMeta& t) {
-  put_u64(out, kTagThread);
-  put_i64(out, t.tid);
-  put_u64(out, t.name);
-  put_u64(out, t.start_func);
-  put_u64(out, t.bound ? 1 : 0);
-  put_i64(out, t.initial_priority);
+  wire::put_u64(out, kTagThread);
+  put_thread(out, t);
 }
 
 void put_location_item(std::vector<std::uint8_t>& out, const SourceLoc& loc) {
-  put_u64(out, kTagLocation);
-  put_u64(out, loc.file);
-  put_u64(out, loc.func);
-  put_u64(out, loc.line);
+  wire::put_u64(out, kTagLocation);
+  put_location(out, loc);
 }
 
 void put_record_item(std::vector<std::uint8_t>& out, const Record& r,
                      std::int64_t& prev_ns) {
-  put_u64(out, kTagRecord);
-  put_u64(out, static_cast<std::uint64_t>(r.at.ns() - prev_ns));
-  prev_ns = r.at.ns();
-  put_i64(out, r.tid);
-  put_u64(out, r.phase == Phase::kReturn ? 1 : 0);
-  put_u64(out, static_cast<std::uint64_t>(r.op));
-  put_u64(out, static_cast<std::uint64_t>(r.obj.kind));
-  put_u64(out, r.obj.id);
-  put_i64(out, r.arg);
-  put_i64(out, r.arg2);
-  put_u64(out, r.loc);
-}
-
-inline void store_le32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-inline std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
+  wire::put_u64(out, kTagRecord);
+  put_record(out, r, prev_ns);
 }
 
 /// EINTR-retrying full write.  Async-signal-safe (only ::write).
@@ -105,11 +71,11 @@ void build_chunk_header(std::uint8_t (&hdr)[kChunkHeaderSize],
                         std::uint32_t nrec, std::uint32_t running_in,
                         std::uint32_t* running_out) noexcept {
   std::memcpy(hdr, kChunkMagic, 4);
-  store_le32(hdr + 4, static_cast<std::uint32_t>(n));
-  store_le32(hdr + 8, nrec);
-  store_le32(hdr + 12, util::crc32(payload, n));
+  wire::store_le32(hdr + 4, static_cast<std::uint32_t>(n));
+  wire::store_le32(hdr + 8, nrec);
+  wire::store_le32(hdr + 12, util::crc32(payload, n));
   const std::uint32_t running = util::crc32(payload, n, running_in);
-  store_le32(hdr + 16, running);
+  wire::store_le32(hdr + 16, running);
   if (running_out != nullptr) *running_out = running;
 }
 
@@ -204,10 +170,7 @@ void ChunkedWriter::sync_tables(const Trace& trace) {
   for (std::size_t i = 0; i < trace.threads.size(); ++i) {
     const ThreadMeta& t = trace.threads[i];
     if (i < synced_threads_.size()) {
-      const ThreadMeta& s = synced_threads_[i];
-      if (s.tid == t.tid && s.name == t.name && s.start_func == t.start_func &&
-          s.bound == t.bound && s.initial_priority == t.initial_priority)
-        continue;
+      if (synced_threads_[i] == t) continue;
       synced_threads_[i] = t;
     } else {
       synced_threads_.push_back(t);
@@ -347,10 +310,10 @@ Trace from_chunked(const std::uint8_t* data, std::size_t size,
       fail(IssueKind::kBadMagic, pos, "bad chunk magic");
       break;
     }
-    const std::size_t payload_len = load_le32(data + pos + 4);
-    const std::uint32_t record_count = load_le32(data + pos + 8);
-    const std::uint32_t payload_crc = load_le32(data + pos + 12);
-    const std::uint32_t running_crc = load_le32(data + pos + 16);
+    const std::size_t payload_len = wire::load_le32(data + pos + 4);
+    const std::uint32_t record_count = wire::load_le32(data + pos + 8);
+    const std::uint32_t payload_crc = wire::load_le32(data + pos + 12);
+    const std::uint32_t running_crc = wire::load_le32(data + pos + 16);
     if (payload_len > size - pos - kChunkHeaderSize) {
       fail(IssueKind::kTruncated, pos,
            strprintf("chunk payload truncated (%zu of %zu bytes present)",
@@ -395,40 +358,20 @@ Trace from_chunked(const std::uint8_t* data, std::size_t size,
           break;
         }
         case kTagThread: {
-          std::int64_t tid, prio;
-          std::uint64_t name, func, bound;
-          if (!in.i64(tid) || !in.u64(name) || !in.u64(func) ||
-              !in.u64(bound) || !in.i64(prio)) {
-            fail(IssueKind::kBadField, item_off, "thread item truncated");
+          ThreadMeta t;
+          if (!scan.read_thread(in, trace, t)) {
+            fail(scan.why, item_off, scan.message);
             break;
           }
-          if (name >= trace.strings.size() || func >= trace.strings.size()) {
-            fail(IssueKind::kBadReference, item_off,
-                 "thread item has bad string ids");
-            break;
-          }
-          ThreadMeta& t = trace.upsert_thread(static_cast<ThreadId>(tid));
-          t.name = static_cast<std::uint32_t>(name);
-          t.start_func = static_cast<std::uint32_t>(func);
-          t.bound = bound != 0;
-          t.initial_priority = static_cast<int>(prio);
+          trace.upsert_thread(t.tid) = t;
           break;
         }
         case kTagLocation: {
-          std::uint64_t file, func, line;
-          if (!in.u64(file) || !in.u64(func) || !in.u64(line)) {
-            fail(IssueKind::kBadField, item_off, "location item truncated");
-            break;
-          }
-          if (file >= trace.strings.size() || func >= trace.strings.size()) {
-            fail(IssueKind::kBadReference, item_off,
-                 "location item has bad string ids");
-            break;
-          }
           SourceLoc loc;
-          loc.file = static_cast<std::uint32_t>(file);
-          loc.func = static_cast<std::uint32_t>(func);
-          loc.line = static_cast<std::uint32_t>(line);
+          if (!scan.read_location(in, trace, loc)) {
+            fail(scan.why, item_off, scan.message);
+            break;
+          }
           trace.locations.push_back(loc);
           break;
         }
@@ -475,8 +418,8 @@ Trace from_chunked(const std::uint8_t* data, std::size_t size,
     std::size_t p = pos;
     bool first = true;
     while (size - p >= 12 && std::memcmp(data + p, kChunkMagic, 4) == 0) {
-      const std::size_t len = load_le32(data + p + 4);
-      std::uint32_t rc = load_le32(data + p + 8);
+      const std::size_t len = wire::load_le32(data + p + 4);
+      std::uint32_t rc = wire::load_le32(data + p + 8);
       if (first && rc >= decoded_records) rc -= decoded_records;
       report->chunks_dropped++;
       report->records_dropped += rc;
@@ -490,18 +433,8 @@ Trace from_chunked(const std::uint8_t* data, std::size_t size,
     }
   }
 
-  if (opt.salvage) trim_open_calls(trace, report);
-  if (report != nullptr) {
-    report->records_recovered = trace.records.size();
-    report->salvaged |= !report->issues.empty();
-  }
+  finish_load(trace, opt, report);
   return trace;
-}
-
-Trace load_chunked_file(const std::string& path, const LoadOptions& opt,
-                        LoadReport* report) {
-  const std::vector<std::uint8_t> bytes = read_file_bytes(path);
-  return from_chunked(bytes.data(), bytes.size(), opt, report);
 }
 
 }  // namespace vppb::trace

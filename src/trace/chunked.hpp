@@ -139,7 +139,4 @@ std::vector<std::uint8_t> to_chunked(const Trace& trace,
 Trace from_chunked(const std::uint8_t* data, std::size_t size,
                    const LoadOptions& opt = {}, LoadReport* report = nullptr);
 
-Trace load_chunked_file(const std::string& path, const LoadOptions& opt = {},
-                        LoadReport* report = nullptr);
-
 }  // namespace vppb::trace

@@ -1,14 +1,21 @@
-// Internal: the structural check of every trace loader.  It is the
-// only check a loaded trace gets, so it enforces everything
-// Trace::validate() does — monotonic time, known ops and object kinds,
-// in-range location indices, known threads, and matched call/return
-// pairs per thread — and a salvaged prefix is consistent by
-// construction.
+// Internal: the entry codec of the binary ("VPPB") and chunked ("VPPC")
+// trace formats, and the structural check of every trace loader.
 //
-// The binary ("VPPB") and chunked ("VPPC") formats encode a record the
-// same way — delta-ns timestamp, then tid/phase/op/kind/objid/arg/arg2/
-// loc as varints — so read_one() decodes and checks one; the text
-// reader runs check() over its parsed records.
+// Both formats write a thread, a location and a record the same way —
+// the binary format in its tables, the chunked one as tagged items —
+// so each has one encoder and one decoder, here:
+//
+//   thread    i64 tid, u64 name, u64 start_func, u64 bound, i64 priority
+//   location  u64 file, u64 func, u64 line
+//   record    u64 delta-ns, i64 tid, u64 phase, u64 op, u64 kind,
+//             u64 objid, i64 arg, i64 arg2, u64 loc
+//
+// The record check is the only check a loaded trace gets, so it
+// enforces everything Trace::validate() does — monotonic time, known
+// ops and object kinds, in-range location indices, known threads, and
+// matched call/return pairs per thread — and a salvaged prefix is
+// consistent by construction.  read_one() decodes and checks a record;
+// the text reader runs check() over its parsed records.
 //
 // The scanner keeps its state (last timestamp, open calls) in a struct
 // so the chunked reader can carry it across chunk boundaries.
@@ -18,22 +25,88 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "trace/salvage.hpp"
 #include "trace/trace.hpp"
-#include "trace/varint.hpp"
 #include "util/strings.hpp"
+#include "util/wire.hpp"
 
 namespace vppb::trace {
+
+inline void put_thread(std::vector<std::uint8_t>& out, const ThreadMeta& t) {
+  wire::put_i64(out, t.tid);
+  wire::put_u64(out, t.name);
+  wire::put_u64(out, t.start_func);
+  wire::put_u64(out, t.bound ? 1 : 0);
+  wire::put_i64(out, t.initial_priority);
+}
+
+inline void put_location(std::vector<std::uint8_t>& out,
+                         const SourceLoc& loc) {
+  wire::put_u64(out, loc.file);
+  wire::put_u64(out, loc.func);
+  wire::put_u64(out, loc.line);
+}
+
+/// Writes `r` with its timestamp as a delta against `prev_ns`, which
+/// then advances to `r`'s time.
+inline void put_record(std::vector<std::uint8_t>& out, const Record& r,
+                       std::int64_t& prev_ns) {
+  wire::put_u64(out, static_cast<std::uint64_t>(r.at.ns() - prev_ns));
+  prev_ns = r.at.ns();
+  wire::put_i64(out, r.tid);
+  wire::put_u64(out, r.phase == Phase::kReturn ? 1 : 0);
+  wire::put_u64(out, static_cast<std::uint64_t>(r.op));
+  wire::put_u64(out, static_cast<std::uint64_t>(r.obj.kind));
+  wire::put_u64(out, r.obj.id);
+  wire::put_i64(out, r.arg);
+  wire::put_i64(out, r.arg2);
+  wire::put_u64(out, r.loc);
+}
 
 struct RecordScan {
   SimTime last_at;  ///< time of the last record checked (the delta base)
   std::map<ThreadId, std::optional<Op>> open_call;  ///< per thread
 
-  // Set when a record is rejected; the caller turns them into a
-  // thrown Error (strict) or a TraceIssue cut point (salvage).
+  // Set when an entry or record is rejected; the caller turns them
+  // into a thrown Error (strict) or a TraceIssue cut point (salvage).
   IssueKind why = IssueKind::kBadField;
   std::string message;
+
+  /// Decodes one thread entry into `t`; its name and start function
+  /// must be strings the trace has already interned.  Returns false —
+  /// with why/message set — on truncation or a bad string id.
+  bool read_thread(wire::TryReader& in, const Trace& trace, ThreadMeta& t) {
+    std::int64_t tid, prio;
+    std::uint64_t name, func, bound;
+    if (!in.i64(tid) || !in.u64(name) || !in.u64(func) || !in.u64(bound) ||
+        !in.i64(prio))
+      return fail(IssueKind::kBadField, "thread entry truncated");
+    if (name >= trace.strings.size() || func >= trace.strings.size())
+      return fail(IssueKind::kBadReference, "thread entry has bad string ids");
+    t.tid = static_cast<ThreadId>(tid);
+    t.name = static_cast<std::uint32_t>(name);
+    t.start_func = static_cast<std::uint32_t>(func);
+    t.bound = bound != 0;
+    t.initial_priority = static_cast<int>(prio);
+    return true;
+  }
+
+  /// Decodes one location entry, with the same contract as read_thread.
+  bool read_location(wire::TryReader& in, const Trace& trace,
+                     SourceLoc& loc) {
+    std::uint64_t file, func, line;
+    if (!in.u64(file) || !in.u64(func) || !in.u64(line))
+      return fail(IssueKind::kBadField, "location entry truncated");
+    if (file >= trace.strings.size() || func >= trace.strings.size())
+      return fail(IssueKind::kBadReference,
+                  "location entry has bad string ids");
+    loc.file = static_cast<std::uint32_t>(file);
+    loc.func = static_cast<std::uint32_t>(func);
+    loc.line = static_cast<std::uint32_t>(line);
+    return true;
+  }
 
   /// Decodes and validates one record, appending it to trace.records.
   /// Returns false — with why/message set — on truncation or the first

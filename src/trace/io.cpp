@@ -1,11 +1,8 @@
 #include "trace/io.hpp"
 
-#include <cerrno>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
-#include "trace/record_reader.hpp"
+#include "trace/entry_codec.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -61,8 +58,11 @@ struct LineError {
   std::string why;
 };
 
-Trace read_text_impl(std::istream& is, const LoadOptions& opt,
-                     LoadReport* report) {
+}  // namespace
+
+Trace from_text(const std::string& text, const LoadOptions& opt,
+                LoadReport* report) {
+  std::istringstream is(text);
   Trace trace;
   trace.locations.clear();  // the file supplies all entries, including 0
   std::string line;
@@ -171,15 +171,9 @@ Trace read_text_impl(std::istream& is, const LoadOptions& opt,
     trace.records.resize(i);
     break;
   }
-  if (opt.salvage) trim_open_calls(trace, report);
-  if (report != nullptr) {
-    report->records_recovered = trace.records.size();
-    report->salvaged |= !report->issues.empty();
-  }
+  finish_load(trace, opt, report);
   return trace;
 }
-
-}  // namespace
 
 void write_text(const Trace& trace, std::ostream& os) {
   os << "# vppb-trace v1\n";
@@ -211,41 +205,8 @@ void save_file(const Trace& trace, const std::string& path) {
   util::atomic_write_file(path, to_text(trace));
 }
 
-Trace read_text(std::istream& is) {
-  return read_text_impl(is, LoadOptions{}, nullptr);
-}
-
-Trace read_text(std::istream& is, const LoadOptions& opt,
-                LoadReport* report) {
-  return read_text_impl(is, opt, report);
-}
-
 Trace from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_text(is);
-}
-
-Trace from_text(const std::string& text, const LoadOptions& opt,
-                LoadReport* report) {
-  std::istringstream is(text);
-  return read_text_impl(is, opt, report);
-}
-
-Trace load_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f)
-    throw Error("cannot open trace file: " + path + ": " +
-                std::strerror(errno));
-  return read_text(f);
-}
-
-Trace load_file(const std::string& path, const LoadOptions& opt,
-                LoadReport* report) {
-  std::ifstream f(path);
-  if (!f)
-    throw Error("cannot open trace file: " + path + ": " +
-                std::strerror(errno));
-  return read_text_impl(f, opt, report);
+  return from_text(text, LoadOptions{}, nullptr);
 }
 
 }  // namespace vppb::trace

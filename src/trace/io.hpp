@@ -28,17 +28,13 @@ void save_file(const Trace& trace, const std::string& path);
 
 /// Parse the text format.  Throws vppb::Error with a line number on any
 /// malformed line; once parsed, the records are checked structurally
-/// (the rules of Trace::validate()) and the first bad one throws.
-Trace read_text(std::istream& is);
+/// (the rules of Trace::validate()) and the first bad one throws.  To
+/// read a file in any format, use load_any_file (trace/binary.hpp).
 Trace from_text(const std::string& text);
-Trace load_file(const std::string& path);
 
 /// Validating parse: in salvage mode a malformed line cuts the trace to
 /// the valid prefix (recorded in *report) instead of throwing.
-Trace read_text(std::istream& is, const LoadOptions& opt, LoadReport* report);
 Trace from_text(const std::string& text, const LoadOptions& opt,
-                LoadReport* report);
-Trace load_file(const std::string& path, const LoadOptions& opt,
                 LoadReport* report);
 
 }  // namespace vppb::trace

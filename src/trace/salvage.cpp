@@ -72,4 +72,11 @@ std::size_t trim_open_calls(Trace& trace, LoadReport* report) {
   return dropped;
 }
 
+void finish_load(Trace& trace, const LoadOptions& opt, LoadReport* report) {
+  if (opt.salvage) trim_open_calls(trace, report);
+  if (report == nullptr) return;
+  report->records_recovered = trace.records.size();
+  report->salvaged |= !report->issues.empty();
+}
+
 }  // namespace vppb::trace

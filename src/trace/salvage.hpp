@@ -77,4 +77,9 @@ class Trace;
 /// dropped; records the cut as a kOpenCallTrimmed issue in *report.
 std::size_t trim_open_calls(Trace& trace, LoadReport* report);
 
+/// The tail every loader ends with: in salvage mode, trim_open_calls;
+/// then, when there is a report, records_recovered is the count kept
+/// and `salvaged` is set if any issue was recorded.
+void finish_load(Trace& trace, const LoadOptions& opt, LoadReport* report);
+
 }  // namespace vppb::trace

@@ -48,6 +48,8 @@ struct ThreadMeta {
   std::uint32_t start_func = 0;  ///< start routine name (StringPool)
   bool bound = false;            ///< created with THR_BOUND
   int initial_priority = 0;
+
+  friend bool operator==(const ThreadMeta&, const ThreadMeta&) = default;
 };
 
 /// A complete recorded execution.

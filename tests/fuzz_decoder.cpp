@@ -85,7 +85,7 @@ std::vector<std::uint8_t> mutate(std::vector<std::uint8_t> bytes) {
   const std::uint64_t ops = 1 + next_rand() % 4;
   for (std::uint64_t i = 0; i < ops && !bytes.empty(); ++i) {
     const std::size_t at = next_rand() % bytes.size();
-    switch (next_rand() % 5) {
+    switch (next_rand() % 6) {
       case 0:  // flip one bit
         bytes[at] ^= static_cast<std::uint8_t>(1u << (next_rand() % 8));
         break;
@@ -102,6 +102,17 @@ std::vector<std::uint8_t> mutate(std::vector<std::uint8_t> bytes) {
       case 4:  // drop a byte
         bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(at));
         break;
+      case 5: {  // a hostile length or count: a 10-byte varint >= 2^63,
+                 // half the time within 64 of 2^64 so `pos + n` wraps
+        std::uint64_t v = next_rand() % 2 == 0
+                              ? ~std::uint64_t{0} - next_rand() % 64
+                              : next_rand() | std::uint64_t{1} << 63;
+        if (bytes.size() < at + 10) bytes.resize(at + 10);
+        for (std::size_t k = 0; k < 9; ++k, v >>= 7)
+          bytes[at + k] = static_cast<std::uint8_t>(v | 0x80);
+        bytes[at + 9] = static_cast<std::uint8_t>(v);  // the top bit: 1
+        break;
+      }
     }
   }
   return bytes;

@@ -10,6 +10,7 @@
 #include "recorder/recorder.hpp"
 #include "solaris/program.hpp"
 #include "solaris/solaris.hpp"
+#include "trace/binary.hpp"
 #include "trace/io.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -31,7 +32,7 @@ TEST(Workflow, Fig1EndToEndThroughLogFile) {
   trace::save_file(recorded, path);
 
   // (e)-(g): load the log, configure hardware + scheduling, simulate.
-  const trace::Trace loaded = trace::load_file(path);
+  const trace::Trace loaded = trace::load_any_file(path);
   core::SimConfig cfg;
   cfg.hw.cpus = 4;
   cfg.hw.comm_delay = SimTime::micros(10);

@@ -631,6 +631,38 @@ TEST(ProxyHardeningTest, FrameDeadlineDefeatsTrickledBody) {
   frame_deadline_defeats_trickled_body(make_proxy);
 }
 
+void huge_string_length_costs_only_that_frame(TierFactory make) {
+  TempFile sock("hugestr");
+  ListenerOptions lo;
+  lo.unix_path = sock.path();
+  Tier tier = make(lo, 1);
+
+  {
+    // A well-framed request whose path claims 2^64 - 2 bytes: it must
+    // cost its sender a typed error, not take the tier down.
+    Socket raw = util::connect_unix(sock.path());
+    const std::uint8_t frame[] = {0x0c, 0x00, 0x00, 0x00, 0x09, 0x00,
+                                  0xfe, 0xff, 0xff, 0xff, 0xff, 0xff,
+                                  0xff, 0xff, 0xff, 0x01};
+    raw.send_all(frame, sizeof frame);
+    std::vector<std::uint8_t> payload;
+    ASSERT_TRUE(read_frame(raw, payload));
+    EXPECT_EQ(decode_response(payload).status, Status::kError);
+  }
+  Client c = Client::connect_unix(sock.path());
+  Request health;
+  health.type = ReqType::kHealth;
+  EXPECT_EQ(c.call(health).status, Status::kOk);
+}
+
+TEST(ServerHardeningTest, HugeStringLengthCostsOnlyThatFrame) {
+  huge_string_length_costs_only_that_frame(make_vppbd);
+}
+
+TEST(ProxyHardeningTest, HugeStringLengthCostsOnlyThatFrame) {
+  huge_string_length_costs_only_that_frame(make_proxy);
+}
+
 // ---- membership pool bound + reaper ----------------------------------------
 
 TEST(MembershipPoolTest, PoolIsBoundedAndReaped) {

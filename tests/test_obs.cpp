@@ -487,5 +487,13 @@ TEST(Log, JsonSinkEscapesAndLevelsFilter) {
   log.set_json(saved_json);
 }
 
+TEST(Log, JsonEscapingNamesQuotesBackslashesAndControlBytes) {
+  // The one escaper behind the JSON log sink, the Chrome trace export
+  // and `vppb trace-collect`.
+  std::string out = "prefix:";
+  obs::append_json_escaped(out, "say \"hi\" \\ a\nb\rc\td\x01" "e \xc3\xa9");
+  EXPECT_EQ(out, "prefix:say \\\"hi\\\" \\\\ a\\nb\\rc\\td\\u0001e \xc3\xa9");
+}
+
 }  // namespace
 }  // namespace vppb

@@ -183,6 +183,106 @@ TEST(ProtocolTest, StatsBytesArePinnedAtV9) {
   EXPECT_EQ(encode(decode_response(bytes)), bytes);
 }
 
+TEST(ProtocolTest, RequestAndResponseBytesArePinnedAtV9) {
+  // Every Request and Response field set to its own value, and every
+  // list non-empty: a field dropped, duplicated, moved or re-typed
+  // changes the bytes.
+  Request req;
+  req.type = ReqType::kTraceDump;
+  req.trace_path = "pin/trace file.vpb";
+  req.cpus = 12;
+  req.lwps = -3;
+  req.max_cpus = 64;
+  req.comm_delay_us = 7;
+  req.want_svg = true;
+  req.deadline_ms = 250;
+  req.client_id = 0x1122334455667788ULL;
+  req.origin_id = 0x99;
+  req.trace_id = 0xfeedfacecafebeefULL;
+  req.parent_span_id = 0x2222;
+  req.sampled = true;
+  req.want_timeline = true;
+
+  Response resp;
+  resp.status = Status::kQuotaExceeded;
+  resp.type = ReqType::kMetricsDump;
+  resp.error = "over quota";
+  resp.points = {WirePoint{1, 1.0, 0.5, 9000, 11},
+                 WirePoint{2, 1.75, 0.875, 5143, 22}};
+  resp.serial_fraction = 0.0625;
+  resp.knee = 5;
+  resp.digest = 0xdeadbeefcafef00dULL;
+  resp.total_ns = -286;
+  resp.speedup = 3.5;
+  resp.cpus = 6;
+  resp.lwps = 9;
+  resp.events = 123;
+  resp.svg = "<svg/>";
+  resp.report = "all quiet";
+  resp.stats = every_stats_field(1000, 0.125);
+  resp.ready = true;
+  resp.in_flight = 13;
+  resp.admission_limit = 64;
+  resp.shard_id = 3;
+  resp.epoch = 0x5eed;
+  ShardInfo shard;
+  shard.shard_id = 4;
+  shard.epoch = 0x5eee;
+  shard.healthy = true;
+  shard.endpoint = "127.0.0.1:7071";
+  shard.stats = every_stats_field(2000, 0.25);
+  resp.shards.push_back(shard);
+  resp.retry_after_ms = 750;
+  resp.brownout = true;
+  resp.live_shards = 17;
+  resp.total_shards = 18;
+  resp.served_stale = true;
+  resp.stale_age_ms = 2500;
+  resp.slo_burning = true;
+  resp.trace_id = 0xabcdef0123456789ULL;
+  resp.timeline.push_back({"forward shard=4", 150, 9000, 2});
+  resp.timeline.push_back({"hedge", 700, -1, 1});
+  WireSpan span;
+  span.pid = 4;
+  span.tid = 8;
+  span.name = "server.dispatch";
+  span.cat = "server";
+  span.start_unix_ns = 1700000000123456789LL;
+  span.dur_ns = 420000;
+  span.trace_id = 0x7777;
+  span.arg_name = "cpus";
+  span.arg_value = -19;
+  resp.spans.push_back(span);
+
+  const std::vector<std::uint8_t> req_bytes = encode(req);
+  const std::vector<std::uint8_t> resp_bytes = encode(resp);
+  EXPECT_EQ(kProtocolVersion, 9);
+  EXPECT_EQ(req_bytes.size(), 54u);
+  EXPECT_EQ(content_key(req_bytes.data(), req_bytes.size()),
+            0xf27b03a118d3c80aULL);
+  EXPECT_EQ(resp_bytes.size(), 1054u);
+  EXPECT_EQ(content_key(resp_bytes.data(), resp_bytes.size()),
+            0x5757630690b73ae3ULL);
+  EXPECT_EQ(encode(decode_request(req_bytes)), req_bytes);
+  EXPECT_EQ(encode(decode_response(resp_bytes)), resp_bytes);
+}
+
+TEST(ProtocolTest, HugeStringLengthIsATypedError) {
+  // A string length of 2^64 - 2 (the varint fe ff .. ff 01).  A bounds
+  // check written as `pos + n <= size` wraps and passes it, and the
+  // string constructor then throws std::length_error, which no tier
+  // catches: the decoders must reject it as a vppb::Error instead.
+  const std::vector<std::uint8_t> request = {
+      kProtocolVersion, 0x00, 0xfe, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0xff, 0xff, 0xff, 0x01};
+  EXPECT_THROW(decode_request(request), Error);
+  // The same length in a response's error string.
+  const std::vector<std::uint8_t> response = {
+      kProtocolVersion, 0x01, 0x00, 0xfe, 0xff, 0xff, 0xff,
+      0xff, 0xff, 0xff, 0xff, 0xff, 0x01};
+  EXPECT_THROW(decode_response(response), Error);
+}
+
 TEST(ProtocolTest, ErrorResponseRoundTrip) {
   Response resp;
   resp.status = Status::kOverloaded;

@@ -199,9 +199,9 @@ TEST(TraceIo, FileRoundTrip) {
   const Trace t = example_trace();
   const std::string path = testing::TempDir() + "/vppb_trace_test.log";
   save_file(t, path);
-  const Trace back = load_file(path);
+  const Trace back = load_any_file(path);
   EXPECT_EQ(back.records.size(), t.records.size());
-  EXPECT_THROW(load_file("/nonexistent/dir/x.log"), Error);
+  EXPECT_THROW(load_any_file("/nonexistent/dir/x.log"), Error);
 }
 
 TEST(TraceTest, LocationString) {

@@ -690,23 +690,6 @@ void print_timeline(const std::vector<server::StageSpan>& timeline,
   }
 }
 
-void json_escape_into(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strprintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 /// `vppb trace-collect`: drain the endpoint's span rings (via the
 /// proxy, every shard's plus the proxy's own) and write one merged
 /// Chrome trace JSON.  All processes timestamp spans in absolute unix
@@ -744,9 +727,9 @@ int cmd_trace_collect(Flags& flags) {
     if (!first) json += ',';
     first = false;
     json += "\n{\"name\":\"";
-    json_escape_into(json, w.name);
+    obs::append_json_escaped(json, w.name);
     json += "\",\"cat\":\"";
-    json_escape_into(json, w.cat);
+    obs::append_json_escaped(json, w.cat);
     const double ts = static_cast<double>(w.start_unix_ns - min_ns) / 1000.0;
     json += strprintf("\",\"pid\":%llu,\"tid\":%u,\"ts\":%.3f",
                       static_cast<unsigned long long>(w.pid), w.tid, ts);
@@ -765,7 +748,7 @@ int cmd_trace_collect(Flags& flags) {
       if (have_arg) {
         if (w.trace_id != 0) json += ',';
         json += '"';
-        json_escape_into(json, w.arg_name);
+        obs::append_json_escaped(json, w.arg_name);
         json += strprintf("\":%lld",
                           static_cast<long long>(w.arg_value));
       }
