@@ -196,9 +196,8 @@ struct Get {
 };
 
 template <typename Msg>
-std::vector<std::uint8_t> encode_message(const Msg& msg, std::size_t reserve) {
+std::vector<std::uint8_t> encode_message(const Msg& msg) {
   std::vector<std::uint8_t> out;
-  out.reserve(reserve);
   wire::put_u64(out, kProtocolVersion);
   Put put{out};
   fields(put, msg);
@@ -249,12 +248,11 @@ const char* to_string(ReqType t) {
 }
 
 std::vector<std::uint8_t> encode(const Request& req) {
-  return encode_message(req, 32 + req.trace_path.size());
+  return encode_message(req);
 }
 
 std::vector<std::uint8_t> encode(const Response& resp) {
-  return encode_message(
-      resp, 64 + resp.svg.size() + resp.report.size() + resp.error.size());
+  return encode_message(resp);
 }
 
 Request decode_request(const std::uint8_t* data, std::size_t size) {
