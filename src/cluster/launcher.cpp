@@ -12,18 +12,15 @@
 #include "obs/log.hpp"
 #include "server/client.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace vppb::cluster {
 
 namespace {
 
-std::uint64_t next_rand(std::uint64_t& state) {
-  state ^= state >> 12;
-  state ^= state << 25;
-  state ^= state >> 27;
-  return state * 2685821657736338717ULL;
-}
+/// How long start() and restart_shard wait for a shard to answer ready.
+constexpr std::int64_t kReadyTimeoutMs = 15000;
 
 }  // namespace
 
@@ -103,7 +100,7 @@ void LocalCluster::start() {
     procs_[i].pid = spawn(i);
   std::string stragglers;
   for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-    if (!wait_ready(i, opt_.ready_timeout_ms))
+    if (!wait_ready(i, kReadyTimeoutMs))
       stragglers += ' ' + endpoints_[i].unix_path;
   }
   if (!stragglers.empty()) {
@@ -207,13 +204,9 @@ void LocalCluster::restart_shard(std::size_t i) {
         "period; refusing to restart again",
         i, endpoints_[i].unix_path.c_str(), p.restarts));
   if (p.restarts > 0) {
-    const std::int64_t lo = opt_.restart_backoff_base_ms;
-    const std::int64_t hi = std::max(
-        lo, std::min(opt_.restart_backoff_cap_ms,
-                     p.prev_backoff_ms > 0 ? p.prev_backoff_ms * 3 : lo));
-    const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-    p.prev_backoff_ms =
-        lo + static_cast<std::int64_t>(next_rand(rng_) % span);
+    p.prev_backoff_ms = jitter_backoff_ms(p.prev_backoff_ms,
+                                          opt_.restart_backoff_base_ms,
+                                          opt_.restart_backoff_cap_ms, rng_);
     std::this_thread::sleep_for(
         std::chrono::milliseconds(p.prev_backoff_ms));
   }
@@ -221,7 +214,7 @@ void LocalCluster::restart_shard(std::size_t i) {
   p.last_restart = now;
 
   p.pid = spawn(i);
-  if (!wait_ready(i, opt_.ready_timeout_ms))
+  if (!wait_ready(i, kReadyTimeoutMs))
     throw Error("restarted shard never became ready: " +
                 endpoints_[i].unix_path);
 }

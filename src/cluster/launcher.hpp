@@ -43,7 +43,6 @@ struct ClusterOptions {
   /// Extra environment entries set in each child before exec (e.g.
   /// VPPB_FAULT for deterministic per-shard service-time injection).
   std::vector<std::pair<std::string, std::string>> env;
-  std::int64_t ready_timeout_ms = 15000;
 
   /// Crash-loop governance for restart_shard: restarts inside the
   /// cool-off window (10x the backoff cap since the previous restart)

@@ -5,31 +5,14 @@
 
 #include "obs/log.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace vppb::cluster {
 namespace {
 
-std::uint64_t next_rand(std::uint64_t& state) {
-  state ^= state >> 12;
-  state ^= state << 25;
-  state ^= state >> 27;
-  return state * 2685821657736338717ULL;
-}
-
-/// Decorrelated jitter, same scheme as Client::call_retry: each sleep
-/// uniform in [base, prev * 3], capped.  Keeps a fleet of proxies from
-/// re-probing a rebooting shard in synchronized waves.
-std::int64_t next_backoff_ms(std::int64_t prev_ms,
-                             const MembershipOptions& opt,
-                             std::uint64_t& rng) {
-  const std::int64_t lo = opt.probe_base_ms;
-  const std::int64_t hi =
-      std::max(lo, std::min(opt.probe_cap_ms,
-                            prev_ms > 0 ? prev_ms * 3 : lo));
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_rand(rng) % span);
-}
+/// The health probe's own dial and transport timeout.
+constexpr int kProbeTimeoutMs = 2000;
 
 }  // namespace
 
@@ -134,12 +117,12 @@ bool Membership::probe(std::size_t idx) {
   const ShardEndpoint ep = shards_[idx].endpoint;
   server::Response resp;
   try {
-    server::Client c = dial(ep, opt_.probe_timeout_ms);
+    server::Client c = dial(ep, kProbeTimeoutMs);
     server::Request req;
     req.type = server::ReqType::kHealth;  // bypasses shard admission
     server::RetryPolicy once;
     once.max_attempts = 1;
-    once.request_timeout_ms = opt_.probe_timeout_ms;
+    once.request_timeout_ms = kProbeTimeoutMs;
     resp = c.call_retry(req, once);
   } catch (const Error&) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -187,8 +170,11 @@ void Membership::probe_loop() {
         due.push_back(i);
         // Schedule the next attempt before probing: a probe that wins
         // resets the backoff anyway, and a crash between unlock and
-        // re-lock cannot leave the shard due "now" in a hot loop.
-        s.prev_backoff_ms = next_backoff_ms(s.prev_backoff_ms, opt_, rng_);
+        // re-lock cannot leave the shard due "now" in a hot loop.  The
+        // jitter keeps a fleet of proxies from re-probing a rebooting
+        // shard in synchronized waves.
+        s.prev_backoff_ms = jitter_backoff_ms(
+            s.prev_backoff_ms, opt_.probe_base_ms, opt_.probe_cap_ms, rng_);
         s.next_probe =
             now + std::chrono::milliseconds(s.prev_backoff_ms);
       }

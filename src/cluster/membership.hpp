@@ -75,11 +75,9 @@ struct ShardView {
 
 struct MembershipOptions {
   int vnodes = 64;
-  /// Decorrelated-jitter re-probe backoff, and the probe's own
-  /// transport timeout.
+  /// Decorrelated-jitter re-probe backoff.
   std::int64_t probe_base_ms = 25;
   std::int64_t probe_cap_ms = 1000;
-  int probe_timeout_ms = 2000;
   std::uint64_t seed = 1;  ///< jitter PRNG seed (deterministic tests)
 
   // --- hostile-network hardening (protocol v8) ---

@@ -29,6 +29,15 @@ using server::Status;
 /// span.
 constexpr std::size_t kMergedSpanCap = 1u << 19;
 
+/// Worker threads for hedged forwards (a hedged request occupies up to
+/// two while in flight).  Non-hedged forwards run on the connection's
+/// own IO thread and never touch this pool.
+constexpr int kHedgeJobs = 8;
+
+/// Response cache capacity (kOk compute responses; SVG-bearing
+/// responses are never cached — they dwarf everything else).
+constexpr std::size_t kResponseCacheEntries = 256;
+
 /// Registry handles for the proxy, registered once (same pattern as
 /// the cache metrics): the routing tier's own behavior — forwards,
 /// failovers, hedges, dedup hits — is visible in `vppb request
@@ -109,11 +118,6 @@ std::int64_t elapsed_ms(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now() - t0)
       .count();
-}
-
-bool is_compute(ReqType t) {
-  return t == ReqType::kPredict || t == ReqType::kSimulate ||
-         t == ReqType::kAnalyze;
 }
 
 /// RAII in-flight accounting for the brownout load trigger.
@@ -225,7 +229,7 @@ Proxy::Proxy(ProxyOptions opt)
     : opt_(normalize(std::move(opt))),
       membership_(opt_.shards, opt_.membership),
       quota_(opt_.quota),
-      hedge_pool_(std::max(2, opt_.hedge_jobs)),
+      hedge_pool_(kHedgeJobs),
       listener_(opt_, "proxy", ProxyMetrics::get().auth_failures,
                 ProxyMetrics::get().idle_reaps,
                 [this](std::vector<std::uint8_t>& payload,
@@ -245,7 +249,7 @@ void Proxy::start() {
   membership_.start();  // one synchronous probe round populates the ring
   ProxyMetrics::get().shards_up.set(
       static_cast<std::int64_t>(membership_.up_count()));
-  if (opt_.tracing) obs::Tracer::global().enable();
+  obs::Tracer::global().enable();
   listener_.start();
   obs::logf(LogLevel::kInfo, "proxy",
             "routing on %s across %zu shards (%zu up, hedge %lld ms)",
@@ -261,15 +265,6 @@ void Proxy::stop() {
     drain_cv_.wait(lock, [&]() { return tasks_live_ == 0; });
   }
   membership_.stop();
-}
-
-Response Proxy::error_response(const Request& req,
-                               const std::string& what) const {
-  Response resp;
-  resp.type = req.type;
-  resp.status = Status::kError;
-  resp.error = what;
-  return resp;
 }
 
 bool Proxy::brownout_active(std::size_t* live, std::size_t* total) const {
@@ -298,7 +293,7 @@ Response Proxy::execute(const Request& req, std::uint64_t conn_key) {
   const auto t0 = std::chrono::steady_clock::now();
   // Health and stats never queue behind compute and are never shed:
   // in a brownout they are exactly the requests an operator needs.
-  if (!is_compute(req.type)) return aggregate(req);
+  if (!server::is_compute(req.type)) return aggregate(req);
 
   // Global per-client quota, enforced once for the whole cluster.
   // Anonymous callers resolve to this connection's key.
@@ -308,15 +303,14 @@ Response Proxy::execute(const Request& req, std::uint64_t conn_key) {
     const ClientQuota::Verdict v = quota_.admit(ident, t0);
     if (!v.admitted) {
       pm.quota_rejections.inc();
-      Response resp;
-      resp.type = req.type;
-      resp.status = Status::kQuotaExceeded;
+      Response resp = server::status_response(
+          req.type, Status::kQuotaExceeded,
+          strprintf("client %llu over its cluster-wide rate quota "
+                    "(%.4g rps, burst %.4g); retry in %lld ms",
+                    static_cast<unsigned long long>(ident), opt_.quota.rps,
+                    opt_.quota.burst,
+                    static_cast<long long>(v.retry_after_ms)));
       resp.retry_after_ms = v.retry_after_ms;
-      resp.error = strprintf(
-          "client %llu over its cluster-wide rate quota "
-          "(%.4g rps, burst %.4g); retry in %lld ms",
-          static_cast<unsigned long long>(ident), opt_.quota.rps,
-          opt_.quota.burst, static_cast<long long>(v.retry_after_ms));
       return resp;
     }
   }
@@ -333,9 +327,10 @@ Response Proxy::execute(const Request& req, std::uint64_t conn_key) {
   try {
     key = server::content_key_of_file(req.trace_path);
   } catch (const Error& e) {
-    return error_response(
-        req, strprintf("proxy cannot read trace %s: %s",
-                       req.trace_path.c_str(), e.what()));
+    return server::status_response(
+        req.type, Status::kError,
+        strprintf("proxy cannot read trace %s: %s", req.trace_path.c_str(),
+                  e.what()));
   }
   if (tl) tl->stage("route", route0, tl->now_us() - route0);
   const std::uint64_t ckey = response_cache_key(req, key);
@@ -351,22 +346,18 @@ Response Proxy::execute(const Request& req, std::uint64_t conn_key) {
       cached.brownout = true;
       if (tl) {
         tl->marker("stale-serve");
-        cached.timeline.clear();
-        for (const obs::Stage& s : tl->stages())
-          cached.timeline.push_back(
-              StageSpan{s.name, s.start_us, s.dur_us, s.depth});
+        cached.timeline = std::move(tl->stages());
       }
       return cached;
     }
     pm.brownout_sheds.inc();
     brownout_sheds_.fetch_add(1);
-    Response resp;
-    resp.type = req.type;
-    resp.status = Status::kOverloaded;
+    Response resp = server::status_response(
+        req.type, Status::kOverloaded,
+        "proxy brownout: shedding cold compute requests until the cluster "
+        "recovers; retry later");
     resp.brownout = true;
     resp.retry_after_ms = opt_.membership.probe_cap_ms;
-    resp.error = "proxy brownout: shedding cold compute requests until "
-                 "the cluster recovers; retry later";
     return resp;
   }
 
@@ -379,21 +370,17 @@ Response Proxy::execute(const Request& req, std::uint64_t conn_key) {
   // Cluster-level SLO: what this client actually experienced, failover
   // and hedging included.  Rejections above (quota, brownout shed) are
   // the proxy protecting the objective, not burning it.
-  const bool ok = resp.status != Status::kError &&
-                  resp.status != Status::kDeadlineExceeded &&
-                  resp.status != Status::kBudgetExceeded;
   slo_.record(std::chrono::duration<double, std::micro>(
                   std::chrono::steady_clock::now() - t0)
                   .count(),
-              ok);
+              !server::spends_error_budget(resp.status));
   if (tl) {
     // Compose: proxy stages at their recorded depth, shard stages
     // (already shifted to this timeline and re-parented by the forward
     // layer) appended after.
-    std::vector<StageSpan> merged;
-    for (const obs::Stage& s : tl->stages())
-      merged.push_back(StageSpan{s.name, s.start_us, s.dur_us, s.depth});
-    for (StageSpan& s : resp.timeline) merged.push_back(std::move(s));
+    std::vector<StageSpan> merged = std::move(tl->stages());
+    merged.insert(merged.end(), std::make_move_iterator(resp.timeline.begin()),
+                  std::make_move_iterator(resp.timeline.end()));
     resp.timeline = std::move(merged);
   }
   return resp;
@@ -456,7 +443,18 @@ Response Proxy::single_flight(const Request& req, std::uint64_t route_key,
   return resp;
 }
 
-Response Proxy::forward_once(std::size_t idx, const Request& req) {
+Response Proxy::forward_once(std::size_t idx, Request req,
+                             std::chrono::steady_clock::time_point t0) {
+  // The shard gets what is left of the client's deadline, not a fresh
+  // one: a successor reached after a stalled primary must not answer
+  // after the client has stopped waiting.
+  if (req.deadline_ms > 0) {
+    req.deadline_ms -= elapsed_ms(t0);
+    if (req.deadline_ms <= 0)
+      return server::status_response(
+          req.type, Status::kDeadlineExceeded,
+          "deadline exceeded: spent before the forward");
+  }
   ProxyMetrics::get().forwards.inc();
   obs::Span span("proxy.forward", "proxy");
   span.arg("shard", static_cast<std::int64_t>(membership_.endpoint(idx).id));
@@ -477,7 +475,7 @@ bool Proxy::hedged_forward(const Request& req,
                            Response* out, obs::Timeline* tl) {
   ProxyMetrics& pm = ProxyMetrics::get();
   auto hedge = std::make_shared<Hedge>();
-  auto launch = [this, hedge, req](std::size_t idx) {
+  auto launch = [this, hedge, req, t0](std::size_t idx) {
     {
       std::lock_guard<std::mutex> lock(drain_mu_);
       ++tasks_live_;
@@ -486,12 +484,12 @@ bool Proxy::hedged_forward(const Request& req,
       std::lock_guard<std::mutex> lock(hedge->mu);
       ++hedge->launched;
     }
-    hedge_pool_.post([this, hedge, req, idx]() {
+    hedge_pool_.post([this, hedge, req, idx, t0]() {
       // The pool thread needs its own trace context: thread-locals do
       // not follow the request across the post.
       obs::TraceContext tctx(req.sampled ? req.trace_id : 0);
       try {
-        Response r = forward_once(idx, req);
+        Response r = forward_once(idx, req, t0);
         std::lock_guard<std::mutex> lock(hedge->mu);
         if (!hedge->done) {
           hedge->done = true;
@@ -581,7 +579,7 @@ std::uint64_t Proxy::response_cache_key(const Request& req,
 
 bool Proxy::cache_lookup(std::uint64_t cache_key, std::int64_t max_age_ms,
                          Response* out) {
-  if (max_age_ms <= 0 || opt_.response_cache_entries == 0) return false;
+  if (max_age_ms <= 0) return false;
   std::lock_guard<std::mutex> lock(cache_mu_);
   auto it = rcache_.find(cache_key);
   if (it == rcache_.end()) return false;
@@ -598,7 +596,6 @@ bool Proxy::cache_lookup(std::uint64_t cache_key, std::int64_t max_age_ms,
 }
 
 void Proxy::cache_store(std::uint64_t cache_key, const Response& resp) {
-  if (opt_.response_cache_entries == 0) return;
   if (resp.status != Status::kOk || !resp.svg.empty()) return;
   std::lock_guard<std::mutex> lock(cache_mu_);
   CachedResponse& e = rcache_[cache_key];
@@ -613,7 +610,7 @@ void Proxy::cache_store(std::uint64_t cache_key, const Response& resp) {
   e.resp.spans.clear();
   e.at = std::chrono::steady_clock::now();
   e.tick = ++cache_tick_;
-  while (rcache_.size() > opt_.response_cache_entries) {
+  while (rcache_.size() > kResponseCacheEntries) {
     auto oldest = rcache_.begin();
     for (auto it = rcache_.begin(); it != rcache_.end(); ++it)
       if (it->second.tick < oldest->second.tick) oldest = it;
@@ -691,7 +688,7 @@ Response Proxy::forward_failover(const Request& req, std::uint64_t route_key,
     for (std::size_t idx : candidates) {
       try {
         const std::int64_t f0 = tl ? tl->now_us() : 0;
-        Response resp = forward_once(idx, req);
+        Response resp = forward_once(idx, req, t0);
         graft(resp, f0, "forward");
         cache_store(cache_key, resp);
         return resp;
@@ -720,8 +717,9 @@ Response Proxy::forward_failover(const Request& req, std::uint64_t route_key,
     return cached;
   }
   pm.no_shards.inc();
-  return error_response(req, "no healthy shards: every backend is down "
-                             "or failed mid-request");
+  return server::status_response(req.type, Status::kError,
+                                "no healthy shards: every backend is down "
+                                "or failed mid-request");
 }
 
 Response Proxy::aggregate(const Request& req) {
@@ -746,7 +744,7 @@ Response Proxy::aggregate(const Request& req) {
     info.stats = before[i].last_stats;
     if (before[i].healthy) {
       try {
-        Response r = forward_once(i, probe);
+        Response r = forward_once(i, probe, std::chrono::steady_clock::now());
         if (r.status == Status::kOk) {
           info.healthy = true;
           info.epoch = r.epoch;

@@ -24,6 +24,10 @@
 //                   to the ring successor, so a shard death costs
 //                   clients nothing but latency: typed errors never
 //                   reach a healthy client because of a dead shard.
+//                   Every forward carries only what is left of the
+//                   client's deadline_ms, so a successor cannot answer
+//                   kOk after the client stopped waiting; with nothing
+//                   left the proxy answers kDeadlineExceeded itself.
 //
 //   Hedged retries  With hedge_ms > 0, a routed request that has not
 //                   answered within the hedge window is also sent to
@@ -105,10 +109,6 @@ struct ProxyOptions : server::ListenerOptions {
   /// as dead (ejected + failover).  0 = wait forever (then only a
   /// closed connection triggers failover).
   int forward_timeout_ms = 30000;
-  /// Worker threads for hedged forwards (a hedged request occupies up
-  /// to two while in flight).  Non-hedged forwards run on the
-  /// connection's own IO thread and never touch this pool.
-  int hedge_jobs = 8;
 
   /// Cluster-wide per-client rate quota; quota.rps <= 0 disables.
   QuotaOptions quota;
@@ -125,13 +125,7 @@ struct ProxyOptions : server::ListenerOptions {
   /// Oldest proxy-cached response servable during brownout or total
   /// outage; 0 disables stale serving.
   std::int64_t stale_ms = 30000;
-  /// Response cache capacity (kOk compute responses; SVG-bearing
-  /// responses are never cached — they dwarf everything else).
-  std::size_t response_cache_entries = 256;
 
-  /// Always-on span capture, same convention as ServerOptions: the
-  /// proxy's own rings feed the cluster-wide `vppb trace-collect`.
-  bool tracing = true;
   /// Cluster-level SLO objectives over routed compute requests
   /// (0 = objective off).  Independent of the per-shard objectives:
   /// this is the latency/availability a *client* of the cluster sees,
@@ -215,9 +209,12 @@ class Proxy {
                                     std::uint64_t cache_key,
                                     std::chrono::steady_clock::time_point t0,
                                     obs::Timeline* tl);
-  /// One forward on one connection; throws vppb::Error on transport
+  /// One forward on one connection, carrying what is left of the
+  /// request's deadline since `t0`; answers kDeadlineExceeded without
+  /// forwarding once nothing is left.  Throws vppb::Error on transport
   /// failure (the caller ejects).  Clean exchanges pool the connection.
-  server::Response forward_once(std::size_t idx, const server::Request& req);
+  server::Response forward_once(std::size_t idx, server::Request req,
+                                std::chrono::steady_clock::time_point t0);
   /// Primary + hedge via the pool; false when every launched attempt
   /// died on transport (the caller re-routes).
   bool hedged_forward(const server::Request& req,
@@ -225,8 +222,6 @@ class Proxy {
                       std::chrono::steady_clock::time_point t0,
                       server::Response* out, obs::Timeline* tl);
   server::Response aggregate(const server::Request& req);
-  server::Response error_response(const server::Request& req,
-                                  const std::string& what) const;
 
   /// Digest-safe cache identity of a compute request: the route key
   /// (trace content) plus every parameter that shapes the result —

@@ -4,6 +4,14 @@
 #include <cmath>
 
 namespace vppb::cluster {
+namespace {
+
+/// Bound on tracked identities; beyond it, fully-refilled (idle)
+/// buckets are evicted first.  An idle bucket and a fresh one behave
+/// identically, so eviction never changes an admission decision.
+constexpr std::size_t kMaxClients = 4096;
+
+}  // namespace
 
 ClientQuota::ClientQuota(QuotaOptions opt) : opt_(opt) {}
 
@@ -14,7 +22,7 @@ ClientQuota::Verdict ClientQuota::admit(
   std::lock_guard<std::mutex> lock(mu_);
   auto it = buckets_.find(client);
   if (it == buckets_.end()) {
-    if (buckets_.size() >= opt_.max_clients) evict_idle_locked(now);
+    if (buckets_.size() >= kMaxClients) evict_idle_locked(now);
     Bucket fresh;
     fresh.tokens = std::max(opt_.burst, 1.0);
     fresh.last = now;

@@ -30,10 +30,6 @@ struct QuotaOptions {
   /// Bucket capacity: how many requests a client may burst after an
   /// idle period before the sustained rate applies.
   double burst = 8.0;
-  /// Bound on tracked identities; beyond it, fully-refilled (idle)
-  /// buckets are evicted first.  An idle bucket and a fresh one behave
-  /// identically, so eviction never changes an admission decision.
-  std::size_t max_clients = 4096;
 };
 
 /// Thread-safe per-client token-bucket map.

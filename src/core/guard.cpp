@@ -36,16 +36,24 @@ const char* guard_trip_name(GuardTrip t) {
     case GuardTrip::kWallTime: return "wall-time";
     case GuardTrip::kSimTime: return "sim-time";
     case GuardTrip::kResultBytes: return "result-bytes";
+    case GuardTrip::kDeadline: return "deadline";
   }
   return "?";
 }
 
 void RunGuard::arm(const RunLimits& limits) {
   limits_ = limits;
-  if (limits_.max_wall_ms != 0) {
-    wall_deadline_ = std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(limits_.max_wall_ms);
-  }
+  // A guard with neither a deadline nor a wall budget never reads the
+  // clock, here or at a checkpoint.
+  const auto now = limits_.deadline_ms != 0 || limits_.max_wall_ms != 0
+                       ? std::chrono::steady_clock::now()
+                       : std::chrono::steady_clock::time_point{};
+  const auto at = [now](std::int64_t ms) {
+    return ms != 0 ? now + std::chrono::milliseconds(ms)
+                   : std::chrono::steady_clock::time_point::max();
+  };
+  deadline_at_ = at(limits_.deadline_ms);
+  wall_at_ = at(limits_.max_wall_ms);
   sim_deadline_ = limits_.max_sim_ms != 0 ? SimTime::millis(limits_.max_sim_ms)
                                           : SimTime::max();
 }
@@ -59,6 +67,12 @@ void RunGuard::trip_steps(std::uint64_t steps) const {
        strprintf("step budget exceeded: %llu steps > max %llu",
                  static_cast<unsigned long long>(steps),
                  static_cast<unsigned long long>(limits_.max_steps)));
+}
+
+void RunGuard::trip_deadline() const {
+  trip(GuardTrip::kDeadline,
+       strprintf("deadline exceeded: ran past the %lld ms deadline",
+                 static_cast<long long>(limits_.deadline_ms)));
 }
 
 void RunGuard::trip_wall() const {

@@ -10,13 +10,16 @@
 // unguarded run or throws, which is what keeps the pinned
 // determinism digests valid with guards attached.
 //
+// A server request's guard is also its one clock: check_wall() tells
+// the request's deadline from the server's wall ceiling by its trip.
+//
 // Cost model: a null guard pointer is one predictable branch per
 // checkpoint.  An attached guard with no limits armed is one relaxed
 // atomic load (the cancellation flag) plus compares against zero; the
-// wall clock is only read when a wall budget is armed, and then only
-// every ~1k steps.  cancel() may be called from any thread (the server
-// watchdog does); everything else is written before the guard is
-// shared and read-only afterwards.
+// wall clock is only read when a deadline or wall budget is armed, and
+// then only every ~1k steps.  cancel() may be called from any thread
+// (the server watchdog does); everything else is written before the
+// guard is shared and read-only afterwards.
 #pragma once
 
 #include <atomic>
@@ -37,6 +40,7 @@ enum class GuardTrip : std::uint8_t {
   kWallTime,     ///< max_wall_ms of real time elapsed
   kSimTime,      ///< simulated clock would pass max_sim_ms
   kResultBytes,  ///< accumulated SimResult storage exceeded max_result_bytes
+  kDeadline,     ///< the request's own deadline_ms of real time elapsed
 };
 
 const char* guard_trip_name(GuardTrip trip);
@@ -59,6 +63,9 @@ class BudgetExceeded : public Error {
 struct RunLimits {
   std::uint64_t max_steps = 0;        ///< simulated operations (engine steps)
   std::int64_t max_wall_ms = 0;       ///< real time from arm() to trip
+  /// The request's own deadline, real time from arm().  The caller's
+  /// limit, not a server budget: it trips kDeadline, not kWallTime.
+  std::int64_t deadline_ms = 0;
   std::int64_t max_sim_ms = 0;        ///< simulated milliseconds
   std::uint64_t max_result_bytes = 0; ///< approximate SimResult footprint
 };
@@ -68,7 +75,7 @@ class RunGuard {
   /// A pure cancellation token (no budgets).
   RunGuard() = default;
 
-  /// Arms `limits`; the wall-time budget starts counting now.
+  /// Arms `limits`; the deadline and wall-time budget start counting now.
   explicit RunGuard(const RunLimits& limits) { arm(limits); }
 
   RunGuard(const RunGuard&) = delete;
@@ -80,17 +87,6 @@ class RunGuard {
 
   /// Requests cooperative termination.  Safe from any thread.
   void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
-  const RunLimits& limits() const { return limits_; }
-
-  /// True when any budget (not counting cancellability) is armed.
-  bool has_limits() const {
-    return limits_.max_steps != 0 || limits_.max_wall_ms != 0 ||
-           limits_.max_sim_ms != 0 || limits_.max_result_bytes != 0;
-  }
 
   // --- checkpoints; each throws BudgetExceeded when its budget trips ---
 
@@ -103,11 +99,14 @@ class RunGuard {
       trip_steps(steps);
   }
 
-  /// Reads the clock only when a wall budget is armed.
+  /// Reads the clock once, and only when a deadline or wall budget is
+  /// armed.  When both have passed the deadline wins: it is the
+  /// caller's, and it owes no poison strike.
   void check_wall() const {
-    if (limits_.max_wall_ms != 0 &&
-        std::chrono::steady_clock::now() >= wall_deadline_)
-      trip_wall();
+    if (limits_.deadline_ms == 0 && limits_.max_wall_ms == 0) return;
+    const auto now = std::chrono::steady_clock::now();
+    if (now >= deadline_at_) trip_deadline();
+    if (now >= wall_at_) trip_wall();
   }
 
   void check_sim_time(SimTime t) const {
@@ -119,15 +118,31 @@ class RunGuard {
       trip_result_bytes(bytes);
   }
 
+  // --- clock reads that never throw (the server watchdog's view) ---
+
+  bool deadline_passed() const {
+    return limits_.deadline_ms != 0 &&
+           std::chrono::steady_clock::now() >= deadline_at_;
+  }
+  bool wall_passed() const {
+    return limits_.max_wall_ms != 0 &&
+           std::chrono::steady_clock::now() >= wall_at_;
+  }
+
  private:
   [[noreturn]] void trip_cancelled() const;
   [[noreturn]] void trip_steps(std::uint64_t steps) const;
+  [[noreturn]] void trip_deadline() const;
   [[noreturn]] void trip_wall() const;
   [[noreturn]] void trip_sim(SimTime t) const;
   [[noreturn]] void trip_result_bytes(std::size_t bytes) const;
 
   RunLimits limits_;
-  std::chrono::steady_clock::time_point wall_deadline_{};
+  /// time_point::max() when that limit is not armed.
+  std::chrono::steady_clock::time_point deadline_at_ =
+      std::chrono::steady_clock::time_point::max();
+  std::chrono::steady_clock::time_point wall_at_ =
+      std::chrono::steady_clock::time_point::max();
   SimTime sim_deadline_ = SimTime::max();
   std::atomic<bool> cancelled_{false};
 };

@@ -12,6 +12,9 @@
 namespace vppb::rec {
 namespace {
 
+/// Pre-allocated record capacity (events are buffered in memory).
+constexpr std::size_t kReserveRecords = 1 << 16;
+
 /// Basename of a __FILE__-style path, for paper-like "file:line" display.
 std::string_view basename_of(const char* path) {
   std::string_view sv(path == nullptr ? "" : path);
@@ -59,7 +62,7 @@ void install_crash_handlers_once() {
 Recorder::Recorder() : Recorder(Options{}) {}
 
 Recorder::Recorder(Options opts) : opts_(std::move(opts)) {
-  trace_.records.reserve(opts_.reserve_records);
+  trace_.records.reserve(kReserveRecords);
   if (!opts_.live_log_path.empty()) {
     trace::ChunkedWriterOptions wopts;
     wopts.chunk_records = opts_.live_chunk_records;
@@ -174,7 +177,7 @@ trace::Trace Recorder::finish(SimTime program_end) {
   if (dropped_ == 0) trace_.validate();
   trace::Trace out = std::move(trace_);
   trace_ = trace::Trace{};
-  trace_.records.reserve(opts_.reserve_records);
+  trace_.records.reserve(kReserveRecords);
   dropped_ = 0;
   started_ = false;
   return out;

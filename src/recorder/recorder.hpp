@@ -24,8 +24,6 @@ class Recorder final : public sol::ProbeSink {
     /// Disabling it shrinks logs; the Visualizer then has no source
     /// mapping for this trace.
     bool capture_locations = true;
-    /// Pre-allocated record capacity (events are buffered in memory).
-    std::size_t reserve_records = 1 << 16;
     /// TNF-style circular buffer: keep only the newest N records
     /// (0 = unbounded, the VPPB default).  The paper rejects TNF
     /// precisely because "information may be overwritten if the buffer

@@ -6,31 +6,9 @@
 #include <thread>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace vppb::server {
-namespace {
-
-/// xorshift64*: tiny, deterministic, good enough to decorrelate backoff
-/// sleeps — this is jitter, not cryptography.
-std::uint64_t next_rand(std::uint64_t& state) {
-  state ^= state >> 12;
-  state ^= state << 25;
-  state ^= state >> 27;
-  return state * 2685821657736338717ULL;
-}
-
-/// Decorrelated jitter (the "DecorrelatedJitter" scheme): each sleep is
-/// uniform in [base, prev * 3], capped.  Spreads concurrent retriers
-/// apart instead of letting them re-collide in synchronized waves.
-std::int64_t next_sleep_ms(std::int64_t prev_ms, const RetryPolicy& p,
-                           std::uint64_t& rng) {
-  const std::int64_t lo = p.base_ms;
-  const std::int64_t hi = std::max(lo, std::min(p.cap_ms, prev_ms * 3));
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_rand(rng) % span);
-}
-
-}  // namespace
 
 Client Client::connect_unix(const std::string& path,
                             int connect_timeout_ms) {
@@ -92,7 +70,8 @@ Response Client::call_retry(const Request& req, RetryPolicy& policy) {
   const int attempts = std::max(1, policy.max_attempts);
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
-      std::int64_t ms = next_sleep_ms(prev_sleep, policy, rng);
+      std::int64_t ms =
+          jitter_backoff_ms(prev_sleep, policy.base_ms, policy.cap_ms, rng);
       prev_sleep = ms;
       ms = std::max(ms, min_sleep);
       min_sleep = 0;

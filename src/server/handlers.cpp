@@ -39,6 +39,12 @@ core::SimConfig base_config(const Request& req) {
   return cfg;
 }
 
+/// A handler checkpoint: throws once the request's deadline or wall
+/// ceiling has passed.
+void checkpoint(const core::RunGuard* guard) {
+  if (guard != nullptr) guard->check_wall();
+}
+
 /// Fetches the cache entry, stamping the timeline stage as
 /// "cache-lookup" (hit) or "compile" (this request paid parse+compile).
 std::shared_ptr<const TraceCache::Entry> timed_get(
@@ -71,17 +77,16 @@ struct OneRun {
 };
 
 OneRun run_once(ReqType type, const Request& req, TraceCache& cache,
-                const Deadline& deadline, const core::RunGuard* guard,
-                obs::Timeline* tl) {
+                const core::RunGuard* guard, obs::Timeline* tl) {
   check_range("cpus", req.cpus, 1, kMaxRequestCpus);
   OneRun run;
   run.resp.type = type;
-  deadline.check("trace load");
+  checkpoint(guard);
   run.entry = timed_get(cache, req, guard, tl);
   core::SimConfig cfg = base_config(req);
   cfg.hw.cpus = req.cpus;
 
-  deadline.check("simulation");
+  checkpoint(guard);
   run.result = timed(tl, "simulate", [&] {
     return core::SweepRunner::shared().run(run.entry->compiled, cfg, guard);
   });
@@ -98,12 +103,11 @@ OneRun run_once(ReqType type, const Request& req, TraceCache& cache,
 }  // namespace
 
 Response handle_predict(const Request& req, TraceCache& cache,
-                        const Deadline& deadline,
                         const core::RunGuard* guard, obs::Timeline* tl) {
   check_range("max-cpus", req.max_cpus, 1, kMaxRequestCpus);
   Response resp;
   resp.type = ReqType::kPredict;
-  deadline.check("trace load");
+  checkpoint(guard);
   const std::shared_ptr<const TraceCache::Entry> entry =
       timed_get(cache, req, guard, tl);
   const core::SimConfig base = base_config(req);
@@ -116,7 +120,7 @@ Response handle_predict(const Request& req, TraceCache& cache,
   // parallelism from concurrent requests sharing the pool, and a
   // deterministic per-request path keeps responses bit-identical to the
   // offline `vppb predict` (which the combined digest proves).  Each
-  // point first checks the deadline, so a sweep cannot overstay.  The
+  // point first checks the guard's clock, so a sweep cannot overstay.  The
   // parent "simulate" stage is stamped before its per-point children, so
   // it lists first; each finished point stretches it to cover that point.
   std::size_t sim_stage = 0;
@@ -129,7 +133,7 @@ Response handle_predict(const Request& req, TraceCache& cache,
   opt.results = &results;
   opt.guard = guard;
   opt.each_point = [&](int cpus, const std::function<void()>& run) {
-    deadline.check("CPU sweep");
+    checkpoint(guard);
     if (tl == nullptr) return run();
     const std::int64_t pt0 = tl->now_us();
     run();
@@ -154,11 +158,10 @@ Response handle_predict(const Request& req, TraceCache& cache,
 }
 
 Response handle_simulate(const Request& req, TraceCache& cache,
-                         const Deadline& deadline,
                          const core::RunGuard* guard, obs::Timeline* tl) {
-  OneRun run = run_once(ReqType::kSimulate, req, cache, deadline, guard, tl);
+  OneRun run = run_once(ReqType::kSimulate, req, cache, guard, tl);
   if (req.want_svg) {
-    deadline.check("SVG render");
+    checkpoint(guard);
     run.resp.svg = timed(tl, "render-svg", [&run] {
       viz::Visualizer v(run.result, run.entry->trace);
       v.compress_threads();
@@ -169,10 +172,9 @@ Response handle_simulate(const Request& req, TraceCache& cache,
 }
 
 Response handle_analyze(const Request& req, TraceCache& cache,
-                        const Deadline& deadline,
                         const core::RunGuard* guard, obs::Timeline* tl) {
-  OneRun run = run_once(ReqType::kAnalyze, req, cache, deadline, guard, tl);
-  deadline.check("analysis report");
+  OneRun run = run_once(ReqType::kAnalyze, req, cache, guard, tl);
+  checkpoint(guard);
   run.resp.report = timed(tl, "analyze-report", [&run] {
     return viz::analyze(run.result, run.entry->trace).to_string();
   });

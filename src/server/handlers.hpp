@@ -12,29 +12,26 @@
 
 #include "core/guard.hpp"
 #include "obs/timeline.hpp"
-#include "server/deadline.hpp"
 #include "server/protocol.hpp"
 #include "server/trace_cache.hpp"
 
 namespace vppb::server {
 
-/// Handlers poll `deadline` at their checkpoints (trace load, each
-/// sweep point, render) and throw DeadlineExceeded to abandon work.
-/// `guard` (optional) is threaded into the compile and simulate calls,
-/// where it is polled per step; a tripped budget or a watchdog cancel
-/// surfaces as core::BudgetExceeded for the dispatcher to type.
-/// `tl` (optional) receives the per-request stage waterfall
-/// (cache-lookup/compile/simulate/render) for protocol v7 timelines.
+/// `guard` (optional) is the request's one clock and budget.  Handlers
+/// check its deadline and wall ceiling at their checkpoints (trace
+/// load, simulation, each sweep point, render, report) and thread it
+/// into the compile and simulate calls, where it is polled per step; a
+/// trip or a watchdog cancel surfaces as core::BudgetExceeded for the
+/// dispatcher to type.  `tl` (optional) receives the per-request stage
+/// waterfall (cache-lookup/compile/simulate/render) for protocol v7
+/// timelines.
 Response handle_predict(const Request& req, TraceCache& cache,
-                        const Deadline& deadline = Deadline(),
                         const core::RunGuard* guard = nullptr,
                         obs::Timeline* tl = nullptr);
 Response handle_simulate(const Request& req, TraceCache& cache,
-                         const Deadline& deadline = Deadline(),
                          const core::RunGuard* guard = nullptr,
                          obs::Timeline* tl = nullptr);
 Response handle_analyze(const Request& req, TraceCache& cache,
-                        const Deadline& deadline = Deadline(),
                         const core::RunGuard* guard = nullptr,
                         obs::Timeline* tl = nullptr);
 

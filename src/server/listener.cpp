@@ -11,6 +11,10 @@ namespace vppb::server {
 
 using obs::LogLevel;
 
+/// Bound on each handshake read/write; a peer that connects and then
+/// goes silent is dropped after this.
+constexpr int kAuthTimeoutMs = 5000;
+
 FrameListener::FrameListener(ListenerOptions opt, const char* component,
                              obs::Counter& auth_failures,
                              obs::Counter& idle_reaps, Handler handler)
@@ -72,8 +76,7 @@ void FrameListener::serve(Conn* conn) {
   util::Socket& sock = conn->sock;
   if (opt_.unix_path.empty()) {
     try {
-      auth_accept(sock, AuthConfig{opt_.auth_key,
-                                   static_cast<int>(opt_.auth_timeout_ms)});
+      auth_accept(sock, AuthConfig{opt_.auth_key, kAuthTimeoutMs});
       sock.set_keepalive(/*idle_s=*/30, /*interval_s=*/10, /*probes=*/3,
                          /*user_timeout_ms=*/45000);
     } catch (const Error& e) {

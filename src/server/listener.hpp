@@ -39,9 +39,6 @@ struct ListenerOptions {
   /// challenge still flows, with proof optional.  Unix sockets never
   /// authenticate, so the loopback digest baseline stays byte-identical.
   std::string auth_key;
-  /// Bound on each handshake read/write; a peer that connects and then
-  /// goes silent is dropped after this.
-  std::int64_t auth_timeout_ms = 5000;
   /// Idle-connection reap: a connection with no new frame for this many
   /// milliseconds is closed (slowloris defense).  0 = never reap,
   /// preserving the long-lived-idle-client behaviour local tools rely

@@ -21,9 +21,11 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/timeline.hpp"
 #include "util/socket.hpp"
 
 namespace vppb::server {
@@ -48,6 +50,14 @@ constexpr std::size_t kReqTypeCount = 7;
 
 const char* to_string(ReqType t);
 
+/// Predict, simulate and analyze: the requests that name a trace, pass
+/// admission and are routed by its content.  The rest are probes and
+/// dumps.
+inline bool is_compute(ReqType t) {
+  return t == ReqType::kPredict || t == ReqType::kSimulate ||
+         t == ReqType::kAnalyze;
+}
+
 enum class Status : std::uint8_t {
   kOk = 0,
   kError = 1,             ///< request failed (bad trace, bad config, ...)
@@ -65,6 +75,15 @@ enum class Status : std::uint8_t {
 };
 
 const char* to_string(Status s);
+
+/// Whether a compute answer with this status spends the SLO error
+/// budget.  Overload, quota and poison rejections do not: they are the
+/// service protecting its objective, and charging them would let one
+/// flooding client burn the budget.
+inline bool spends_error_budget(Status s) {
+  return s == Status::kError || s == Status::kDeadlineExceeded ||
+         s == Status::kBudgetExceeded;
+}
 
 struct Request {
   ReqType type = ReqType::kPredict;
@@ -227,16 +246,13 @@ struct ShardInfo {
   StatsBody stats;             ///< this shard's own counters
 };
 
-/// One stage (or marker) of a per-request timeline (protocol v7).
-/// Offsets are microseconds since arrival at the outermost tier that
-/// recorded the timeline; depth nests a shard's stages under the
-/// proxy's forward stage so summing one depth never double-counts.
-struct StageSpan {
-  std::string name;
-  std::int64_t start_us = 0;
-  std::int64_t dur_us = 0;  ///< -1 = instant marker
-  std::uint32_t depth = 0;
-};
+/// One stage (or marker) of a per-request timeline (protocol v7): the
+/// obs::Timeline stage itself, so a timeline moves into a response
+/// without a copy.  Offsets are microseconds since arrival at the
+/// outermost tier that recorded the timeline; depth nests a shard's
+/// stages under the proxy's forward stage so summing one depth never
+/// double-counts.
+using StageSpan = obs::Stage;
 
 /// One span drained from a process's tracer ring by a tracedump
 /// request (protocol v7).  Timestamps are absolute unix ns (each
@@ -315,6 +331,17 @@ struct Response {
   /// tracedump: spans drained from the answering process(es).
   std::vector<WireSpan> spans;
 };
+
+/// An answer that carries only its status and why: a rejection or a
+/// failure of a request of `type`.
+inline Response status_response(ReqType type, Status status,
+                                std::string error) {
+  Response resp;
+  resp.type = type;
+  resp.status = status;
+  resp.error = std::move(error);
+  return resp;
+}
 
 std::vector<std::uint8_t> encode(const Request& req);
 std::vector<std::uint8_t> encode(const Response& resp);

@@ -52,7 +52,7 @@ void Server::start() {
   if (epoch_ == 0) epoch_ = 1;
   // Always-on span capture (tracedump drains these rings; bench_obs
   // gates the enabled overhead < 3%).
-  if (opt_.tracing) obs::Tracer::global().enable();
+  obs::Tracer::global().enable();
   listener_.start();
   watchdog_stop_.store(false);
   if (opt_.watchdog_interval_ms > 0)
@@ -121,13 +121,8 @@ core::RunLimits Server::request_limits(const Request& req) const {
   limits.max_steps = opt_.max_steps;
   limits.max_sim_ms = opt_.max_sim_ms;
   limits.max_result_bytes = opt_.max_result_mb << 20;
-  // The tighter of the server wall ceiling and the request's own
-  // deadline: the engine then notices an expired deadline mid-step,
-  // not just at the coarse handler checkpoints.
   limits.max_wall_ms = opt_.max_wall_ms;
-  if (req.deadline_ms > 0 &&
-      (limits.max_wall_ms == 0 || req.deadline_ms < limits.max_wall_ms))
-    limits.max_wall_ms = req.deadline_ms;
+  if (req.deadline_ms > 0) limits.deadline_ms = req.deadline_ms;
   return limits;
 }
 
@@ -156,9 +151,7 @@ Response Server::execute(const Request& req, std::uint64_t conn_key) {
   // which is the one question it exists to answer.
   if (req.type == ReqType::kHealth) return health_response();
 
-  const bool compute = req.type == ReqType::kPredict ||
-                       req.type == ReqType::kSimulate ||
-                       req.type == ReqType::kAnalyze;
+  const bool compute = is_compute(req.type);
 
   // Quarantine check before any slot is reserved: a poisoned trace has
   // already cost workers; it must not cost admission capacity too.
@@ -171,11 +164,7 @@ Response Server::execute(const Request& req, std::uint64_t conn_key) {
       metrics_.poisoned.inc();
       obs::logf(LogLevel::kWarn, "server", "poisoned: rejecting %s of %s",
                 to_string(req.type), req.trace_path.c_str());
-      Response resp;
-      resp.type = req.type;
-      resp.status = Status::kPoisoned;
-      resp.error = e.what();
-      return resp;
+      return status_response(req.type, Status::kPoisoned, e.what());
     } catch (const std::exception&) {
     }
   }
@@ -195,13 +184,11 @@ Response Server::execute(const Request& req, std::uint64_t conn_key) {
     obs::logf(LogLevel::kDebug, "server",
               "overload: client %llu over per-client limit %d",
               static_cast<unsigned long long>(client), opt_.per_client_limit);
-    Response resp;
-    resp.type = req.type;
-    resp.status = Status::kOverloaded;
-    resp.error = strprintf("client quota exceeded: %d requests in flight "
-                           "for this client (per-client limit %d); retry later",
-                           opt_.per_client_limit, opt_.per_client_limit);
-    return resp;
+    return status_response(
+        req.type, Status::kOverloaded,
+        strprintf("client quota exceeded: %d requests in flight for this "
+                  "client (per-client limit %d); retry later",
+                  opt_.per_client_limit, opt_.per_client_limit));
   }
 
   // Admission: reserve a slot or reject immediately.  The count covers
@@ -214,21 +201,17 @@ Response Server::execute(const Request& req, std::uint64_t conn_key) {
     metrics_.overloads.inc();
     obs::logf(LogLevel::kDebug, "server", "overload: rejecting %s request",
               to_string(req.type));
-    Response resp;
-    resp.type = req.type;
-    resp.status = Status::kOverloaded;
-    resp.error = strprintf("server overloaded: %d requests in flight "
-                           "(admission limit %d); retry later",
-                           opt_.admission_limit, opt_.admission_limit);
-    return resp;
+    return status_response(
+        req.type, Status::kOverloaded,
+        strprintf("server overloaded: %d requests in flight "
+                  "(admission limit %d); retry later",
+                  opt_.admission_limit, opt_.admission_limit));
   }
 
   auto st = std::make_shared<ReqState>();
   st->guard.arm(request_limits(req));
-  st->deadline = Deadline::after_ms(req.deadline_ms);
   st->type = req.type;
   st->trace_path = compute ? req.trace_path : std::string();
-  st->admitted_at = t0;
   std::int64_t posted_us = 0;
   if (req.want_timeline && compute) {
     st->timeline = std::make_unique<obs::Timeline>();
@@ -286,11 +269,9 @@ Response Server::execute(const Request& req, std::uint64_t conn_key) {
   // A result computed after the deadline passed is as useless to the
   // client as no result: report it as such, so deadline semantics hold
   // even when no handler checkpoint happened to notice the expiry.
-  if (resp.status == Status::kOk && st->deadline.expired()) {
-    resp = Response{};
-    resp.type = req.type;
-    resp.status = Status::kDeadlineExceeded;
-    resp.error = "deadline exceeded: result completed too late";
+  if (resp.status == Status::kOk && st->guard.deadline_passed()) {
+    resp = status_response(req.type, Status::kDeadlineExceeded,
+                           "deadline exceeded: result completed too late");
     metrics_.deadlines.inc();
   }
 
@@ -301,13 +282,8 @@ Response Server::execute(const Request& req, std::uint64_t conn_key) {
   metrics_.latency_us.observe(latency_us, req.sampled ? req.trace_id : 0);
   if (compute) {
     // SLO accounting covers compute only: probes and dumps are not the
-    // service the objectives are about.  Overload and poison rejections
-    // count as ok — they are the server protecting the objective, and
-    // charging them would let one flooding client burn the error budget.
-    const bool ok = resp.status != Status::kError &&
-                    resp.status != Status::kDeadlineExceeded &&
-                    resp.status != Status::kBudgetExceeded;
-    slo_.record(latency_us, ok);
+    // service the objectives are about.
+    slo_.record(latency_us, !spends_error_budget(resp.status));
   }
   obs::logf(LogLevel::kDebug, "server", "%s -> status %d in %.0f us",
             to_string(req.type), static_cast<int>(resp.status), latency_us);
@@ -323,7 +299,7 @@ Response Server::dispatch(const Request& req, ReqState& st) {
   try {
     // A request that spent its whole budget waiting for a worker is
     // abandoned here, before any compute.
-    st.deadline.check("queue wait");
+    st.guard.check_wall();
     // Worker-side stall faults.  delay-ms is cooperative: it polls the
     // guard, so a watchdog cancel cuts it short.  wedge-ms is not — it
     // models a worker stuck in a tight native loop, which only the
@@ -343,14 +319,11 @@ Response Server::dispatch(const Request& req, ReqState& st) {
           faults_->param(util::FaultSite::kWedge)));
     switch (req.type) {
       case ReqType::kPredict:
-        return handle_predict(req, cache_, st.deadline, &st.guard,
-                              st.timeline.get());
+        return handle_predict(req, cache_, &st.guard, st.timeline.get());
       case ReqType::kSimulate:
-        return handle_simulate(req, cache_, st.deadline, &st.guard,
-                               st.timeline.get());
+        return handle_simulate(req, cache_, &st.guard, st.timeline.get());
       case ReqType::kAnalyze:
-        return handle_analyze(req, cache_, st.deadline, &st.guard,
-                              st.timeline.get());
+        return handle_analyze(req, cache_, &st.guard, st.timeline.get());
       case ReqType::kStats:
         return stats_response(req.type);
       case ReqType::kHealth:
@@ -372,68 +345,45 @@ Response Server::dispatch(const Request& req, ReqState& st) {
       }
     }
     throw Error("unhandled request type");
-  } catch (const DeadlineExceeded& e) {
-    metrics_.deadlines.inc();
-    Response resp;
-    resp.type = req.type;
-    resp.status = Status::kDeadlineExceeded;
-    resp.error = e.what();
-    return resp;
   } catch (const core::BudgetExceeded& e) {
-    Response resp;
-    resp.type = req.type;
-    // A cancel or wall trip on a request whose own deadline has passed
-    // is that deadline biting (the guard is just the messenger), so the
-    // client sees the same typed status it always has.  Genuine budget
-    // trips additionally count as a poison strike: a trace that eats a
-    // budget is on its way to quarantine.
-    if (st.deadline.expired() && (e.trip() == core::GuardTrip::kCancelled ||
-                                  e.trip() == core::GuardTrip::kWallTime)) {
+    // The request's own deadline, or a watchdog cancel of a request
+    // whose deadline has passed, is the caller's limit: a typed miss
+    // and no strike.  Every other trip is a server budget, and a trace
+    // that eats one is on its way to quarantine.
+    if (e.trip() == core::GuardTrip::kDeadline) {
       metrics_.deadlines.inc();
-      resp.status = Status::kDeadlineExceeded;
-    } else {
-      metrics_.budget_kills.inc();
-      resp.status = Status::kBudgetExceeded;
-      if (!st.trace_path.empty()) cache_.record_strike(st.trace_path);
+      return status_response(req.type, Status::kDeadlineExceeded, e.what());
     }
-    resp.error = e.what();
-    return resp;
+    if (e.trip() == core::GuardTrip::kCancelled &&
+        st.guard.deadline_passed()) {
+      metrics_.deadlines.inc();
+      return status_response(req.type, Status::kDeadlineExceeded,
+                             "deadline exceeded: cancelled by the watchdog");
+    }
+    metrics_.budget_kills.inc();
+    if (!st.trace_path.empty()) cache_.record_strike(st.trace_path);
+    return status_response(req.type, Status::kBudgetExceeded, e.what());
   } catch (const Poisoned& e) {
     // The quarantine tripped between the pre-admission check and the
     // cache lookup (another worker's strike landed in the window).
     metrics_.poisoned.inc();
-    Response resp;
-    resp.type = req.type;
-    resp.status = Status::kPoisoned;
-    resp.error = e.what();
-    return resp;
+    return status_response(req.type, Status::kPoisoned, e.what());
   } catch (const std::bad_alloc&) {
     // Allocation failure is the "crash" half of the poison ledger: a
     // trace that blows the heap will do it again on retry.
     if (!st.trace_path.empty()) cache_.record_strike(st.trace_path);
-    Response resp;
-    resp.type = req.type;
-    resp.status = Status::kError;
-    resp.error = "out of memory while serving request";
-    return resp;
+    return status_response(req.type, Status::kError,
+                           "out of memory while serving request");
   } catch (const std::exception& e) {
     // std::exception, not just vppb::Error: an unexpected exception must
     // become a typed response, never a dead worker.
-    Response resp;
-    resp.type = req.type;
-    resp.status = Status::kError;
-    resp.error = e.what();
-    return resp;
+    return status_response(req.type, Status::kError, e.what());
   }
   }();
-  // The worker — not the IO thread — copies the timeline into the
+  // The worker — not the IO thread — moves the timeline into the
   // response, so a watchdog-answered request simply carries none and no
   // reader ever races a wedged worker still stamping stages.
-  if (st.timeline != nullptr) {
-    for (const obs::Stage& sp : st.timeline->stages())
-      resp.timeline.push_back(
-          StageSpan{sp.name, sp.start_us, sp.dur_us, sp.depth});
-  }
+  if (st.timeline != nullptr) resp.timeline = std::move(st.timeline->stages());
   return resp;
 }
 
@@ -459,11 +409,7 @@ void Server::watchdog_scan(const std::shared_ptr<ReqState>& st) {
   }
   const auto now = std::chrono::steady_clock::now();
   if (!st->cancelled) {
-    bool overdue = st->deadline.expired();
-    if (opt_.max_wall_ms > 0 &&
-        now - st->admitted_at >= std::chrono::milliseconds(opt_.max_wall_ms))
-      overdue = true;
-    if (!overdue) return;
+    if (!st->guard.deadline_passed() && !st->guard.wall_passed()) return;
     // First rung: cooperative.  A worker at any guard checkpoint sees
     // this on its next step and unwinds with a typed error.
     st->guard.cancel();
@@ -483,18 +429,13 @@ void Server::watchdog_scan(const std::shared_ptr<ReqState>& st) {
   // grace — treat it as wedged.  Answer the client in its stead, put the
   // content on the poison ledger, and restore the pool capacity the
   // wedged worker is sitting on.
-  Response resp;
-  resp.type = st->type;
-  if (st->deadline.expired()) {
-    resp.status = Status::kDeadlineExceeded;
-    resp.error = "deadline exceeded: worker unresponsive, request abandoned";
-    metrics_.deadlines.inc();
-  } else {
-    resp.status = Status::kBudgetExceeded;
-    resp.error =
-        "wall-time budget exceeded: worker unresponsive, request abandoned";
-    metrics_.budget_kills.inc();
-  }
+  const bool missed = st->guard.deadline_passed();
+  (missed ? metrics_.deadlines : metrics_.budget_kills).inc();
+  Response resp = status_response(
+      st->type,
+      missed ? Status::kDeadlineExceeded : Status::kBudgetExceeded,
+      std::string(missed ? "deadline exceeded" : "wall-time budget exceeded") +
+          ": worker unresponsive, request abandoned");
   {
     std::lock_guard<std::mutex> lock(st->mu);
     if (st->done) return;  // the worker came back at the last moment
@@ -504,7 +445,7 @@ void Server::watchdog_scan(const std::shared_ptr<ReqState>& st) {
   }
   st->abandoned = true;
   if (!st->trace_path.empty()) cache_.record_strike(st->trace_path);
-  if (replacements_made_ < opt_.watchdog_max_replacements) {
+  if (replacements_made_ < kWatchdogMaxReplacements) {
     ++replacements_made_;
     pool_->grow(1);
     metrics_.watchdog_replacements.inc();
@@ -512,7 +453,7 @@ void Server::watchdog_scan(const std::shared_ptr<ReqState>& st) {
               "watchdog: abandoned wedged %s request, grew pool "
               "(replacement %d of %d)",
               to_string(st->type), replacements_made_,
-              opt_.watchdog_max_replacements);
+              kWatchdogMaxReplacements);
   } else {
     obs::logf(LogLevel::kWarn, "server",
               "watchdog: abandoned wedged %s request (replacement "

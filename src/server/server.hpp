@@ -20,17 +20,20 @@
 // Resource governance (the hang-proofing layer): every admitted request
 // carries a core::RunGuard armed with the server ceilings (max_steps /
 // max_sim_ms / max_result_mb / max_wall_ms) and the request's own
-// deadline; the engine polls it per step, so a pathological trace gets
-// a typed kBudgetExceeded instead of wedging a worker.  A watchdog
-// thread walks the in-flight requests on an interval and escalates:
-// first it cancels an overdue request's guard (cooperative), then — if
-// the worker still has not come back after the escalation grace — it
-// answers the waiting client itself, abandons the worker's late result,
-// records a poison strike against the trace, and restores pool capacity
-// via ThreadPool::grow.  Repeated strikes on one content key trip the
-// TraceCache quarantine, after which the request is rejected kPoisoned
-// before admission — it never reaches a worker again until the
-// quarantine decays.
+// deadline.  The guard is the request's one clock: the handlers check
+// it at their checkpoints, the engine polls it per step, and the
+// watchdog reads it, so a pathological trace gets a typed
+// kBudgetExceeded (a missed deadline, kDeadlineExceeded) instead of
+// wedging a worker.  A watchdog thread walks the in-flight requests on
+// an interval and escalates: first it cancels an overdue request's
+// guard (cooperative), then — if the worker still has not come back
+// after the escalation grace — it answers the waiting client itself,
+// abandons the worker's late result, records a poison strike against
+// the trace, and restores pool capacity via ThreadPool::grow, at most
+// kWatchdogMaxReplacements times over the server's life.  Repeated
+// strikes on one content key trip the TraceCache quarantine, after
+// which the request is rejected kPoisoned before admission — it never
+// reaches a worker again until the quarantine decays.
 #pragma once
 
 #include <atomic>
@@ -47,7 +50,6 @@
 #include "core/guard.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeline.hpp"
-#include "server/deadline.hpp"
 #include "server/listener.hpp"
 #include "server/metrics.hpp"
 #include "server/protocol.hpp"
@@ -56,6 +58,10 @@
 #include "util/thread_pool.hpp"
 
 namespace vppb::server {
+
+/// Cap on replacement workers over a server's lifetime, so a storm of
+/// wedges cannot grow the pool without bound.
+constexpr int kWatchdogMaxReplacements = 4;
 
 struct ServerOptions : ListenerOptions {
   /// Workers of the owned pool (0 = all hardware threads).  Ignored
@@ -90,9 +96,6 @@ struct ServerOptions : ListenerOptions {
   /// for the worker to come back before abandoning it (answering the
   /// client itself and replacing the worker).
   std::int64_t watchdog_escalate_ms = 1000;
-  /// Cap on replacement workers over the server's lifetime, so a storm
-  /// of wedges cannot grow the pool without bound.
-  int watchdog_max_replacements = 4;
   /// Poison circuit breaker: strikes (crashes or budget kills on one
   /// content key) before quarantine.  0 disables it.
   int poison_strikes = 3;
@@ -107,12 +110,6 @@ struct ServerOptions : ListenerOptions {
   /// Shard identity reported in health/stats responses (protocol v5).
   /// Assigned by the operator or the cluster launcher; 0 = standalone.
   std::uint64_t shard_id = 0;
-
-  /// Always-on span capture: start() enables the process-wide tracer so
-  /// tracedump always has rings to drain (overhead is gated < 3% by
-  /// bench_obs).  Embedders that manage the tracer themselves turn it
-  /// off.
-  bool tracing = true;
 
   // --- SLO objectives (0 = objective off) ---
   /// Latency objective: p99 of compute requests under this many ms.
@@ -160,14 +157,14 @@ class Server {
     bool done = false;  ///< a response is in resp (under mu)
     Response resp;
 
+    /// The request's budgets and its one clock: deadline and wall
+    /// ceiling both count from admission.
     core::RunGuard guard;
-    Deadline deadline;
     ReqType type = ReqType::kPredict;
     std::string trace_path;
-    std::chrono::steady_clock::time_point admitted_at{};
     /// Stage timeline for want_timeline requests.  Stamped by the IO
     /// thread before the post and by the worker during dispatch; the
-    /// worker copies it into its Response, so a watchdog-answered
+    /// worker moves it into its Response, so a watchdog-answered
     /// request simply reports no timeline (no racing reader).
     std::unique_ptr<obs::Timeline> timeline;
 

@@ -20,6 +20,8 @@ constexpr char kFileMagic[4] = {'V', 'P', 'P', 'C'};
 constexpr char kChunkMagic[4] = {'C', 'H', 'N', 'K'};
 constexpr std::uint8_t kVersion = 1;
 constexpr std::size_t kChunkHeaderSize = 20;
+/// A chunk is also sealed once it holds this many payload bytes.
+constexpr std::size_t kChunkBytes = 256 * 1024;
 
 // Payload item tags.
 enum : std::uint64_t {
@@ -99,7 +101,7 @@ ChunkedWriter::ChunkedWriter(std::string path, ChunkedWriterOptions opt)
     throw Error("cannot write live trace log " + partial_path_ + ": " +
                 std::strerror(err));
   }
-  cap_ = std::max<std::size_t>(opt_.chunk_bytes * 2, 64 * 1024);
+  cap_ = kChunkBytes * 2;
   buf_.store(new std::uint8_t[cap_], std::memory_order_release);
   scratch_.reserve(256);
 }
@@ -158,7 +160,7 @@ void ChunkedWriter::add_record(const Record& r) {
   append_item(1);
   ++records_written_;
   if (pending_records_.load(std::memory_order_relaxed) >= opt_.chunk_records ||
-      committed_.load(std::memory_order_relaxed) >= opt_.chunk_bytes)
+      committed_.load(std::memory_order_relaxed) >= kChunkBytes)
     seal();
 }
 

@@ -44,8 +44,9 @@
 namespace vppb::trace {
 
 struct ChunkedWriterOptions {
-  std::size_t chunk_records = 1024;       ///< seal after this many records
-  std::size_t chunk_bytes = 256 * 1024;   ///< ... or this many payload bytes
+  /// Seal after this many records (or 256 KiB of payload, whichever
+  /// comes first).
+  std::size_t chunk_records = 1024;
 };
 
 class ChunkedWriter {

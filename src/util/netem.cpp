@@ -7,19 +7,11 @@
 #include <thread>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace vppb::util {
 namespace {
-
-/// xorshift64* — the same deterministic generator the retry jitter and
-/// the chaos harness use; a schedule is replayable from its seed.
-std::uint64_t next_rand(std::uint64_t& state) {
-  state ^= state >> 12;
-  state ^= state << 25;
-  state ^= state >> 27;
-  return state * 2685821657736338717ULL;
-}
 
 std::int64_t parse_int(const std::string& s, const std::string& entry) {
   char* end = nullptr;
@@ -151,12 +143,12 @@ void NetemRelay::accept_loop() {
     // Seeded per-connection plan, decided up front so the two pump
     // threads never touch the generator.
     if (rules_.drop_pct > 0 &&
-        static_cast<int>(next_rand(rng_) % 100) < rules_.drop_pct) {
-      conn->cut_after = static_cast<std::size_t>(next_rand(rng_) % 8192);
+        static_cast<int>(xorshift64s(rng_) % 100) < rules_.drop_pct) {
+      conn->cut_after = static_cast<std::size_t>(xorshift64s(rng_) % 8192);
       conn->cut_closes = true;
     } else if (rules_.half_open_period > 0 &&
                accepted_ % rules_.half_open_period == 0) {
-      conn->cut_after = static_cast<std::size_t>(next_rand(rng_) % 8192);
+      conn->cut_after = static_cast<std::size_t>(xorshift64s(rng_) % 8192);
       conn->cut_closes = false;
     }
     try {

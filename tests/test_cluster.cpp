@@ -594,6 +594,66 @@ TEST(ProxyTest, HedgeAnswersFromSuccessorWhenPrimaryStalls) {
   EXPECT_EQ(r.digest, offline_predict(trace->path()).digest);
 }
 
+TEST(ProxyTest, FailoverForwardsOnlyTheDeadlineLeft) {
+  // Shard 1 stalls every compute request a second, shard 2 for 200 ms
+  // (both cooperatively), and the proxy writes off a shard silent for
+  // 300 ms.  A 450 ms request owned by shard 1 fails over at ~300 ms;
+  // handed a fresh 450 ms, shard 2 would answer kOk at ~500 ms, after
+  // the client stopped waiting.  Handed the 150 ms left, it misses.
+  util::FaultPlan slow_a = util::FaultPlan::parse("delay-ms:1:0:1000");
+  util::FaultPlan slow_b = util::FaultPlan::parse("delay-ms:1:0:200");
+  TempFile sock_a{"dl_shard_a"}, sock_b{"dl_shard_b"}, sock_p{"dl_proxy"};
+  server::ServerOptions sa;
+  sa.unix_path = sock_a.path();
+  sa.jobs = 2;
+  sa.shard_id = 1;
+  sa.faults = &slow_a;
+  server::ServerOptions sb = sa;
+  sb.unix_path = sock_b.path();
+  sb.shard_id = 2;
+  sb.faults = &slow_b;
+  server::Server shard_a(sa), shard_b(sb);
+  shard_a.start();
+  shard_b.start();
+  ProxyOptions popt;
+  popt.unix_path = sock_p.path();
+  popt.forward_timeout_ms = 300;
+  popt.shards.push_back(ShardEndpoint::parse(1, sock_a.path()));
+  popt.shards.push_back(ShardEndpoint::parse(2, sock_b.path()));
+  Proxy proxy(popt);
+  proxy.start();
+
+  // A trace whose ring owner is the slower shard.
+  std::unique_ptr<TempFile> trace;
+  for (int i = 0; i < 24 && !trace; ++i) {
+    auto t = std::make_unique<TempFile>("dl");
+    write_trace(t->path(), 2 + i % 4, 150 + 37 * i);
+    const auto route = proxy.membership().route(
+        server::content_key_of_file(t->path()), 1);
+    ASSERT_FALSE(route.empty());
+    if (proxy.membership().endpoint(route[0]).id == 1) trace = std::move(t);
+  }
+  ASSERT_TRUE(trace) << "no trace routed to shard 1 in 24 tries";
+
+  Request req = predict_request(trace->path());
+  req.deadline_ms = 450;
+  Client client = Client::connect_unix(sock_p.path());
+  const auto t0 = std::chrono::steady_clock::now();
+  const Response r = client.call(req);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count();
+  if (elapsed >= req.deadline_ms)
+    EXPECT_NE(r.status, Status::kOk)
+        << "a kOk answer reached the client " << elapsed
+        << " ms into its 450 ms deadline";
+  EXPECT_EQ(r.status, Status::kDeadlineExceeded) << r.error;
+  EXPECT_EQ(r.shard_id, 2u) << "the answer did not come from the successor";
+  proxy.stop();
+  shard_a.stop();
+  shard_b.stop();
+}
+
 // ---- shard-kill failover against real processes ----------------------------
 
 TEST(ClusterFailoverTest, ShardKillIsInvisibleToClients) {

@@ -2,15 +2,18 @@
 // are typed and prompt, cancellation drains cleanly, an attached but
 // unlimited guard is digest-invisible, the TraceCache charges the real
 // compiled footprint and quarantines poison traces, the vppbd watchdog
-// rescues stuck requests, and the client's retry backoff respects the
-// request deadline budget.
+// rescues stuck requests, each limit (deadline or wall ceiling) trips
+// typed on every path the watchdog and the handlers catch it, and the
+// client's retry backoff respects the request deadline budget.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -101,6 +104,29 @@ TEST(GuardTest, WallBudgetTripsTyped) {
   const RunGuard guard(limits);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(trip_of(compiled, SimConfig{}, guard), GuardTrip::kWallTime);
+}
+
+TEST(GuardTest, DeadlineTripsTypedAheadOfTheWallCeiling) {
+  // Both limits passed before the run: one clock read, and the
+  // caller's deadline wins over the server's ceiling.
+  const CompiledTrace compiled = small_compiled();
+  RunLimits limits;
+  limits.deadline_ms = 1;
+  limits.max_wall_ms = 1;
+  const RunGuard guard(limits);
+  EXPECT_FALSE(RunGuard().deadline_passed());
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_TRUE(guard.deadline_passed());
+  EXPECT_TRUE(guard.wall_passed());
+  EXPECT_EQ(trip_of(compiled, SimConfig{}, guard), GuardTrip::kDeadline);
+
+  RunLimits wall_only;
+  wall_only.max_wall_ms = 1;
+  wall_only.deadline_ms = 3600 * 1000;
+  const RunGuard ceiling(wall_only);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_FALSE(ceiling.deadline_passed());
+  EXPECT_EQ(trip_of(compiled, SimConfig{}, ceiling), GuardTrip::kWallTime);
 }
 
 TEST(GuardTest, ResultBytesBudgetTripsTyped) {
@@ -424,6 +450,131 @@ TEST(ServerGovernance, WedgedWorkerIsAbandonedAndReplaced) {
   srv.stop();
 }
 
+// ---- one clock: the typed outcome of every limit on every trip path --------
+
+/// How a request is held until its tighter limit has passed.
+enum class TripPath {
+  kQueueWait,  ///< behind a gated pool, watchdog off: the worker's checkpoint
+  kCancel,     ///< a cooperative delay-ms stall: the watchdog's cancel
+  kAbandon,    ///< an uncancellable wedge-ms stall: rung-two abandonment
+};
+
+struct Outcome {
+  server::Status status;
+  bool deadlines;     ///< the deadline-miss counter moved
+  bool budget_kills;  ///< the budget-kill counter moved
+  bool strike;        ///< a poison strike was recorded
+};
+
+/// One simulate request with `deadline_ms` on a fresh server with the
+/// wall ceiling `max_wall_ms` (0 = none), held on `path`.  The counters
+/// are read after stop(), which waits out a wedged worker, so its late
+/// result counts too.
+Outcome trip_once(const std::string& trace_path, std::int64_t deadline_ms,
+                  std::int64_t max_wall_ms, TripPath path) {
+  TempFile sock("clock_sock");
+  util::FaultPlan plan = util::FaultPlan::parse(
+      path == TripPath::kCancel    ? "delay-ms:1:1:10000"
+      : path == TripPath::kAbandon ? "wedge-ms:1:1:400"
+                                   : "");
+  server::ServerOptions opt = unix_options(sock.path());
+  opt.faults = &plan;
+  opt.max_wall_ms = max_wall_ms;
+  opt.watchdog_interval_ms = path == TripPath::kQueueWait ? 0 : 5;
+  if (path == TripPath::kAbandon) opt.watchdog_escalate_ms = 60;
+
+  // kQueueWait: the pool's one background worker sits on a gate until
+  // the limit has passed.
+  util::ThreadPool pool(2);
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  if (path == TripPath::kQueueWait) {
+    opt.pool = &pool;
+    pool.post([&]() {
+      std::unique_lock<std::mutex> lock(gate_mu);
+      gate_cv.wait(lock, [&]() { return gate_open; });
+    });
+  }
+  server::Server srv(opt);
+  srv.start();
+  std::thread opener([&]() {
+    if (path == TripPath::kQueueWait)
+      std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    {
+      std::lock_guard<std::mutex> lock(gate_mu);
+      gate_open = true;
+    }
+    gate_cv.notify_all();
+  });
+
+  server::Client client = server::Client::connect_unix(sock.path());
+  server::Request req;
+  req.type = server::ReqType::kSimulate;
+  req.trace_path = trace_path;
+  req.cpus = 2;
+  req.deadline_ms = deadline_ms;
+  const server::Response r = client.call(req);
+  opener.join();
+  srv.stop();
+  server::StatsBody s;
+  srv.metrics().snapshot(s);
+  return Outcome{r.status, s.deadlines > 0, s.budget_kills > 0,
+                 srv.cache().stats().poison_strikes > 0};
+}
+
+TEST(ServerGovernance, EachLimitTripsTypedOnEveryPath) {
+  sol::Program program;
+  const trace::Trace t = rec::record_program(program, [] {
+    workloads::fork_join(2, SimTime::millis(1));
+  });
+  TempFile trace_file("clock");
+  trace::save_binary_file(t, trace_file.path());
+
+  // The tighter limit passes at 60 ms; the looser one, when set, never
+  // does in the test's time.
+  constexpr std::int64_t kTight = 60, kLoose = 30000;
+  struct Setup {
+    const char* name;
+    std::int64_t deadline_ms, max_wall_ms;
+    bool deadline_bites;  ///< the deadline passes first
+  };
+  const Setup setups[] = {
+      {"deadline only", kTight, 0, true},
+      {"ceiling only", 0, kTight, false},
+      {"both, deadline tighter", kTight, kLoose, true},
+      {"both, ceiling tighter", kLoose, kTight, false},
+  };
+  const TripPath paths[] = {TripPath::kQueueWait, TripPath::kCancel,
+                            TripPath::kAbandon};
+  const char* path_names[] = {"queue wait", "watchdog cancel",
+                              "rung-two abandon"};
+
+  for (const Setup& su : setups) {
+    for (int p = 0; p < 3; ++p) {
+      SCOPED_TRACE(std::string(su.name) + " / " + path_names[p]);
+      const Outcome o =
+          trip_once(trace_file.path(), su.deadline_ms, su.max_wall_ms,
+                    paths[p]);
+      // A missed deadline is typed, counted as such and never struck by
+      // the worker; every other trip is a budget kill and a strike.
+      // Rung two strikes whichever limit it types: the worker it wrote
+      // off is evidence against the trace either way.
+      if (su.deadline_bites) {
+        EXPECT_EQ(o.status, server::Status::kDeadlineExceeded);
+        EXPECT_TRUE(o.deadlines);
+        EXPECT_FALSE(o.budget_kills);
+        EXPECT_EQ(o.strike, paths[p] == TripPath::kAbandon);
+      } else {
+        EXPECT_EQ(o.status, server::Status::kBudgetExceeded);
+        EXPECT_FALSE(o.deadlines);
+        EXPECT_TRUE(o.budget_kills);
+        EXPECT_TRUE(o.strike);
+      }
+    }
+  }
+}
+
 // ---- client backoff budget -------------------------------------------------
 
 TEST(ClientRetry, BackoffNeverOutlivesTheDeadlineBudget) {
@@ -449,6 +600,29 @@ TEST(ClientRetry, BackoffNeverOutlivesTheDeadlineBudget) {
   // for multiple seconds past a 120ms budget.
   EXPECT_LE(policy.slept_ms, 120);
   EXPECT_LT(elapsed.count(), 2000);
+  srv.stop();
+}
+
+TEST(ClientRetry, OverloadBackoffScheduleIsPinned) {
+  TempFile sock("sched_sock");
+  server::ServerOptions opt = unix_options(sock.path());
+  opt.admission_limit = 0;
+  server::Server srv(opt);
+  srv.start();
+
+  server::Client client = server::Client::connect_unix(sock.path());
+  server::Request req;
+  req.type = server::ReqType::kStats;
+  server::RetryPolicy policy;
+  policy.max_attempts = 6;
+  policy.base_ms = 2;
+  policy.cap_ms = 50;
+  policy.seed = 1;
+  EXPECT_EQ(client.call_retry(req, policy).status,
+            server::Status::kOverloaded);
+  // Five seeded sleeps, 2 + 4 + 11 + 31 + 28 ms: the schedule is a
+  // function of the seed, so a test that replays it sees the same one.
+  EXPECT_EQ(policy.slept_ms, 76);
   srv.stop();
 }
 

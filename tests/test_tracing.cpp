@@ -352,8 +352,7 @@ TEST(TimelineTest, PredictStampsCompileThenPerPointStages) {
   server::TraceCache cache(4, 256u << 20);
   obs::Timeline tl;
   const Response r = server::handle_predict(predict_request(trace.path()),
-                                            cache, server::Deadline(),
-                                            nullptr, &tl);
+                                            cache, nullptr, &tl);
   ASSERT_EQ(r.status, Status::kOk) << r.error;
   bool saw_compile = false, saw_point = false;
   const obs::Stage* simulate = nullptr;
@@ -382,7 +381,7 @@ TEST(TimelineTest, PredictStampsCompileThenPerPointStages) {
   // Second run hits the cache: the lookup is stamped as such.
   obs::Timeline tl2;
   (void)server::handle_predict(predict_request(trace.path()), cache,
-                               server::Deadline(), nullptr, &tl2);
+                               nullptr, &tl2);
   bool saw_lookup = false;
   for (const obs::Stage& s : tl2.stages())
     if (s.name == "cache-lookup") saw_lookup = true;

@@ -181,6 +181,25 @@ TEST(Rng, JitterFactorBoundedAndCentered) {
   EXPECT_DOUBLE_EQ(r.jitter_factor(0.0), 1.0);
 }
 
+TEST(Rng, JitterBackoffScheduleIsPinned) {
+  // Seed 1, as a client retry starts (prev = base, 10..2000 ms) and as a
+  // probe or restart backoff starts (prev = 0, 25..1000 ms).  Every
+  // retry sleep, re-probe and crash-loop restart replays these values.
+  const std::int64_t want_retry[16] = {29, 39, 29,  73, 78, 131, 139, 167,
+                                       42, 33, 28,  32, 50, 84,  125, 13};
+  const std::int64_t want_probe[16] = {25,  39,  95,  256, 489, 226,
+                                       664, 374, 369, 414, 919, 741,
+                                       889, 824, 586, 394};
+  std::uint64_t retry_rng = 1, probe_rng = 1;
+  std::int64_t retry = 10, probe = 0;
+  for (int i = 0; i < 16; ++i) {
+    retry = jitter_backoff_ms(retry, 10, 2000, retry_rng);
+    probe = jitter_backoff_ms(probe, 25, 1000, probe_rng);
+    EXPECT_EQ(retry, want_retry[i]) << i;
+    EXPECT_EQ(probe, want_probe[i]) << i;
+  }
+}
+
 TEST(TextTable, RendersAlignedColumns) {
   TextTable t;
   t.header({"App", "Speed-up"});

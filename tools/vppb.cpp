@@ -53,6 +53,7 @@
 #include "util/fault.hpp"
 #include "util/flags.hpp"
 #include "util/netem.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 #include "util/table.hpp"
@@ -880,9 +881,7 @@ int cmd_request(Flags& flags) {
                 "' (predict simulate analyze stats health metricsdump "
                 "tracedump)");
   }
-  if (req.type == server::ReqType::kPredict ||
-      req.type == server::ReqType::kSimulate ||
-      req.type == server::ReqType::kAnalyze) {
+  if (server::is_compute(req.type)) {
     if (flags.positional().size() < 3) return usage();
     // The daemon resolves paths in its own working directory; send an
     // absolute path so the client's idea of the trace wins.
@@ -1026,18 +1025,6 @@ int cmd_stats(Flags& flags) {
   std::optional<server::Response> last_good;
   std::uint64_t rng = 0x2545f4914f6cdd1dULL;
   std::int64_t backoff_ms = 0;
-  const auto next_backoff = [&rng, &backoff_ms]() {
-    rng ^= rng >> 12;
-    rng ^= rng << 25;
-    rng ^= rng >> 27;
-    const std::int64_t lo = 100, cap = 5000;
-    const std::int64_t hi =
-        std::max(lo, std::min(cap, backoff_ms > 0 ? backoff_ms * 3 : lo));
-    backoff_ms = lo + static_cast<std::int64_t>(
-                          (rng * 2685821657736338717ULL) %
-                          static_cast<std::uint64_t>(hi - lo + 1));
-    return backoff_ms;
-  };
 
   for (std::int64_t taken = 0; taken < count;) {
     server::Response r;
@@ -1050,10 +1037,10 @@ int cmd_stats(Flags& flags) {
         std::fprintf(stderr, "vppb: stats failed: %s\n", e.what());
         return 1;
       }
-      const std::int64_t wait = next_backoff();
+      backoff_ms = jitter_backoff_ms(backoff_ms, 100, 5000, rng);
       if (watch) std::printf("\033[H\033[2J");
       std::printf("reconnecting: %s (retry in %lld ms)\n", e.what(),
-                  static_cast<long long>(wait));
+                  static_cast<long long>(backoff_ms));
       if (last_good) {
         // Keep the last-good SLO state on screen, grayed out, so the
         // operator watching a burn does not lose the picture while the
@@ -1063,7 +1050,7 @@ int cmd_stats(Flags& flags) {
           std::printf("\033[90mlast known (stale):\n%s\033[0m", slo.c_str());
       }
       std::fflush(stdout);
-      std::this_thread::sleep_for(std::chrono::milliseconds(wait));
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
       continue;
     }
     backoff_ms = 0;  // a clean exchange resets the backoff schedule
