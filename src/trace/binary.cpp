@@ -1,11 +1,14 @@
 #include "trace/binary.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
+#include <memory>
+#include <string_view>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -117,7 +120,7 @@ Trace from_binary_impl(const std::uint8_t* data, std::size_t size,
     add_issue(report, IssueKind::kTrailingData, 5 + header.pos() + records_in.pos(),
               strprintf("%zu trailing bytes ignored", records_in.remaining()));
   }
-  finish_load(trace, opt, report);
+  finish_load(trace, opt, report, scan.thread_reads);
   return trace;
 }
 
@@ -216,8 +219,9 @@ Trace from_any(const std::uint8_t* data, std::size_t size,
       return from_chunked(data, size, opt, report);
     if (size >= 4 && std::memcmp(data, kMagic, 4) == 0)
       return from_binary_impl(data, size, opt, report);
-    const std::string text(reinterpret_cast<const char*>(data), size);
-    return from_text(text, opt, report);
+    return from_text(
+        std::string_view(reinterpret_cast<const char*>(data), size), opt,
+        report);
   }();
 
   LoaderMetrics& lm = LoaderMetrics::get();
@@ -242,12 +246,28 @@ Trace from_any(const std::uint8_t* data, std::size_t size,
 }
 
 std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
   if (!f)
     throw Error("cannot open trace file: " + path + ": " +
                 std::strerror(errno));
-  return std::vector<std::uint8_t>{std::istreambuf_iterator<char>(f),
-                                   std::istreambuf_iterator<char>()};
+  // A regular file's buffer is its size plus one byte, so one read takes
+  // the whole file and finds EOF without growing the buffer.  A pipe or
+  // a device has no size up front: read to EOF, doubling.
+  struct stat st {};
+  std::size_t cap = 64 * 1024;
+  if (::fstat(::fileno(f.get()), &st) == 0 && S_ISREG(st.st_mode))
+    cap = static_cast<std::size_t>(st.st_size) + 1;
+  std::vector<std::uint8_t> bytes(cap);
+  std::size_t n = 0;
+  while ((n += std::fread(bytes.data() + n, 1, bytes.size() - n,
+                          f.get())) == bytes.size())
+    bytes.resize(2 * bytes.size());
+  if (std::ferror(f.get()))
+    throw Error("cannot read trace file: " + path + ": " +
+                std::strerror(errno));
+  bytes.resize(n);
+  return bytes;
 }
 
 }  // namespace vppb::trace

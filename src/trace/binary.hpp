@@ -56,7 +56,9 @@ Trace load_any_file(const std::string& path);
 Trace load_any_file(const std::string& path, const LoadOptions& opt,
                     LoadReport* report);
 
-/// Slurp a whole file; throws vppb::Error when it cannot be opened.
+/// Slurp a whole file, sized from the file in one read, or read to EOF
+/// when its size is unknown (a pipe, /dev/stdin); throws vppb::Error
+/// when it cannot be opened or read.
 std::vector<std::uint8_t> read_file_bytes(const std::string& path);
 
 }  // namespace vppb::trace

@@ -75,8 +75,10 @@ void build_chunk_header(std::uint8_t (&hdr)[kChunkHeaderSize],
   std::memcpy(hdr, kChunkMagic, 4);
   wire::store_le32(hdr + 4, static_cast<std::uint32_t>(n));
   wire::store_le32(hdr + 8, nrec);
-  wire::store_le32(hdr + 12, util::crc32(payload, n));
-  const std::uint32_t running = util::crc32(payload, n, running_in);
+  // One pass over the payload: the running CRC is combined from it.
+  const std::uint32_t crc = util::crc32(payload, n);
+  wire::store_le32(hdr + 12, crc);
+  const std::uint32_t running = util::crc32_combine(running_in, crc, n);
   wire::store_le32(hdr + 16, running);
   if (running_out != nullptr) *running_out = running;
 }
@@ -221,8 +223,8 @@ std::string ChunkedWriter::finalize() {
 
 void ChunkedWriter::crash_seal() noexcept {
   // Runs on a signal stack: only async-signal-safe calls past this
-  // point (crc32 is a pure table lookup; c_str() on a const string
-  // allocates nothing).
+  // point (crc32 and crc32_combine are pure arithmetic; c_str() on a
+  // const string allocates nothing).
   if (finalized_.load(std::memory_order_acquire) || fd_ < 0) return;
   std::size_t pending = 0;
   if (!sealing_.load(std::memory_order_acquire)) {
@@ -286,6 +288,18 @@ Trace from_chunked(const std::uint8_t* data, std::size_t size,
   Trace trace;
   trace.locations.clear();  // the stream carries the reserved entry 0
   RecordScan scan;
+  // Reserve the records once, as the binary reader does: what the chunk
+  // headers claim, each capped by what its payload could hold (a record
+  // item is at least 10 bytes), so a hostile count cannot drive it.
+  std::size_t claimed = 0;
+  for (std::size_t p = 5; size - p >= kChunkHeaderSize &&
+                          std::memcmp(data + p, kChunkMagic, 4) == 0;) {
+    const std::size_t len = wire::load_le32(data + p + 4);
+    if (len > size - p - kChunkHeaderSize) break;
+    claimed += std::min<std::size_t>(wire::load_le32(data + p + 8), len / 10);
+    p += kChunkHeaderSize + len;
+  }
+  trace.records.reserve(claimed);
   std::uint32_t running = 0;
   std::size_t pos = 5;
   bool stopped = false;
@@ -323,12 +337,15 @@ Trace from_chunked(const std::uint8_t* data, std::size_t size,
       break;
     }
     const std::uint8_t* payload = data + pos + kChunkHeaderSize;
-    if (util::crc32(payload, payload_len) != payload_crc) {
+    // One pass over the payload: the running digest is combined from
+    // its CRC rather than read again.
+    const std::uint32_t crc = util::crc32(payload, payload_len);
+    if (crc != payload_crc) {
       fail(IssueKind::kBadChecksum, pos, "chunk payload CRC mismatch");
       break;
     }
     const std::uint32_t new_running =
-        util::crc32(payload, payload_len, running);
+        util::crc32_combine(running, crc, payload_len);
     if (new_running != running_crc) {
       fail(IssueKind::kBadChecksum, pos,
            "chunk breaks the file's running digest");
@@ -365,7 +382,7 @@ Trace from_chunked(const std::uint8_t* data, std::size_t size,
             fail(scan.why, item_off, scan.message);
             break;
           }
-          trace.upsert_thread(t.tid) = t;
+          scan.upsert_thread(trace, t.tid) = t;
           break;
         }
         case kTagLocation: {
@@ -435,7 +452,7 @@ Trace from_chunked(const std::uint8_t* data, std::size_t size,
     }
   }
 
-  finish_load(trace, opt, report);
+  finish_load(trace, opt, report, scan.thread_reads);
   return trace;
 }
 

@@ -16,12 +16,14 @@
 //     payload bytes
 //
 // payload_crc32 covers this chunk's payload; running_crc32 is the CRC
-// of every payload byte in the file so far (seeded with the previous
-// chunk's running value), so chunks cannot be reordered or spliced
-// between files without detection.  The payload is a tagged item
-// stream — new strings (in intern order), thread-meta upserts, new
-// locations, and records with delta timestamps that continue across
-// chunk boundaries — making any chunk prefix a loadable trace.
+// of every payload byte in the file so far, so chunks cannot be
+// reordered or spliced between files without detection.  Writer and
+// reader compute it from the previous running value and payload_crc32
+// by CRC combination, so each payload is read once.  The payload is a
+// tagged item stream — new strings (in intern order), thread-meta
+// upserts, new locations, and records with delta timestamps that
+// continue across chunk boundaries — making any chunk prefix a
+// loadable trace.
 //
 // ChunkedWriter is built for dying processes: appends encode eagerly
 // into a pre-allocated buffer and publish an atomic committed

@@ -18,12 +18,17 @@
 // the text reader runs check() over its parsed records.
 //
 // The scanner keeps its state (last timestamp, open calls) in a struct
-// so the chunked reader can carry it across chunk boundaries.
+// so the chunked reader can carry it across chunk boundaries.  It looks
+// threads up through its own index of the thread table, a tid -> slot
+// hash table (the slot is the position of the tid's first entry) that
+// reads each entry once, so a record costs the same at any thread
+// count; the text and chunked readers upsert thread entries through
+// the same index.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,7 +72,9 @@ inline void put_record(std::vector<std::uint8_t>& out, const Record& r,
 
 struct RecordScan {
   SimTime last_at;  ///< time of the last record checked (the delta base)
-  std::map<ThreadId, std::optional<Op>> open_call;  ///< per thread
+  /// Thread-table entries and index slots read so far: a cost counter,
+  /// a small constant per record at any thread count.
+  std::size_t thread_reads = 0;
 
   // Set when an entry or record is rejected; the caller turns them
   // into a thrown Error (strict) or a TraceIssue cut point (salvage).
@@ -156,24 +163,27 @@ struct RecordScan {
     if (r.loc != 0 && r.loc >= trace.locations.size())
       return fail(IssueKind::kBadReference,
                   strprintf("location index %u out of range", r.loc));
-    if (trace.find_thread(r.tid) == nullptr)
+    const std::size_t slot = slot_of(r.tid, trace);
+    if (slot == kNoSlot)
       return fail(IssueKind::kBadReference,
                   strprintf("record from unknown thread T%d",
                             static_cast<int>(r.tid)));
-    std::optional<Op>& open = open_call[r.tid];
+    // The open call of each slot: 0 for none, else its op + 1.
+    std::uint8_t& open = open_call_[slot];
+    const auto op = static_cast<std::uint8_t>(static_cast<unsigned>(r.op) + 1);
     if (r.phase == Phase::kCall) {
-      if (open)
+      if (open != 0)
         return fail(IssueKind::kUnmatchedCall,
                     strprintf("T%d opens a second call",
                               static_cast<int>(r.tid)));
-      if (!op_is_single(r.op)) open = r.op;
+      if (!op_is_single(r.op)) open = op;
     } else {
-      if (open != r.op)
+      if (open != op)
         return fail(IssueKind::kUnmatchedCall,
                     strprintf("unmatched return of %s by T%d",
                               std::string(op_name(r.op)).c_str(),
                               static_cast<int>(r.tid)));
-      open.reset();
+      open = 0;
     }
     if (r.at < last_at)
       return fail(IssueKind::kTimeRegression, "timestamp goes backwards");
@@ -181,7 +191,64 @@ struct RecordScan {
     return true;
   }
 
+  /// The thread entry for `tid`, appended when there is none: what
+  /// Trace::upsert_thread does, through the index.
+  ThreadMeta& upsert_thread(Trace& trace, ThreadId tid) {
+    const std::size_t slot = slot_of(tid, trace);
+    if (slot != kNoSlot) return trace.threads[slot];
+    trace.threads.push_back(ThreadMeta{.tid = tid});
+    return trace.threads.back();
+  }
+
  private:
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+  struct IndexEntry {
+    ThreadId tid = 0;
+    std::size_t slot = kNoSlot;  ///< kNoSlot marks an empty entry
+  };
+
+  std::vector<IndexEntry> index_;  ///< open addressing, a power of two
+  std::size_t indexed_ = 0;        ///< thread entries indexed so far
+  std::vector<std::uint8_t> open_call_;  ///< by slot
+
+  /// The slot of `tid`, or kNoSlot.  Indexes the thread entries added
+  /// since the last call first, keeping a repeated tid's first entry as
+  /// Trace::find_thread does.
+  std::size_t slot_of(ThreadId tid, const Trace& trace) {
+    for (; indexed_ < trace.threads.size(); ++indexed_) {
+      ++thread_reads;
+      if (2 * (indexed_ + 1) > index_.size()) grow();  // at most half full
+      const ThreadId t = trace.threads[indexed_].tid;
+      IndexEntry& e = probe(t);
+      if (e.slot == kNoSlot) e = IndexEntry{t, indexed_};
+    }
+    open_call_.resize(indexed_);
+    return index_.empty() ? kNoSlot : probe(tid).slot;
+  }
+
+  /// The entry holding `tid`, or the empty one where it would go.  The
+  /// home entry comes from a multiplicative hash of the tid, so the
+  /// table's size follows the number of threads, whatever tids a file
+  /// picks.
+  IndexEntry& probe(ThreadId tid) {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(
+        (static_cast<std::uint32_t>(tid) * 0x9E3779B97F4A7C15ull) >>
+        (64 - std::countr_zero(index_.size())));
+    for (;; i = (i + 1) & mask) {
+      ++thread_reads;
+      IndexEntry& e = index_[i];
+      if (e.slot == kNoSlot || e.tid == tid) return e;
+    }
+  }
+
+  void grow() {
+    std::vector<IndexEntry> old(std::max<std::size_t>(16, 2 * index_.size()));
+    old.swap(index_);
+    for (const IndexEntry& e : old)
+      if (e.slot != kNoSlot) probe(e.tid) = e;
+  }
+
   bool fail(IssueKind k, std::string msg) {
     why = k;
     message = std::move(msg);

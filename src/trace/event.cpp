@@ -59,44 +59,72 @@ const OpInfo& info(Op op) {
   return kOps[0];
 }
 
+// Name -> position lookup without comparing down a list: an
+// open-addressing table from an FNV-1a hash of each name to its
+// position, built at compile time, so a lookup hashes once and compares
+// one name unless two names share a slot.
+template <std::size_t N>
+struct NameTable {
+  static constexpr std::size_t kSlots = 128;
+  static_assert(2 * N < kSlots, "keep the table at most half full");
+  std::array<std::string_view, N> names;
+  std::array<std::uint8_t, kSlots> slots{};  ///< position + 1; 0 = empty
+
+  constexpr explicit NameTable(const std::array<std::string_view, N>& n)
+      : names(n) {
+    for (std::size_t i = 0; i < N; ++i) {
+      std::size_t s = home(names[i]);
+      while (slots[s] != 0) s = (s + 1) % kSlots;
+      slots[s] = static_cast<std::uint8_t>(i + 1);
+    }
+  }
+
+  /// Position of `name`, or -1.
+  int find(std::string_view name) const {
+    for (std::size_t s = home(name);; s = (s + 1) % kSlots) {
+      if (slots[s] == 0) return -1;
+      if (names[slots[s] - 1u] == name) return slots[s] - 1;
+    }
+  }
+
+  static constexpr std::size_t home(std::string_view name) {
+    std::uint32_t h = 2166136261u;
+    for (const char c : name)
+      h = (h ^ static_cast<std::uint8_t>(c)) * 16777619u;
+    return h % kSlots;
+  }
+};
+
+constexpr NameTable<kOps.size()> kOpNames{[] {
+  std::array<std::string_view, kOps.size()> names{};
+  for (std::size_t i = 0; i < names.size(); ++i) names[i] = kOps[i].name;
+  return names;
+}()};
+
+constexpr NameTable<8> kKindNames{{"none", "thread", "mutex", "sema", "cond",
+                                   "rwlock", "mark", "io"}};
+
 }  // namespace
 
 std::string_view op_name(Op op) { return info(op).name; }
 
 bool op_from_name(std::string_view name, Op& out) {
-  for (const auto& i : kOps) {
-    if (i.name == name) {
-      out = i.op;
-      return true;
-    }
-  }
-  return false;
+  const int i = kOpNames.find(name);
+  if (i < 0) return false;
+  out = kOps[static_cast<std::size_t>(i)].op;
+  return true;
 }
 
 std::string_view obj_kind_name(ObjKind k) {
-  switch (k) {
-    case ObjKind::kNone: return "none";
-    case ObjKind::kThread: return "thread";
-    case ObjKind::kMutex: return "mutex";
-    case ObjKind::kSema: return "sema";
-    case ObjKind::kCond: return "cond";
-    case ObjKind::kRwlock: return "rwlock";
-    case ObjKind::kMark: return "mark";
-    case ObjKind::kIo: return "io";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(k);
+  return i < kKindNames.names.size() ? kKindNames.names[i] : "?";
 }
 
 bool obj_kind_from_name(std::string_view name, ObjKind& out) {
-  for (ObjKind k : {ObjKind::kNone, ObjKind::kThread, ObjKind::kMutex,
-                    ObjKind::kSema, ObjKind::kCond, ObjKind::kRwlock,
-                    ObjKind::kMark, ObjKind::kIo}) {
-    if (obj_kind_name(k) == name) {
-      out = k;
-      return true;
-    }
-  }
-  return false;
+  const int i = kKindNames.find(name);
+  if (i < 0) return false;
+  out = static_cast<ObjKind>(i);
+  return true;
 }
 
 bool op_may_block(Op op) { return info(op).may_block; }

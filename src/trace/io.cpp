@@ -1,5 +1,7 @@
 #include "trace/io.hpp"
 
+#include <array>
+#include <cstring>
 #include <sstream>
 
 #include "trace/entry_codec.hpp"
@@ -55,23 +57,41 @@ std::string dec(std::string_view s) {
 /// thrown Error; the salvaging reader into a cut point.
 struct LineError {
   IssueKind kind = IssueKind::kBadField;
-  std::string why;
+  const char* why = "";
 };
+
+/// A rec line's fields; one more slot tells "too many" from "exactly".
+using Fields = std::array<std::string_view, 11>;
+
+/// Splits `line` on runs of spaces (only spaces: a tab is part of a
+/// field) into `f`, and returns the number of fields, capped at f.size().
+std::size_t split_fields(std::string_view line, Fields& f) {
+  std::size_t n = 0;
+  std::size_t i = 0;
+  while (n < f.size()) {
+    while (i < line.size() && line[i] == ' ') ++i;
+    if (i == line.size()) break;
+    const std::size_t start = i;
+    while (i < line.size() && line[i] != ' ') ++i;
+    f[n++] = line.substr(start, i - start);
+  }
+  return n;
+}
 
 }  // namespace
 
-Trace from_text(const std::string& text, const LoadOptions& opt,
+Trace from_text(std::string_view text, const LoadOptions& opt,
                 LoadReport* report) {
-  std::istringstream is(text);
   Trace trace;
   trace.locations.clear();  // the file supplies all entries, including 0
-  std::string line;
+  // Thread lines upsert through the record check's own thread index.
+  RecordScan scan;
   std::size_t lineno = 0;
   bool stopped = false;
 
   auto handle = [&](const LineError& e) {
     if (!opt.salvage)
-      throw Error(strprintf("trace line %zu: %s", lineno, e.why.c_str()));
+      throw Error(strprintf("trace line %zu: %s", lineno, e.why));
     if (report != nullptr)
       report->issues.push_back(TraceIssue{
           e.kind, lineno,
@@ -80,22 +100,23 @@ Trace from_text(const std::string& text, const LoadOptions& opt,
   };
 
   // Parses one directive; returns false with *err set on any problem.
+  Fields f;
   auto parse_line = [&](std::string_view sv, LineError* err) -> bool {
-    const auto f = split(sv, ' ');
+    const std::size_t n = split_fields(sv, f);
     if (f[0] == "thread") {
-      if (f.size() != 6)
+      if (n != 6)
         return *err = {IssueKind::kBadField, "thread needs 5 fields"}, false;
       std::int64_t tid, bound, prio;
       if (!parse_i64(f[1], tid) || !parse_i64(f[4], bound) ||
           !parse_i64(f[5], prio))
         return *err = {IssueKind::kBadField, "bad thread fields"}, false;
-      ThreadMeta& t = trace.upsert_thread(static_cast<ThreadId>(tid));
+      ThreadMeta& t = scan.upsert_thread(trace, static_cast<ThreadId>(tid));
       t.name = trace.strings.intern(dec(f[2]));
       t.start_func = trace.strings.intern(dec(f[3]));
       t.bound = bound != 0;
       t.initial_priority = static_cast<int>(prio);
     } else if (f[0] == "loc") {
-      if (f.size() != 5)
+      if (n != 5)
         return *err = {IssueKind::kBadField, "loc needs 4 fields"}, false;
       std::int64_t idx, ln;
       if (!parse_i64(f[1], idx) || !parse_i64(f[3], ln))
@@ -108,7 +129,7 @@ Trace from_text(const std::string& text, const LoadOptions& opt,
                                           trace.strings.intern(dec(f[4])),
                                           static_cast<std::uint32_t>(ln)});
     } else if (f[0] == "rec") {
-      if (f.size() != 10)
+      if (n != 10)
         return *err = {IssueKind::kBadField, "rec needs 9 fields"}, false;
       Record r;
       std::int64_t at, tid, objid, arg, arg2, loc;
@@ -140,9 +161,18 @@ Trace from_text(const std::string& text, const LoadOptions& opt,
     return true;
   };
 
-  while (std::getline(is, line)) {
+  // One walk over the bytes: a line ends at '\n' or at the end of the
+  // text, and lines are numbered from 1.
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (p != end) {
+    const auto* nl = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(end - p)));
+    const char* const eol = nl != nullptr ? nl : end;
+    const std::string_view sv =
+        trim(std::string_view(p, static_cast<std::size_t>(eol - p)));
+    p = nl != nullptr ? nl + 1 : end;
     ++lineno;
-    const std::string_view sv = trim(line);
     if (sv.empty() || sv.front() == '#') continue;
     if (stopped) {
       // Past the cut: census only, so the report can say what was lost.
@@ -157,7 +187,6 @@ Trace from_text(const std::string& text, const LoadOptions& opt,
   // The text format allows forward references (a `loc` or `thread` line
   // after the `rec` lines that use it), so the structural scan runs after
   // parsing, once the tables are complete, over the records in place.
-  RecordScan scan;
   for (std::size_t i = 0; i < trace.records.size(); ++i) {
     if (scan.check(trace.records[i], trace)) continue;
     if (!opt.salvage)
@@ -171,7 +200,7 @@ Trace from_text(const std::string& text, const LoadOptions& opt,
     trace.records.resize(i);
     break;
   }
-  finish_load(trace, opt, report);
+  finish_load(trace, opt, report, scan.thread_reads);
   return trace;
 }
 
@@ -205,7 +234,7 @@ void save_file(const Trace& trace, const std::string& path) {
   util::atomic_write_file(path, to_text(trace));
 }
 
-Trace from_text(const std::string& text) {
+Trace from_text(std::string_view text) {
   return from_text(text, LoadOptions{}, nullptr);
 }
 

@@ -72,10 +72,12 @@ std::size_t trim_open_calls(Trace& trace, LoadReport* report) {
   return dropped;
 }
 
-void finish_load(Trace& trace, const LoadOptions& opt, LoadReport* report) {
+void finish_load(Trace& trace, const LoadOptions& opt, LoadReport* report,
+                 std::size_t thread_reads) {
   if (opt.salvage) trim_open_calls(trace, report);
   if (report == nullptr) return;
   report->records_recovered = trace.records.size();
+  report->thread_reads = thread_reads;
   report->salvaged |= !report->issues.empty();
 }
 

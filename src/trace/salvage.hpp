@@ -62,6 +62,10 @@ struct LoadReport {
   std::size_t chunks_loaded = 0;   ///< chunked format only
   std::size_t chunks_dropped = 0;  ///< chunked format only
   bool salvaged = false;  ///< true when anything was dropped or repaired
+  /// Thread-table entries and thread-index slots the record check read
+  /// (RecordScan::thread_reads): about one per record at any thread
+  /// count.
+  std::size_t thread_reads = 0;
 
   /// One-line human summary ("recovered 1204 events, dropped 17; 2
   /// issues: ...").
@@ -78,8 +82,10 @@ class Trace;
 std::size_t trim_open_calls(Trace& trace, LoadReport* report);
 
 /// The tail every loader ends with: in salvage mode, trim_open_calls;
-/// then, when there is a report, records_recovered is the count kept
-/// and `salvaged` is set if any issue was recorded.
-void finish_load(Trace& trace, const LoadOptions& opt, LoadReport* report);
+/// then, when there is a report, records_recovered is the count kept,
+/// `salvaged` is set if any issue was recorded, and thread_reads is the
+/// record check's count.
+void finish_load(Trace& trace, const LoadOptions& opt, LoadReport* report,
+                 std::size_t thread_reads);
 
 }  // namespace vppb::trace

@@ -64,9 +64,18 @@ std::string Trace::location_string(const Record& r) const {
 
 void Trace::validate() const {
   SimTime prev = SimTime::zero();
+  // Its own set of the known tids, built once and sorted, so a record's
+  // thread is a binary search, not a scan of the thread table; a tid's
+  // first position in the set is the slot of its open call.  It shares
+  // no code with the loaders' record check (RecordScan), which it is
+  // the reference for.
+  std::vector<ThreadId> known;
+  known.reserve(threads.size());
+  for (const auto& t : threads) known.push_back(t.tid);
+  std::sort(known.begin(), known.end());
   // Per-thread: every blocking kCall must be followed by a matching
   // kReturn of the same op before that thread's next record pair.
-  std::map<ThreadId, const Record*> open_call;
+  std::vector<const Record*> open_call(known.size(), nullptr);
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
     VPPB_CHECK_MSG(r.at >= prev,
@@ -75,9 +84,11 @@ void Trace::validate() const {
     prev = r.at;
     VPPB_CHECK_MSG(r.loc < locations.size() || r.loc == 0,
                    "record " << i << " has bad location index " << r.loc);
-    VPPB_CHECK_MSG(find_thread(r.tid) != nullptr,
+    const auto known_tid = std::lower_bound(known.begin(), known.end(), r.tid);
+    VPPB_CHECK_MSG(known_tid != known.end() && *known_tid == r.tid,
                    "record " << i << " from unknown thread T" << r.tid);
-    auto& open = open_call[r.tid];
+    const Record*& open = open_call[static_cast<std::size_t>(
+        known_tid - known.begin())];
     if (r.phase == Phase::kCall) {
       VPPB_CHECK_MSG(open == nullptr, "record " << i << ": thread T" << r.tid
                                                 << " has two open calls");

@@ -53,13 +53,28 @@ bool to_cstr(std::string_view s, char* buf, std::size_t cap) {
 }  // namespace
 
 bool parse_i64(std::string_view s, std::int64_t& out) {
-  char buf[64];
-  if (!to_cstr(s, buf, sizeof buf)) return false;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(buf, &end, 10);
-  if (errno != 0 || end == buf || *end != '\0') return false;
-  out = v;
+  // Parsed in place.  Accepted: fewer than 64 characters; leading
+  // C-locale whitespace; one optional sign; decimal digits whose value
+  // fits in 64 bits; then the end of `s`, or a NUL, which ends the
+  // number as it ends a C string.  These are exactly the inputs strtoll
+  // (base 10) accepts of a NUL-terminated copy of `s`.
+  if (s.empty() || s.size() >= 64) return false;
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  while (p != end && (*p == ' ' || (*p >= '\t' && *p <= '\r'))) ++p;
+  bool negative = false;
+  if (p != end && (*p == '+' || *p == '-')) negative = *p++ == '-';
+  const std::uint64_t limit =
+      (std::uint64_t{1} << 63) - (negative ? 0 : 1);
+  const char* const digits = p;
+  std::uint64_t v = 0;
+  for (; p != end && *p >= '0' && *p <= '9'; ++p) {
+    const auto d = static_cast<std::uint64_t>(*p - '0');
+    if (v > (limit - d) / 10) return false;
+    v = v * 10 + d;
+  }
+  if (p == digits || (p != end && *p != '\0')) return false;
+  out = static_cast<std::int64_t>(negative ? 0 - v : v);
   return true;
 }
 

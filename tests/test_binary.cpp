@@ -1,6 +1,10 @@
 // Tests for the compact binary trace format.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <string>
+
 #include "recorder/recorder.hpp"
 #include "solaris/program.hpp"
 #include "trace/binary.hpp"
@@ -178,6 +182,40 @@ TEST(BinaryTrace, SplashLogCompressionRatioReported) {
   const double ratio = static_cast<double>(to_text(t).size()) /
                        static_cast<double>(to_binary(t).size());
   EXPECT_GT(ratio, 3.0) << "varint+delta encoding should win >3x";
+}
+
+TEST(BinaryTrace, ThreadReadsPerRecordAreFlatInTheThreadCount) {
+  // The loaders' cost-slope gate as an exact count, free of host noise:
+  // the thread-table entries and index slots the record check reads per
+  // record must not grow with the number of threads.  The same Ocean
+  // program at 16 and 1,024 threads, loaded as text, binary and
+  // chunked; the per-record figure may at most double.
+  const char* const formats[] = {"text", "binary", "chunked"};
+  auto reads_per_record = [&formats](int threads) {
+    sol::Program program;
+    const Trace t = rec::record_program(program, [threads]() {
+      workloads::ocean(workloads::SplashParams{threads, 0.25});
+    });
+    const std::string text = to_text(t);
+    const std::vector<std::uint8_t> files[] = {
+        {text.begin(), text.end()}, to_binary(t), to_chunked(t)};
+    std::map<std::string, double> per_record;
+    for (std::size_t i = 0; i < std::size(files); ++i) {
+      LoadReport report;
+      const Trace back =
+          from_any(files[i].data(), files[i].size(), LoadOptions{}, &report);
+      EXPECT_EQ(back.records.size(), t.records.size()) << formats[i];
+      per_record[formats[i]] = static_cast<double>(report.thread_reads) /
+                               static_cast<double>(back.records.size());
+    }
+    return per_record;
+  };
+  const std::map<std::string, double> small = reads_per_record(16);
+  const std::map<std::string, double> large = reads_per_record(1024);
+  for (const char* format : formats)
+    EXPECT_LE(large.at(format), 2.0 * small.at(format))
+        << format << ": 16 threads: " << small.at(format)
+        << " reads per record, 1,024 threads: " << large.at(format);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Unit tests for the trace model, its text serialization, and the
 // salvaging loaders' behaviour on damaged input.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "trace/binary.hpp"
 #include "trace/chunked.hpp"
@@ -11,6 +14,7 @@
 #include "trace/lint.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace vppb::trace {
 namespace {
@@ -204,6 +208,33 @@ TEST(TraceIo, FileRoundTrip) {
   EXPECT_THROW(load_any_file("/nonexistent/dir/x.log"), Error);
 }
 
+TEST(TraceIo, LoadsThroughAPipe) {
+  // A pipe has no size up front, so the reader reads it to EOF.  The
+  // trace is several times a pipe's buffer, so it arrives in many reads.
+  Trace t;
+  t.upsert_thread(1).name = t.strings.intern("main");
+  for (int i = 0; i < 20000; ++i)
+    t.records.push_back(rec(i, 1, Phase::kCall, Op::kUserMark));
+  const std::string text = to_text(t);
+  const std::vector<std::uint8_t> files[] = {
+      {text.begin(), text.end()}, to_binary(t), to_chunked(t)};
+  const std::string path = testing::TempDir() + "/vppb_trace_fifo";
+  for (const std::vector<std::uint8_t>& bytes : files) {
+    ::unlink(path.c_str());
+    ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+    std::thread writer([&path, &bytes]() {
+      std::ofstream(path, std::ios::binary)
+          .write(reinterpret_cast<const char*>(bytes.data()),
+                 static_cast<std::streamsize>(bytes.size()));
+    });
+    Trace back;
+    EXPECT_NO_THROW(back = load_any_file(path));
+    writer.join();
+    EXPECT_EQ(to_text(back), text);
+  }
+  ::unlink(path.c_str());
+}
+
 TEST(TraceTest, LocationString) {
   Trace t = example_trace();
   const auto loc = t.add_location("demo.cpp", 42, "main");
@@ -373,6 +404,202 @@ TEST(TraceSalvage, ReportSummaryMentionsCounts) {
   (void)from_binary(full.data(), full.size() - 5, salvage_opt(), &report);
   const std::string s = report.summary();
   EXPECT_NE(s.find("recovered"), std::string::npos) << s;
+}
+
+// ---- the text reader, pinned input by input --------------------------------
+
+// What the strict reader makes of `text`: the trace written back out,
+// or the error it throws.
+std::string strict_outcome(const std::string& text) {
+  try {
+    return to_text(from_text(text));
+  } catch (const Error& e) {
+    return std::string("error: ") + e.what();
+  }
+}
+
+// What the salvaging reader reports for `text`.
+std::string salvage_outcome(const std::string& text) {
+  LoadReport report;
+  (void)from_text(text, salvage_opt(), &report);
+  return report.summary();
+}
+
+TEST(TextReader, EveryOutcomeIsPinned) {
+  const std::string head = "thread 1 main main 0 0\n";
+  const std::string head_out = "# vppb-trace v1\n" + head;
+  const std::string start = "rec 0 1 C start_collect none 0 0 0 0\n";
+  const std::string one_ok = "recovered 1 events, dropped 0; no issues";
+  // A record whose arg field is `arg`, and what the writer makes of it.
+  auto with_arg = [&](const std::string& arg) {
+    return head + "rec 0 1 C start_collect none 0 " + arg + " 0 0\n";
+  };
+  auto arg_out = [&](const std::string& arg) {
+    return head_out + "rec 0 1 C start_collect none 0 " + arg + " 0 0\n";
+  };
+  auto cut = [](const char* kind, int line, const char* why) {
+    return strprintf(
+        "recovered 0 events, dropped 0; 1 issue:\n  [%s @%d] %s — cut at "
+        "record 0",
+        kind, line, why);
+  };
+  struct Case {
+    const char* name;
+    std::string text;
+    std::string strict;
+    std::string salvage;
+  };
+  const std::vector<Case> cases = {
+      // Each line error, with its line number.
+      {"rec too short", head + "rec 0 1 C start_collect none 0 0 0\n",
+       "error: trace line 2: rec needs 9 fields",
+       cut("bad-field", 2, "rec needs 9 fields")},
+      {"rec too long", head + "rec 0 1 C start_collect none 0 0 0 0 0\n",
+       "error: trace line 2: rec needs 9 fields",
+       cut("bad-field", 2, "rec needs 9 fields")},
+      {"rec numbers", head + "rec 0 x C start_collect none 0 0 0 0\n",
+       "error: trace line 2: bad rec numeric fields",
+       cut("bad-field", 2, "bad rec numeric fields")},
+      {"numbers before names", head + "rec 0 1 X no_op nothing 0 0 0 z\n",
+       "error: trace line 2: bad rec numeric fields",
+       cut("bad-field", 2, "bad rec numeric fields")},
+      {"phase", head + "rec 0 1 X start_collect none 0 0 0 0\n",
+       "error: trace line 2: phase must be C or R",
+       cut("bad-field", 2, "phase must be C or R")},
+      {"op", head + "rec 0 1 C no_such_op none 0 0 0 0\n",
+       "error: trace line 2: unknown op",
+       cut("unknown-event", 2, "unknown op")},
+      {"op prefix", head + "rec 0 1 C thr_join_ none 0 0 0 0\n",
+       "error: trace line 2: unknown op",
+       cut("unknown-event", 2, "unknown op")},
+      {"kind", head + "rec 0 1 C start_collect nothing 0 0 0 0\n",
+       "error: trace line 2: unknown object kind",
+       cut("unknown-event", 2, "unknown object kind")},
+      {"directive", "meta clock virtual\n",
+       "error: trace line 1: unknown directive",
+       cut("unknown-event", 1, "unknown directive")},
+      {"tab is no separator", head + "rec\t0 1 C start_collect none 0 0 0 0\n",
+       "error: trace line 2: unknown directive",
+       cut("unknown-event", 2, "unknown directive")},
+      {"thread fields", "thread 1 main main 0\n",
+       "error: trace line 1: thread needs 5 fields",
+       cut("bad-field", 1, "thread needs 5 fields")},
+      {"thread numbers", "thread 1 main main 0 x\n",
+       "error: trace line 1: bad thread fields",
+       cut("bad-field", 1, "bad thread fields")},
+      {"loc fields", "loc 0 - 0\n", "error: trace line 1: loc needs 4 fields",
+       cut("bad-field", 1, "loc needs 4 fields")},
+      {"loc numbers", "loc 0 - x -\n", "error: trace line 1: bad loc fields",
+       cut("bad-field", 1, "bad loc fields")},
+      {"loc gap", "loc 0 - 0 -\nloc 2 f.cpp 3 f\n",
+       "error: trace line 2: loc indices must be dense and in order",
+       cut("bad-reference", 2, "loc indices must be dense and in order")},
+      {"loc negative", "loc -1 - 0 -\n",
+       "error: trace line 1: loc indices must be dense and in order",
+       cut("bad-reference", 1, "loc indices must be dense and in order")},
+      // The record check, which runs once every line is read.
+      {"unknown thread", head + start + "rec 5 9 C user_mark mark 0 0 0 0\n",
+       "error: text trace: record from unknown thread T9 (record 1)",
+       "recovered 1 events, dropped 1; 1 issue:\n  [bad-reference @1] "
+       "record from unknown thread T9 — cut at record 1"},
+      {"time", head + "rec 9 1 C start_collect none 0 0 0 0\n"
+                      "rec 5 1 C user_mark mark 0 0 0 0\n",
+       "error: text trace: timestamp goes backwards (record 1)",
+       "recovered 1 events, dropped 1; 1 issue:\n  [time-regression @1] "
+       "timestamp goes backwards — cut at record 1"},
+      {"location", head + "rec 0 1 C start_collect none 0 0 0 3\n",
+       "error: text trace: location index 3 out of range (record 0)",
+       "recovered 0 events, dropped 1; 1 issue:\n  [bad-reference @0] "
+       "location index 3 out of range — cut at record 0"},
+      {"unmatched return", head + "rec 0 1 R thr_join thread 2 0 0 0\n",
+       "error: text trace: unmatched return of thr_join by T1 (record 0)",
+       "recovered 0 events, dropped 1; 1 issue:\n  [unmatched-call @0] "
+       "unmatched return of thr_join by T1 — cut at record 0"},
+      {"second call", head + "rec 0 1 C thr_join thread 2 0 0 0\n"
+                             "rec 1 1 C mtx_lock mutex 0 0 0 0\n",
+       "error: text trace: T1 opens a second call (record 1)",
+       "recovered 0 events, dropped 2; 2 issues:\n  [unmatched-call @1] T1 "
+       "opens a second call — cut at record 1\n  [open-call-trimmed @0] "
+       "trimmed 1 trailing record left inside an open call"},
+      // Numbers.
+      {"plus sign", head + "rec +5 1 C start_collect none 0 0 0 0\n",
+       head_out + "rec 5 1 C start_collect none 0 0 0 0\n", one_ok},
+      {"tab before digits", head + "rec \t5 1 C start_collect none 0 0 0 0\n",
+       head_out + "rec 5 1 C start_collect none 0 0 0 0\n", one_ok},
+      {"tab after digits", head + "rec 5\t 1 C start_collect none 0 0 0 0\n",
+       "error: trace line 2: bad rec numeric fields",
+       cut("bad-field", 2, "bad rec numeric fields")},
+      {"sign alone", with_arg("+"),
+       "error: trace line 2: bad rec numeric fields",
+       cut("bad-field", 2, "bad rec numeric fields")},
+      {"hex", with_arg("0x1F"), "error: trace line 2: bad rec numeric fields",
+       cut("bad-field", 2, "bad rec numeric fields")},
+      {"minus zero", with_arg("-0"), arg_out("0"), one_ok},
+      {"int64 min", with_arg("-9223372036854775808"),
+       arg_out("-9223372036854775808"), one_ok},
+      {"int64 max", with_arg("9223372036854775807"),
+       arg_out("9223372036854775807"), one_ok},
+      {"past int64 min", with_arg("-9223372036854775809"),
+       "error: trace line 2: bad rec numeric fields",
+       cut("bad-field", 2, "bad rec numeric fields")},
+      {"past int64 max", with_arg("9223372036854775808"),
+       "error: trace line 2: bad rec numeric fields",
+       cut("bad-field", 2, "bad rec numeric fields")},
+      {"63 characters", with_arg(std::string(62, '0') + "7"), arg_out("7"),
+       one_ok},
+      {"64 characters", with_arg(std::string(63, '0') + "7"),
+       "error: trace line 2: bad rec numeric fields",
+       cut("bad-field", 2, "bad rec numeric fields")},
+      // Lines.
+      {"crlf", "thread 1 main main 0 0\r\n"
+               "rec 0 1 C start_collect none 0 0 0 0\r\n",
+       head_out + start, one_ok},
+      {"runs of spaces", "thread  1 main   main 0 0 \n"
+                         "rec 0  1 C   start_collect none 0 0 0 0   \n",
+       head_out + start, one_ok},
+      {"comments and blank lines count",
+       "# c\n\n   \t\n  # indented\n" + head +
+           "rec x 1 C start_collect none 0 0 0 0\n",
+       "error: trace line 6: bad rec numeric fields",
+       cut("bad-field", 6, "bad rec numeric fields")},
+      {"no final newline", head + "rec 0 1 C start_collect none 0 0 0 0",
+       head_out + start, one_ok},
+      {"empty", "", "# vppb-trace v1\n",
+       "recovered 0 events, dropped 0; no issues"},
+      {"forward references",
+       "rec 0 1 C start_collect none 0 0 0 1\nthread 1 main main 0 0\n"
+       "loc 0 - 0 -\nloc 1 f.cpp 3 f\n",
+       head_out + "loc 0 - 0 -\nloc 1 f.cpp 3 f\n"
+                  "rec 0 1 C start_collect none 0 0 0 1\n",
+       one_ok},
+      {"thread upsert",
+       "thread 1 a a 0 0\nthread 2 b%20c void%20f(int) 1 5\nthread 1 - - 0 0\n",
+       "# vppb-trace v1\nthread 1 - - 0 0\nthread 2 b%20c void%20f(int) 1 5\n",
+       "recovered 0 events, dropped 0; no issues"},
+      // Salvage: the cut point and the census of what it dropped.
+      {"cut and census",
+       head + start + "rec 5 1 C user_mark mark 0 0 0 0\n"
+           "this line is garbage\n# comment after the cut\n"
+           "rec 9 1 C user_mark mark 0 0 0 0\n"
+           "rec\t10 1 C user_mark mark 0 0 0 0\n"
+           "  rec 11 1 C user_mark mark 0 0 0 0\n"
+           "thread 2 x x 0 0\n",
+       "error: trace line 4: unknown directive",
+       "recovered 2 events, dropped 2; 1 issue:\n  [unknown-event @4] "
+       "unknown directive — cut at record 2"},
+      {"cut then check",
+       head + start + "rec 5 9 C user_mark mark 0 0 0 0\nbad\n" +
+           "rec 9 1 C user_mark mark 0 0 0 0\n",
+       "error: trace line 4: unknown directive",
+       "recovered 1 events, dropped 2; 2 issues:\n  [unknown-event @4] "
+       "unknown directive — cut at record 2\n  [bad-reference @1] record "
+       "from unknown thread T9 — cut at record 1"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(strict_outcome(c.text), c.strict);
+    EXPECT_EQ(salvage_outcome(c.text), c.salvage);
+  }
 }
 
 // ---- semantic lint ---------------------------------------------------------

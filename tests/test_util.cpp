@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <numeric>
 #include <vector>
 
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
@@ -66,6 +68,57 @@ TEST(Strings, ParseI64) {
   EXPECT_FALSE(parse_i64("", v));
   EXPECT_TRUE(parse_i64("9223372036854775807", v));
   EXPECT_FALSE(parse_i64("9223372036854775808", v));
+}
+
+TEST(Strings, ParseI64AcceptsExactlyWhatStrtollAccepts) {
+  // The inputs a strtoll-based parser accepts, and no others: leading
+  // C-locale whitespace, one sign, decimal digits, no overflow, fewer
+  // than 64 characters, and nothing after the digits but a NUL.
+  struct Case {
+    std::string in;
+    bool ok;
+    std::int64_t value;
+  };
+  const std::int64_t min = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t max = std::numeric_limits<std::int64_t>::max();
+  const Case cases[] = {
+      {"0", true, 0},
+      {"+5", true, 5},
+      {"-0", true, 0},
+      {"\t5", true, 5},
+      {" \n\v\f\r7", true, 7},
+      {"007", true, 7},
+      {"-9223372036854775808", true, min},
+      {"9223372036854775807", true, max},
+      {"-00000000000000000000009223372036854775808", true, min},
+      {"-9223372036854775809", false, 0},
+      {"9223372036854775808", false, 0},
+      {"18446744073709551616", false, 0},
+      {"99999999999999999999999", false, 0},
+      {std::string(62, '0') + "7", true, 7},
+      {std::string(63, '0') + "7", false, 0},
+      {std::string(63, ' ') + "7", false, 0},
+      {"", false, 0},
+      {"+", false, 0},
+      {"-", false, 0},
+      {" ", false, 0},
+      {"+-5", false, 0},
+      {"- 5", false, 0},
+      {"5 ", false, 0},
+      {"5\t", false, 0},
+      {"0x10", false, 0},
+      {"1e3", false, 0},
+      {std::string("12\0x", 4), true, 12},
+      {std::string("\0" "5", 2), false, 0},
+      {std::string(" \0" "5", 3), false, 0},
+  };
+  for (const Case& c : cases) {
+    std::int64_t v = -1;
+    EXPECT_EQ(parse_i64(c.in, v), c.ok) << '"' << c.in << '"';
+    if (c.ok) {
+      EXPECT_EQ(v, c.value) << '"' << c.in << '"';
+    }
+  }
 }
 
 TEST(Strings, ParseDouble) {
@@ -257,6 +310,59 @@ TEST(ThreadPool, ResolveJobs) {
   EXPECT_GE(util::ThreadPool::resolve_jobs(0), 1);
   EXPECT_EQ(util::ThreadPool::resolve_jobs(5), 5);
   EXPECT_GE(util::ThreadPool::resolve_jobs(-3), 1);
+}
+
+// The reference the table-driven CRC is checked against: one bit at a
+// time, straight from the polynomial.
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = ~0u;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit)
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> noise(std::size_t n) {
+  Rng r(99);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(r.next_u64());
+  return out;
+}
+
+TEST(Crc32, KnownAnswer) {
+  EXPECT_EQ(util::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(util::crc32("", 0), 0u);
+  // Continuing a running CRC equals one pass over the whole.
+  EXPECT_EQ(util::crc32("56789", 5, util::crc32("1234", 4)), 0xCBF43926u);
+}
+
+TEST(Crc32, SliceBy8MatchesBitwiseAtEveryLengthAndOffset) {
+  const std::vector<std::uint8_t> bytes = noise((1u << 20) + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 64; ++len)
+      ASSERT_EQ(util::crc32(bytes.data() + offset, len),
+                crc32_bitwise(bytes.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+  EXPECT_EQ(util::crc32(bytes.data() + 3, 1u << 20),
+            crc32_bitwise(bytes.data() + 3, 1u << 20));
+}
+
+TEST(Crc32, CombineEqualsOnePassOverTheConcatenation) {
+  const std::vector<std::uint8_t> bytes = noise(70000);
+  const std::size_t splits[][2] = {{0, 0},     {0, 9},      {9, 0},
+                                   {1, 1},     {7, 64},     {64, 7},
+                                   {1000, 1},  {3, 65536},  {69999, 1},
+                                   {5, 69995}, {35000, 35000}};
+  for (const auto& [len_a, len_b] : splits) {
+    const std::uint8_t* a = bytes.data();
+    const std::uint8_t* b = a + len_a;
+    EXPECT_EQ(util::crc32_combine(util::crc32(a, len_a),
+                                  util::crc32(b, len_b), len_b),
+              util::crc32(a, len_a + len_b))
+        << len_a << " + " << len_b;
+  }
 }
 
 TEST(Error, CheckMacroThrows) {
