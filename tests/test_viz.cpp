@@ -4,6 +4,12 @@
 // and the SVG/ASCII renderers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <string_view>
+
 #include "core/engine.hpp"
 #include "recorder/recorder.hpp"
 #include "solaris/program.hpp"
@@ -12,6 +18,8 @@
 #include "util/strings.hpp"
 #include "viz/visualizer.hpp"
 #include "workloads/prodcons.hpp"
+#include "workloads/splash.hpp"
+#include "workloads/synthetic.hpp"
 
 namespace vppb::viz {
 namespace {
@@ -344,6 +352,213 @@ TEST(RenderTest, ZoomedViewClipsSegments) {
     }
   }
   EXPECT_TRUE(waiter_row_blank);
+}
+
+
+// ---- pinned output bytes ---------------------------------------------
+//
+// Size and FNV-1a digest of every renderer's output on six views that
+// between them reach every drawing path: the whatif-service request
+// (Ocean-32 at 4 CPUs, compressed), a zoomed view with clipped
+// segments and a flashing selected event, dedicated LWPs, names and
+// files that need escaping, a zero-length run, a log of more than 64
+// threads, and rows for a repeated and an unknown tid.  Any change to the renderers must leave these unchanged.
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+struct Pin {
+  std::size_t size;
+  std::uint64_t fnv;
+};
+
+constexpr const char* kRenderers[] = {
+    "render_svg",         "render_parallelism_svg",   "render_flow_svg",
+    "render_lwp_svg",     "render_parallelism_ascii", "render_flow_ascii",
+    "render_lwp_ascii"};
+
+void expect_pinned(const char* name, const Visualizer& v,
+                   const std::array<Pin, 7>& pins) {
+  const RenderOptions opts;
+  const std::string out[] = {render_svg(v, opts),
+                             render_parallelism_svg(v, opts),
+                             render_flow_svg(v, opts),
+                             render_lwp_svg(v, opts),
+                             render_parallelism_ascii(v, 100, 8),
+                             render_flow_ascii(v, 100),
+                             render_lwp_ascii(v, 100)};
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    const std::uint64_t fnv = fnv1a(out[i]);
+    EXPECT_TRUE(out[i].size() == pins[i].size && fnv == pins[i].fnv)
+        << name << " " << kRenderers[i] << ": actual {" << out[i].size()
+        << ", 0x" << std::hex << fnv << std::dec << "}";
+  }
+}
+
+/// Records `body` with each source line replaced by its location's
+/// index, so the pins follow the renderers and not edits to the
+/// recorded sources.
+trace::Trace record_fixed_lines(const std::function<void()>& body) {
+  sol::Program program;
+  trace::Trace log = rec::record_program(program, body);
+  for (std::uint32_t i = 1; i < log.locations.size(); ++i)
+    log.locations[i].line = i;
+  return log;
+}
+
+core::SimResult simulate_on(const trace::Trace& log, int cpus) {
+  core::SimConfig cfg;
+  cfg.hw.cpus = cpus;
+  return core::simulate(log, cfg);
+}
+
+TEST(RenderTest, OutputBytesArePinned) {
+  {
+    const trace::Trace log = record_fixed_lines([] {
+      workloads::ocean(workloads::SplashParams{32, 0.5});
+    });
+    const core::SimResult r = simulate_on(log, 4);
+    Visualizer v(r, log);
+    v.compress_threads();
+    expect_pinned("ocean32_cpus4_compressed", v,
+                  {{{1239004, 0x13c0fa378b27b6ec},
+                   {105388, 0x4d1fbd0f7e7b0b16},
+                   {1131913, 0x34c1256a37431501},
+                   {440648, 0xd0f1f7271c8c6ac6},
+                   {970, 0x3c77289305480b37},
+                   {3493, 0xd4a2e0c1adb95cf9},
+                   {3608, 0xa5c837d1ddb0f975}}});
+  }
+  {
+    const trace::Trace log = record_fixed_lines([] {
+      workloads::fft(workloads::SplashParams{64, 0.2});
+    });
+    const core::SimResult r = simulate_on(log, 8);
+    Visualizer v(r, log);
+    v.zoom_in(3.0);
+    v.select_event(v.event_count() / 2);
+    expect_pinned("fft64_cpus8_zoom3_selected", v,
+                  {{{137085, 0x92e625b6d112bc6b},
+                   {75044, 0xe4bdb095e9d670ef},
+                   {61804, 0x6b74c05af38bf628},
+                   {14163, 0xdf7872703387ffe9},
+                   {970, 0x8175f221f2b2fc6d},
+                   {7026, 0x51f5359c03b613ab},
+                   {1682, 0xa6c7383122a6192d}}});
+  }
+  {
+    const trace::Trace log = record_fixed_lines(
+        [] { workloads::fork_join(6, SimTime::millis(2)); });
+    core::SimConfig cfg;
+    cfg.hw.cpus = 2;
+    core::ThreadPolicy to_lwp;
+    to_lwp.override_binding = true;
+    to_lwp.binding = core::Binding::kBoundLwp;
+    cfg.sched.thread_policy[5] = to_lwp;
+    core::ThreadPolicy to_cpu = to_lwp;
+    to_cpu.binding = core::Binding::kBoundCpu;
+    to_cpu.cpu = 1;
+    cfg.sched.thread_policy[6] = to_cpu;
+    const core::SimResult r = core::simulate(log, cfg);
+    ASSERT_TRUE(std::any_of(r.lwp_stats.begin(), r.lwp_stats.end(),
+                            [](const core::LwpStats& l) { return l.dedicated; }));
+    Visualizer v(r, log);
+    expect_pinned("fork_join6_cpus2_bound", v,
+                  {{{107802, 0x94e5c21d3daf5058},
+                   {102103, 0x6532b457decd8c26},
+                   {5518, 0xd260de271db70b35},
+                   {3033, 0x716921a81314559e},
+                   {969, 0x2b0ada4d69dcfa83},
+                   {815, 0x374db7a9221ee02b},
+                   {829, 0x2b3aab54a1649976}}});
+  }
+  {
+    trace::Trace log = record_fixed_lines([] {
+      sol::Semaphore sem(0u);
+      sol::thr_create_fn(
+          [&sem]() -> void* {
+            sol::compute(SimTime::millis(3));
+            sem.post();
+            return nullptr;
+          },
+          0, nullptr, "<poster> & 'friend'");
+      sem.wait();
+      sol::join_all();
+    });
+    const std::uint32_t odd = log.strings.intern("src/<odd> & 'dir'/main.cpp");
+    for (std::size_t i = 1; i < log.locations.size(); ++i)
+      log.locations[i].file = odd;
+    const core::SimResult r = simulate_on(log, 2);
+    Visualizer v(r, log);
+    const std::string svg = render_svg(v, RenderOptions{});
+    ASSERT_NE(svg.find("&lt;poster&gt; &amp; &apos;friend&apos;"),
+              std::string::npos);
+    ASSERT_NE(svg.find("src/&lt;odd&gt; &amp; &apos;dir&apos;/main.cpp"),
+              std::string::npos);
+    expect_pinned("escaped_names_cpus2", v,
+                  {{{57141, 0xf99063cf263f2d9e},
+                   {53952, 0xdd728d807d13a772},
+                   {2994, 0xdb7054f89916b407},
+                   {1713, 0x2a5706d2fbe77c81},
+                   {969, 0x4e2b9b60f059f69b},
+                   {285, 0x9ef9e7347bf76299},
+                   {299, 0xc90873497e20de1e}}});
+  }
+  {
+    const trace::Trace log;
+    const core::SimResult r = simulate_on(log, 1);
+    Visualizer v(r, log);
+    expect_pinned("empty_run", v,
+                  {{{3128, 0x7392ab3744cbc607},
+                   {1524, 0xe8626b62d9fb2e6b},
+                   {1411, 0x214ba6afac281508},
+                   {1459, 0x34c23bbc41345639},
+                   {969, 0x8bf76c7cc6c1a543},
+                   {73, 0x3605f22f4f533195},
+                   {87, 0xb6d02fd7b6764b19}}});
+  }
+  {
+    const trace::Trace log = record_fixed_lines([] {
+      workloads::ProdConsParams p;
+      p.producers = 50;
+      p.consumers = 25;
+      workloads::prodcons_tuned(p);
+    });
+    const core::SimResult r = simulate_on(log, 4);
+    ASSERT_GT(r.threads.size(), 64u);
+    Visualizer v(r, log);
+    expect_pinned("prodcons_tuned76_cpus4", v,
+                  {{{800169, 0x8d9c9e490b393eed},
+                   {118039, 0x7cb925c70c6dff7},
+                   {680926, 0x23dcb470bbdaaeb},
+                   {145835, 0x8fa45d2f9e66bf84},
+                   {970, 0x3677dd087b2366a8},
+                   {8199, 0x4cbe26e78c185abb},
+                   {5855, 0xab5273ea579bbd6e}}});
+  }
+  {
+    // A tid listed twice draws its segments on both rows and its events
+    // on the first; an unknown tid gets an empty row.
+    Fixture f(1);
+    for (std::uint32_t i = 1; i < f.log.locations.size(); ++i)
+      f.log.locations[i].line = i;
+    Visualizer v(f.result, f.log);
+    v.set_visible_threads({5, 4, 5, 99, 1});
+    expect_pinned("repeated_and_unknown_rows", v,
+                  {{{86544, 0x32d3b10763bad0df},
+                   {82669, 0x31433e003573db02},
+                   {3705, 0x507d13ca32e43ef9},
+                   {2022, 0xce75455de31ece64},
+                   {969, 0xf939c3b6bc1e7708},
+                   {605, 0x29ecd36e26ad02cd},
+                   {405, 0xdfb5993d8253809b}}});
+  }
 }
 
 }  // namespace
