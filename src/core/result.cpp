@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
 
 #include "util/error.hpp"
 
@@ -17,26 +18,56 @@ const char* to_string(SegState s) {
   return "?";
 }
 
-std::vector<Segment> SimResult::thread_segments(ThreadId tid) const {
-  std::vector<Segment> out;
-  for (const Segment& s : segments) {
-    if (s.tid == tid) out.push_back(s);
+namespace {
+
+/// Buckets `items` by key in one pass: out[i] holds the items whose key
+/// is keys[i], sorted by start.  A bucket fills in the items' order and
+/// is sorted as the one-key queries always sorted it, so items with
+/// equal starts keep their old order.  A key listed twice gets a copy
+/// of its first bucket.
+template <class Item, class Key, class KeyOf>
+std::vector<std::vector<Item>> bucket_by_key(const std::vector<Item>& items,
+                                             const std::vector<Key>& keys,
+                                             KeyOf key_of) {
+  std::unordered_map<Key, std::size_t> first;
+  first.reserve(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) first.emplace(keys[i], i);
+  std::vector<std::vector<Item>> out(keys.size());
+  for (const Item& item : items) {
+    const auto it = first.find(key_of(item));
+    if (it != first.end()) out[it->second].push_back(item);
   }
-  std::sort(out.begin(), out.end(),
-            [](const Segment& a, const Segment& b) { return a.start < b.start; });
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::size_t f = first.at(keys[i]);
+    if (f != i) {
+      out[i] = out[f];
+      continue;
+    }
+    std::sort(out[i].begin(), out[i].end(),
+              [](const Item& a, const Item& b) { return a.start < b.start; });
+  }
   return out;
 }
 
+}  // namespace
+
+std::vector<Segment> SimResult::thread_segments(ThreadId tid) const {
+  return std::move(thread_segments(std::vector<ThreadId>{tid})[0]);
+}
+
+std::vector<std::vector<Segment>> SimResult::thread_segments(
+    const std::vector<ThreadId>& tids) const {
+  return bucket_by_key(segments, tids, [](const Segment& s) { return s.tid; });
+}
+
 std::vector<LwpSegment> SimResult::segments_of_lwp(int lwp) const {
-  std::vector<LwpSegment> out;
-  for (const LwpSegment& s : lwp_segments) {
-    if (s.lwp == lwp) out.push_back(s);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const LwpSegment& a, const LwpSegment& b) {
-              return a.start < b.start;
-            });
-  return out;
+  return std::move(segments_of_lwps(std::vector<int>{lwp})[0]);
+}
+
+std::vector<std::vector<LwpSegment>> SimResult::segments_of_lwps(
+    const std::vector<int>& lwps) const {
+  return bucket_by_key(lwp_segments, lwps,
+                       [](const LwpSegment& s) { return s.lwp; });
 }
 
 SimResult::Parallelism SimResult::parallelism_at(SimTime t) const {
@@ -50,16 +81,56 @@ SimResult::Parallelism SimResult::parallelism_at(SimTime t) const {
   return p;
 }
 
+std::vector<SimResult::Parallelism> SimResult::parallelism_at(
+    const std::vector<SimTime>& times) const {
+  // A segment [start, end) counts at every instant t with start <= t <
+  // end.  Over the instants in ascending order that is a run from the
+  // first instant >= start up to the first instant >= end: add one at
+  // the run's head, take one off past its tail, and a running sum
+  // gives every count.
+  std::vector<SimTime> ascending(times);
+  std::sort(ascending.begin(), ascending.end());
+  const auto first_at_or_after = [&ascending](SimTime t) {
+    return static_cast<std::size_t>(
+        std::lower_bound(ascending.begin(), ascending.end(), t) -
+        ascending.begin());
+  };
+  std::vector<Parallelism> sums(ascending.size() + 1);
+  for (const Segment& s : segments) {
+    if (s.state == SegState::kRunning) {
+      ++sums[first_at_or_after(s.start)].running;
+      --sums[first_at_or_after(s.end)].running;
+    } else if (s.state == SegState::kRunnable) {
+      ++sums[first_at_or_after(s.start)].runnable;
+      --sums[first_at_or_after(s.end)].runnable;
+    }
+  }
+  for (std::size_t i = 1; i < sums.size(); ++i) {
+    sums[i].running += sums[i - 1].running;
+    sums[i].runnable += sums[i - 1].runnable;
+  }
+  // Equal instants share one count, so any of them answers for t.
+  std::vector<Parallelism> out;
+  out.reserve(times.size());
+  for (const SimTime t : times) out.push_back(sums[first_at_or_after(t)]);
+  return out;
+}
+
 std::vector<SimResult::ProfilePoint> SimResult::parallelism_profile(
     std::size_t samples) const {
   VPPB_CHECK_MSG(samples >= 2, "profile needs at least two samples");
+  std::vector<SimTime> times;
+  times.reserve(samples);
+  for (std::size_t i = 0; i < samples; ++i) {
+    times.push_back(SimTime::nanos(total.ns() * static_cast<std::int64_t>(i) /
+                                   static_cast<std::int64_t>(samples - 1)));
+  }
+  const std::vector<Parallelism> counts = parallelism_at(times);
   std::vector<ProfilePoint> out;
   out.reserve(samples);
   for (std::size_t i = 0; i < samples; ++i) {
-    const SimTime t = SimTime::nanos(total.ns() * static_cast<std::int64_t>(i) /
-                                     static_cast<std::int64_t>(samples - 1));
-    const Parallelism p = parallelism_at(t);
-    out.push_back(ProfilePoint{t, p.running, p.runnable});
+    out.push_back(
+        ProfilePoint{times[i], counts[i].running, counts[i].runnable});
   }
   return out;
 }

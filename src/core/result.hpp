@@ -123,9 +123,15 @@ struct SimResult {
 
   /// Segments of one LWP, in time order.
   std::vector<LwpSegment> segments_of_lwp(int lwp) const;
+  /// segments_of_lwp(lwps[i]) for every i, in one pass over lwp_segments.
+  std::vector<std::vector<LwpSegment>> segments_of_lwps(
+      const std::vector<int>& lwps) const;
 
   /// Segments of one thread, in time order.
   std::vector<Segment> thread_segments(ThreadId tid) const;
+  /// thread_segments(tids[i]) for every i, in one pass over segments.
+  std::vector<std::vector<Segment>> thread_segments(
+      const std::vector<ThreadId>& tids) const;
 
   /// Number of running / runnable threads at an instant.
   struct Parallelism {
@@ -133,6 +139,10 @@ struct SimResult {
     int runnable = 0;
   };
   Parallelism parallelism_at(SimTime t) const;
+  /// parallelism_at(t) for every t in `times`, in one pass over the
+  /// segments: O(segments × log times) instead of a scan per instant.
+  std::vector<Parallelism> parallelism_at(
+      const std::vector<SimTime>& times) const;
 
   /// Sampled parallelism profile over [0, total] with the given number
   /// of sample points — the data behind the paper's parallelism graph.

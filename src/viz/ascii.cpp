@@ -1,7 +1,7 @@
 // Terminal renderers: quick views of the two graphs for tests, examples
 // and headless environments.
 #include <algorithm>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -56,44 +56,54 @@ std::string render_flow_ascii(const Visualizer& viz, int columns) {
     return std::clamp(c, 0, columns - 1);
   };
 
-  std::ostringstream os;
-  os << "time: " << view.t0.to_string() << " .. " << view.t1.to_string()
-     << "  (= running, . runnable, ~ sleeping, blank blocked)\n";
-  for (const ThreadId tid : viz.visible_threads()) {
-    std::string line(static_cast<std::size_t>(columns), ' ');
-    for (const core::Segment& s : viz.result().thread_segments(tid)) {
+  const std::vector<ThreadId>& rows = viz.visible_threads();
+  const std::vector<std::vector<core::Segment>> segments =
+      viz.result().thread_segments(rows);
+  std::vector<std::string> lines(
+      rows.size(), std::string(static_cast<std::size_t>(columns), ' '));
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (const core::Segment& s : segments[r]) {
       if (s.end <= view.t0 || s.start >= view.t1) continue;
       const int a = col_of(std::max(s.start, view.t0));
       const int b = col_of(std::min(s.end, view.t1));
       for (int c = a; c <= b; ++c)
-        line[static_cast<std::size_t>(c)] = state_char(s.state);
+        lines[r][static_cast<std::size_t>(c)] = state_char(s.state);
     }
-    for (std::size_t i = 0; i < viz.event_count(); ++i) {
-      const core::SimEvent& e = viz.event(i);
-      if (e.tid != tid || e.at < view.t0 || e.at > view.t1) continue;
-      line[static_cast<std::size_t>(col_of(e.at))] = event_char(e.op);
-    }
-    os << 'T' << tid << '\t' << '|' << line << "|\n";
   }
-  return os.str();
+  // Events overlay the segments; a repeated tid shows its first row.
+  for (std::size_t i = 0; i < viz.event_count(); ++i) {
+    const core::SimEvent& e = viz.event(i);
+    if (e.at < view.t0 || e.at > view.t1) continue;
+    if (const auto row = viz.row_of(e.tid)) {
+      lines[*row][static_cast<std::size_t>(col_of(e.at))] = event_char(e.op);
+    }
+  }
+
+  std::string out = "time: " + view.t0.to_string() + " .. " +
+                    view.t1.to_string() +
+                    "  (= running, . runnable, ~ sleeping, blank blocked)\n";
+  for (const ThreadId tid : rows) {
+    out += 'T' + std::to_string(tid) + "\t|" + lines[*viz.row_of(tid)] + "|\n";
+  }
+  return out;
 }
 
 std::string render_parallelism_ascii(const Visualizer& viz, int columns,
                                      int rows) {
   VPPB_CHECK_MSG(columns >= 10 && rows >= 2, "grid too small");
   const View& view = viz.view();
-  std::vector<core::SimResult::Parallelism> cols(
-      static_cast<std::size_t>(columns));
-  int max_stack = 1;
+  std::vector<SimTime> times;
   for (int c = 0; c < columns; ++c) {
-    const SimTime t = view.t0 + view.width() * c / std::max(columns - 1, 1);
-    cols[static_cast<std::size_t>(c)] = viz.result().parallelism_at(t);
-    max_stack = std::max(max_stack, cols[static_cast<std::size_t>(c)].running +
-                                        cols[static_cast<std::size_t>(c)].runnable);
+    times.push_back(view.t0 + view.width() * c / std::max(columns - 1, 1));
   }
-  std::ostringstream os;
-  os << "parallelism (" << '#' << " running, + runnable), max " << max_stack
-     << "\n";
+  const std::vector<core::SimResult::Parallelism> cols =
+      viz.result().parallelism_at(times);
+  int max_stack = 1;
+  for (const auto& p : cols) {
+    max_stack = std::max(max_stack, p.running + p.runnable);
+  }
+  std::string out = "parallelism (# running, + runnable), max " +
+                    std::to_string(max_stack) + "\n";
   for (int r = rows; r >= 1; --r) {
     // Threshold for this row: which stack height it represents.
     const double level = static_cast<double>(r) * max_stack / rows;
@@ -106,10 +116,10 @@ std::string render_parallelism_ascii(const Visualizer& viz, int columns,
         line[static_cast<std::size_t>(c)] = '+';
       }
     }
-    os << '|' << line << "|\n";
+    out += '|' + line + "|\n";
   }
-  os << ' ' << std::string(static_cast<std::size_t>(columns), '-') << "\n";
-  return os.str();
+  out += ' ' + std::string(static_cast<std::size_t>(columns), '-') + "\n";
+  return out;
 }
 
 std::string render_lwp_ascii(const Visualizer& viz, int columns) {
@@ -129,24 +139,26 @@ std::string render_lwp_ascii(const Visualizer& viz, int columns) {
     return on_cpu ? kUpper[slot] : kLower[slot];
   };
 
-  std::ostringstream os;
-  os << "LWPs (UPPER = on a CPU, lower = waiting for a CPU, . = idle); "
-        "glyph = thread id mod 36\n";
+  std::string out =
+      "LWPs (UPPER = on a CPU, lower = waiting for a CPU, . = idle); "
+      "glyph = thread id mod 36\n";
   std::vector<int> lwp_ids;
   for (const core::LwpStats& ls : viz.result().lwp_stats)
     lwp_ids.push_back(ls.id);
-  for (const int lwp : lwp_ids) {
+  const std::vector<std::vector<core::LwpSegment>> segments =
+      viz.result().segments_of_lwps(lwp_ids);
+  for (std::size_t r = 0; r < lwp_ids.size(); ++r) {
     std::string line(static_cast<std::size_t>(columns), '.');
-    for (const core::LwpSegment& s : viz.result().segments_of_lwp(lwp)) {
+    for (const core::LwpSegment& s : segments[r]) {
       if (s.end <= view.t0 || s.start >= view.t1 || s.thread == 0) continue;
       const int a = col_of(std::max(s.start, view.t0));
       const int b = col_of(std::min(s.end, view.t1));
       for (int c = a; c <= b; ++c)
         line[static_cast<std::size_t>(c)] = glyph(s.thread, s.cpu >= 0);
     }
-    os << "L" << lwp << '\t' << '|' << line << "|\n";
+    out += 'L' + std::to_string(lwp_ids[r]) + "\t|" + line + "|\n";
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace vppb::viz

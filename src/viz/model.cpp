@@ -10,13 +10,13 @@ Visualizer::Visualizer(const SimResult& result, const trace::Trace& source)
     : result_(&result), source_(&source) {
   order_.resize(result.events.size());
   for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
-  std::sort(order_.begin(), order_.end(), [&result](std::size_t a,
-                                                    std::size_t b) {
+  // Stable: events of one thread at one instant keep the result's order.
+  std::stable_sort(order_.begin(), order_.end(), [&result](std::size_t a,
+                                                           std::size_t b) {
     const auto& ea = result.events[a];
     const auto& eb = result.events[b];
     if (ea.at != eb.at) return ea.at < eb.at;
-    if (ea.tid != eb.tid) return ea.tid < eb.tid;
-    return a < b;
+    return ea.tid < eb.tid;
   });
   reset_view();
   show_all_threads();
@@ -53,31 +53,54 @@ std::vector<ThreadId> Visualizer::all_threads() const {
   return out;
 }
 
-void Visualizer::show_all_threads() { visible_ = all_threads(); }
+void Visualizer::show_all_threads() { set_visible(all_threads()); }
 
 void Visualizer::set_visible_threads(std::vector<ThreadId> threads) {
-  visible_ = std::move(threads);
+  set_visible(std::move(threads));
 }
 
 void Visualizer::compress_threads() {
   // Keep only threads active during the shown interval (paper §3.3:
   // "the compression only shows the threads active during the time
-  // interval shown in the execution flow graph").
-  std::vector<ThreadId> active;
-  for (const ThreadId tid : all_threads()) {
-    bool is_active = false;
-    for (const core::Segment& s : result_->segments) {
-      if (s.tid == tid &&
-          (s.state == core::SegState::kRunning ||
-           s.state == core::SegState::kRunnable) &&
-          s.start < view_.t1 && s.end > view_.t0) {
-        is_active = true;
-        break;
-      }
+  // interval shown in the execution flow graph").  One pass over the
+  // segments marks them, and stops once every thread is marked.
+  const std::vector<ThreadId> all = all_threads();
+  std::unordered_map<ThreadId, std::size_t> slot;
+  slot.reserve(all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) slot.emplace(all[i], i);
+  std::vector<bool> active(all.size(), false);
+  std::size_t marked = 0;
+  for (const core::Segment& s : result_->segments) {
+    if (marked == all.size()) break;
+    if ((s.state != core::SegState::kRunning &&
+         s.state != core::SegState::kRunnable) ||
+        s.start >= view_.t1 || s.end <= view_.t0) {
+      continue;
     }
-    if (is_active) active.push_back(tid);
+    const auto it = slot.find(s.tid);
+    if (it != slot.end() && !active[it->second]) {
+      active[it->second] = true;
+      ++marked;
+    }
   }
-  visible_ = std::move(active);
+  std::vector<ThreadId> kept;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (active[i]) kept.push_back(all[i]);
+  }
+  set_visible(std::move(kept));
+}
+
+void Visualizer::set_visible(std::vector<ThreadId> threads) {
+  visible_ = std::move(threads);
+  row_of_.clear();
+  for (std::size_t i = 0; i < visible_.size(); ++i)
+    row_of_.emplace(visible_[i], i);  // a repeated tid keeps its first row
+}
+
+std::optional<std::size_t> Visualizer::row_of(ThreadId tid) const {
+  const auto it = row_of_.find(tid);
+  if (it == row_of_.end()) return std::nullopt;
+  return it->second;
 }
 
 const core::SimEvent& Visualizer::event(std::size_t idx) const {
@@ -206,11 +229,17 @@ std::optional<std::size_t> Visualizer::prev_similar_event(
 }
 
 std::string Visualizer::source_location(std::size_t idx) const {
+  const trace::SourceLoc* loc = source_loc(idx);
+  if (loc == nullptr) return {};
+  return strprintf("%s:%u", source_->strings.get(loc->file).c_str(),
+                   loc->line);
+}
+
+const trace::SourceLoc* Visualizer::source_loc(std::size_t idx) const {
   const core::SimEvent& e = event(idx);
-  if (e.loc >= source_->locations.size()) return {};
+  if (e.loc >= source_->locations.size()) return nullptr;
   const trace::SourceLoc& loc = source_->locations[e.loc];
-  if (loc.file == 0) return {};
-  return strprintf("%s:%u", source_->strings.get(loc.file).c_str(), loc.line);
+  return loc.file == 0 ? nullptr : &loc;
 }
 
 }  // namespace vppb::viz

@@ -5,10 +5,11 @@
 // grey = runnable without a CPU, gap = blocked; events drawn as
 // coloured symbols, e.g. semaphores in red with up/down arrows for
 // sema_post/sema_wait).
-#include <cmath>
-#include <sstream>
+#include <algorithm>
+#include <charconv>
+#include <concepts>
+#include <string_view>
 
-#include "util/strings.hpp"
 #include "viz/visualizer.hpp"
 
 namespace vppb::viz {
@@ -46,7 +47,58 @@ struct Scale {
   }
 };
 
-void axis(std::ostringstream& os, const Scale& sc, double y) {
+/// Text that is XML-escaped as it is appended.
+struct Escaped {
+  std::string_view text;
+};
+
+Escaped esc(std::string_view s) { return Escaped{s}; }
+
+/// The one output buffer a renderer appends to.  Numbers go through
+/// std::to_chars; a double prints as %g with 6 significant digits,
+/// which is what operator<< prints at its default precision.
+class Out {
+ public:
+  Out& operator<<(std::string_view s) {
+    buf_ += s;
+    return *this;
+  }
+  Out& operator<<(char c) {
+    buf_ += c;
+    return *this;
+  }
+  Out& operator<<(std::integral auto v) { return chars(v); }
+  Out& operator<<(double v) {
+    return chars(v, std::chars_format::general, 6);
+  }
+  Out& operator<<(Escaped e) {
+    for (const char c : e.text) {
+      switch (c) {
+        case '<': buf_ += "&lt;"; break;
+        case '>': buf_ += "&gt;"; break;
+        case '&': buf_ += "&amp;"; break;
+        case '\'': buf_ += "&apos;"; break;
+        default: buf_ += c;
+      }
+    }
+    return *this;
+  }
+
+  std::string take() { return std::move(buf_); }
+
+ private:
+  template <class... Format>
+  Out& chars(Format... args) {
+    char tmp[32];
+    const auto res = std::to_chars(tmp, tmp + sizeof tmp, args...);
+    buf_.append(tmp, res.ptr);
+    return *this;
+  }
+
+  std::string buf_;
+};
+
+void axis(Out& os, const Scale& sc, double y) {
   os << "<line x1='" << sc.x0 << "' y1='" << y << "' x2='" << sc.x1
      << "' y2='" << y << "' stroke='#444' stroke-width='1'/>\n";
   for (int i = 0; i <= 8; ++i) {
@@ -60,31 +112,17 @@ void axis(std::ostringstream& os, const Scale& sc, double y) {
   }
 }
 
-std::string esc(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '&': out += "&amp;"; break;
-      case '\'': out += "&apos;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-void parallelism_body(std::ostringstream& os, const Visualizer& viz,
-                      const Scale& sc, double top, double height) {
-  const auto& r = viz.result();
+void parallelism_body(Out& os, const Visualizer& viz, const Scale& sc,
+                      double top, double height) {
   const int samples = static_cast<int>(sc.x1 - sc.x0);
-  int max_stack = 1;
-  std::vector<core::SimResult::Parallelism> points;
-  points.reserve(static_cast<std::size_t>(samples) + 1);
+  std::vector<SimTime> times;
   for (int i = 0; i <= samples; ++i) {
-    const SimTime t = sc.t0 + (sc.t1 - sc.t0) * i / std::max(samples, 1);
-    const auto p = r.parallelism_at(t);
-    points.push_back(p);
+    times.push_back(sc.t0 + (sc.t1 - sc.t0) * i / std::max(samples, 1));
+  }
+  const std::vector<core::SimResult::Parallelism> points =
+      viz.result().parallelism_at(times);
+  int max_stack = 1;
+  for (const auto& p : points) {
     max_stack = std::max(max_stack, p.running + p.runnable);
   }
   const double unit = height / max_stack;
@@ -110,14 +148,10 @@ void parallelism_body(std::ostringstream& os, const Visualizer& viz,
   }
 }
 
-void event_symbol(std::ostringstream& os, const Visualizer& viz,
-                  std::size_t idx, double x, double y, bool selected) {
+void event_symbol(Out& os, const Visualizer& viz, std::size_t idx, double x,
+                  double y, bool selected) {
   const core::SimEvent& e = viz.event(idx);
   const char* color = kind_color(e.obj.kind);
-  std::ostringstream title;
-  title << trace::op_name(e.op);
-  const std::string src = viz.source_location(idx);
-  if (!src.empty()) title << " @ " << src;
 
   os << "<g>";
   switch (e.op) {
@@ -173,24 +207,32 @@ void event_symbol(std::ostringstream& os, const Visualizer& viz,
        << "<animate attributeName='opacity' values='1;0;1' dur='1s' "
           "repeatCount='indefinite'/></circle>";
   }
-  os << "<title>" << esc(title.str()) << "</title></g>\n";
+  os << "<title>" << esc(trace::op_name(e.op));
+  if (const trace::SourceLoc* loc = viz.source_loc(idx)) {
+    // c_str(): the file name ends where source_location() ends it.
+    os << " @ " << esc(viz.source().strings.get(loc->file).c_str()) << ':'
+       << loc->line;
+  }
+  os << "</title></g>\n";
 }
 
-void flow_body(std::ostringstream& os, const Visualizer& viz, const Scale& sc,
-               double top, int row_height) {
-  const auto& r = viz.result();
-  int row = 0;
-  for (const ThreadId tid : viz.visible_threads()) {
+void flow_body(Out& os, const Visualizer& viz, const Scale& sc, double top,
+               int row_height) {
+  const std::vector<ThreadId>& rows = viz.visible_threads();
+  const std::vector<std::vector<core::Segment>> segments =
+      viz.result().thread_segments(rows);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const int row = static_cast<int>(i);
     const double y = top + row * row_height + row_height / 2.0;
-    const trace::ThreadMeta* meta = viz.source().find_thread(tid);
-    std::string label = "T" + std::to_string(tid);
+    const trace::ThreadMeta* meta = viz.source().find_thread(rows[i]);
+    os << "<text x='4' y='" << y + 3 << "' font-size='10' fill='#222'>T"
+       << rows[i];
     if (meta != nullptr && meta->name != 0) {
-      label += " (" + viz.source().strings.get(meta->name) + ")";
+      os << " (" << esc(viz.source().strings.get(meta->name)) << ')';
     }
-    os << "<text x='4' y='" << y + 3 << "' font-size='10' fill='#222'>"
-       << esc(label) << "</text>\n";
+    os << "</text>\n";
 
-    for (const core::Segment& s : r.thread_segments(tid)) {
+    for (const core::Segment& s : segments[i]) {
       if (s.end <= sc.t0 || s.start >= sc.t1) continue;
       const double xa = sc.x(std::max(s.start, sc.t0));
       const double xb = sc.x(std::min(s.end, sc.t1));
@@ -216,22 +258,14 @@ void flow_body(std::ostringstream& os, const Visualizer& viz, const Scale& sc,
           break;  // no line at all
       }
     }
-    ++row;
   }
 
   for (std::size_t i = 0; i < viz.event_count(); ++i) {
     const core::SimEvent& e = viz.event(i);
     if (e.at < sc.t0 || e.at > sc.t1) continue;
-    int erow = 0;
-    bool found = false;
-    for (const ThreadId tid : viz.visible_threads()) {
-      if (tid == e.tid) {
-        found = true;
-        break;
-      }
-      ++erow;
-    }
-    if (!found) continue;
+    const std::optional<std::size_t> row = viz.row_of(e.tid);
+    if (!row) continue;
+    const int erow = static_cast<int>(*row);
     const double y = top + erow * row_height + row_height / 2.0;
     event_symbol(os, viz, i, sc.x(e.at), y,
                  viz.selected_event() && *viz.selected_event() == i);
@@ -242,7 +276,7 @@ void flow_body(std::ostringstream& os, const Visualizer& viz, const Scale& sc,
 
 std::string render_parallelism_svg(const Visualizer& viz,
                                    const RenderOptions& opts) {
-  std::ostringstream os;
+  Out os;
   const int height = opts.parallelism_height + kAxisHeight;
   os << "<svg xmlns='http://www.w3.org/2000/svg' width='" << opts.width
      << "' height='" << height << "'>\n";
@@ -252,11 +286,11 @@ std::string render_parallelism_svg(const Visualizer& viz,
   parallelism_body(os, viz, sc, 4, opts.parallelism_height - 8);
   axis(os, sc, opts.parallelism_height);
   os << "</svg>\n";
-  return os.str();
+  return os.take();
 }
 
 std::string render_flow_svg(const Visualizer& viz, const RenderOptions& opts) {
-  std::ostringstream os;
+  Out os;
   const int rows = static_cast<int>(viz.visible_threads().size());
   const int height = rows * opts.flow_row_height + kAxisHeight + 8;
   os << "<svg xmlns='http://www.w3.org/2000/svg' width='" << opts.width
@@ -267,7 +301,7 @@ std::string render_flow_svg(const Visualizer& viz, const RenderOptions& opts) {
   flow_body(os, viz, sc, 4, opts.flow_row_height);
   axis(os, sc, rows * opts.flow_row_height + 8);
   os << "</svg>\n";
-  return os.str();
+  return os.take();
 }
 
 std::string render_lwp_svg(const Visualizer& viz, const RenderOptions& opts) {
@@ -281,20 +315,24 @@ std::string render_lwp_svg(const Visualizer& viz, const RenderOptions& opts) {
                                    "#9467bd", "#8c564b", "#e377c2", "#7f7f7f",
                                    "#bcbd22", "#17becf"};
 
-  std::ostringstream os;
+  Out os;
   os << "<svg xmlns='http://www.w3.org/2000/svg' width='" << opts.width
      << "' height='" << height << "'>\n"
      << "<rect width='100%' height='100%' fill='white'/>\n";
   const Scale sc{viz.view().t0, viz.view().t1,
                  static_cast<double>(kMarginLeft),
                  static_cast<double>(opts.width - kMarginRight)};
-  int row = 0;
-  for (const core::LwpStats& ls : r.lwp_stats) {
+  std::vector<int> lwps;
+  for (const core::LwpStats& ls : r.lwp_stats) lwps.push_back(ls.id);
+  const std::vector<std::vector<core::LwpSegment>> segments =
+      r.segments_of_lwps(lwps);
+  for (int row = 0; row < rows; ++row) {
+    const core::LwpStats& ls = r.lwp_stats[static_cast<std::size_t>(row)];
     const double y = 4 + row * row_height;
     os << "<text x='4' y='" << y + row_height / 2.0 + 3
        << "' font-size='10' fill='#222'>L" << ls.id
        << (ls.dedicated ? " (bound)" : "") << "</text>\n";
-    for (const core::LwpSegment& s : r.segments_of_lwp(ls.id)) {
+    for (const core::LwpSegment& s : segments[static_cast<std::size_t>(row)]) {
       if (s.end <= sc.t0 || s.start >= sc.t1 || s.thread == 0) continue;
       const double xa = sc.x(std::max(s.start, sc.t0));
       const double xb = sc.x(std::min(s.end, sc.t1));
@@ -304,16 +342,18 @@ std::string render_lwp_svg(const Visualizer& viz, const RenderOptions& opts) {
          << std::max(0.5, xb - xa) << "' height='" << row_height - 6
          << "' fill='" << color << "' fill-opacity='"
          << (s.cpu >= 0 ? "0.95" : "0.30") << "'>"
-         << "<title>T" << s.thread
-         << (s.cpu >= 0 ? " on CPU " + std::to_string(s.cpu)
-                        : std::string(" waiting for a CPU"))
-         << "</title></rect>\n";
+         << "<title>T" << s.thread;
+      if (s.cpu >= 0) {
+        os << " on CPU " << s.cpu;
+      } else {
+        os << " waiting for a CPU";
+      }
+      os << "</title></rect>\n";
     }
-    ++row;
   }
   axis(os, sc, 4.0 + rows * row_height + 2);
   os << "</svg>\n";
-  return os.str();
+  return os.take();
 }
 
 std::string render_svg(const Visualizer& viz, const RenderOptions& opts) {
@@ -323,7 +363,7 @@ std::string render_svg(const Visualizer& viz, const RenderOptions& opts) {
   const int total_height =
       opts.parallelism_height + kAxisHeight + 10 + flow_height + legend_height;
 
-  std::ostringstream os;
+  Out os;
   os << "<svg xmlns='http://www.w3.org/2000/svg' width='" << opts.width
      << "' height='" << total_height << "'>\n"
      << "<rect width='100%' height='100%' fill='white'/>\n";
@@ -342,7 +382,7 @@ std::string render_svg(const Visualizer& viz, const RenderOptions& opts) {
           "red arrows = semaphore post/wait</text>\n";
   }
   os << "</svg>\n";
-  return os.str();
+  return os.take();
 }
 
 }  // namespace vppb::viz

@@ -11,6 +11,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/result.hpp"
@@ -80,6 +81,9 @@ class Visualizer {
   void set_visible_threads(std::vector<ThreadId> threads);
   /// Automatic compression: hide threads with no activity in the view.
   void compress_threads();
+  /// The flow-graph row that shows `tid`'s events: its first place in
+  /// visible_threads(), or nullopt while it is hidden.
+  std::optional<std::size_t> row_of(ThreadId tid) const;
 
   // ---- events ----------------------------------------------------------
 
@@ -110,14 +114,19 @@ class Visualizer {
 
   /// Source mapping: "file:line" of the call that generated the event.
   std::string source_location(std::size_t idx) const;
+  /// The recorded location behind source_location(), or nullptr when
+  /// the event has none.
+  const trace::SourceLoc* source_loc(std::size_t idx) const;
 
  private:
   bool similar(const core::SimEvent& a, const core::SimEvent& b) const;
+  void set_visible(std::vector<ThreadId> threads);
 
   const SimResult* result_;
   const trace::Trace* source_;
   View view_;
   std::vector<ThreadId> visible_;
+  std::unordered_map<ThreadId, std::size_t> row_of_;  ///< first row per tid
   std::vector<std::size_t> order_;  ///< event indices sorted for display
   std::optional<std::size_t> selected_;
 };

@@ -1,14 +1,17 @@
 // Property-based tests: invariants that must hold across parameter
 // sweeps (TEST_P / INSTANTIATE_TEST_SUITE_P) and under randomized
-// operation sequences checked against simple reference models.
+// operation sequences checked against simple reference models, and the
+// SimResult batch queries against their one-at-a-time references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <string>
 #include <tuple>
 
 #include "core/engine.hpp"
+#include "golden_cases.hpp"
 #include "recorder/recorder.hpp"
 #include "solaris/program.hpp"
 #include "trace/io.hpp"
@@ -265,6 +268,203 @@ INSTANTIATE_TEST_SUITE_P(Grid, SplashMonotonicTest,
                          testing::Combine(testing::Range(0, 5),
                                           testing::Values(1, 2, 4, 8)),
                          splash_case_name);
+
+
+// ---------------------------------------------------------------------------
+// SimResult's batch queries against their one-at-a-time references:
+// parallelism_at(times) against parallelism_at(t), the bucketed
+// thread_segments(tids) and segments_of_lwps(lwps) against a filter and
+// sort of the whole timeline.
+
+/// Instants before the first segment, after the run, on a 200-point
+/// grid, and exactly on (and 1 ns either side of) a spread of segment
+/// starts and ends: each segment counts over [start, end).
+std::vector<SimTime> probe_times(const core::SimResult& r) {
+  std::vector<SimTime> times{SimTime::nanos(-1), r.total,
+                             r.total + SimTime::nanos(1)};
+  for (std::int64_t i = 0; i < 200; ++i) {
+    times.push_back(SimTime::nanos(r.total.ns() * i / 199));
+  }
+  const std::size_t stride = std::max<std::size_t>(1, r.segments.size() / 64);
+  for (std::size_t i = 0; i < r.segments.size(); i += stride) {
+    for (const SimTime edge : {r.segments[i].start, r.segments[i].end}) {
+      times.push_back(edge - SimTime::nanos(1));
+      times.push_back(edge);
+      times.push_back(edge + SimTime::nanos(1));
+    }
+  }
+  return times;
+}
+
+void expect_batch_matches(const core::SimResult& r,
+                          const std::vector<SimTime>& times,
+                          const std::string& what) {
+  const auto batch = r.parallelism_at(times);
+  ASSERT_EQ(batch.size(), times.size()) << what;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    const core::SimResult::Parallelism one = r.parallelism_at(times[i]);
+    EXPECT_TRUE(batch[i].running == one.running &&
+                batch[i].runnable == one.runnable)
+        << what << " at " << times[i].ns() << " ns: batch " << batch[i].running
+        << "/" << batch[i].runnable << ", reference " << one.running << "/"
+        << one.runnable;
+  }
+}
+
+template <class Item, class Key, class KeyOf>
+std::vector<Item> filter_sorted(const std::vector<Item>& items, Key key,
+                                KeyOf key_of) {
+  std::vector<Item> out;
+  for (const Item& item : items) {
+    if (key_of(item) == key) out.push_back(item);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const Item& a, const Item& b) { return a.start < b.start; });
+  return out;
+}
+
+bool same_segments(const std::vector<core::Segment>& a,
+                   const std::vector<core::Segment>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const core::Segment& x, const core::Segment& y) {
+                      return x.tid == y.tid && x.start == y.start &&
+                             x.end == y.end && x.state == y.state &&
+                             x.cpu == y.cpu;
+                    });
+}
+
+bool same_lwp_segments(const std::vector<core::LwpSegment>& a,
+                       const std::vector<core::LwpSegment>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const core::LwpSegment& x, const core::LwpSegment& y) {
+                      return x.lwp == y.lwp && x.start == y.start &&
+                             x.end == y.end && x.thread == y.thread &&
+                             x.cpu == y.cpu;
+                    });
+}
+
+TEST(SimResultBatchTest, MatchesTheReferencesOnEveryGoldenWorkload) {
+  for (const core::GoldenCase& gc : core::kGoldenCases) {
+    const core::CompiledTrace compiled = core::record_compiled(gc.workload);
+    for (const int cpus : {1, 2, 4, 8}) {
+      core::SimConfig cfg;
+      gc.configure(cfg);
+      cfg.hw.cpus = cpus;
+      const core::SimResult r = core::simulate(compiled, cfg);
+      const std::string what = std::string(gc.name) + " at " +
+                               std::to_string(cpus) + " CPUs";
+      ASSERT_FALSE(r.segments.empty()) << what;
+
+      std::vector<SimTime> times = probe_times(r);
+      expect_batch_matches(r, times, what);
+      std::reverse(times.begin(), times.end());  // any order
+      expect_batch_matches(r, times, what + ", descending");
+      expect_batch_matches(r, {}, what + ", no instants");
+
+      // parallelism_profile(200) is the 200-point grid, as before.
+      const auto profile = r.parallelism_profile(200);
+      ASSERT_EQ(profile.size(), 200u);
+      for (std::int64_t i = 0; i < 200; ++i) {
+        const SimTime t = SimTime::nanos(r.total.ns() * i / 199);
+        const auto one = r.parallelism_at(t);
+        const auto& p = profile[static_cast<std::size_t>(i)];
+        EXPECT_TRUE(p.at == t && p.running == one.running &&
+                    p.runnable == one.runnable)
+            << what << " profile point " << i;
+      }
+
+      // Every thread, one repeated and one unknown tid.
+      std::vector<trace::ThreadId> tids;
+      for (const auto& [tid, st] : r.threads) tids.push_back(tid);
+      tids.push_back(tids.front());
+      tids.push_back(-7);
+      const auto by_thread = r.thread_segments(tids);
+      ASSERT_EQ(by_thread.size(), tids.size());
+      for (std::size_t i = 0; i < tids.size(); ++i) {
+        EXPECT_TRUE(same_segments(
+            by_thread[i],
+            filter_sorted(r.segments, tids[i],
+                          [](const core::Segment& s) { return s.tid; })))
+            << what << ": T" << tids[i];
+      }
+      std::vector<int> lwps;
+      for (const core::LwpStats& ls : r.lwp_stats) lwps.push_back(ls.id);
+      lwps.push_back(-1);
+      const auto by_lwp = r.segments_of_lwps(lwps);
+      ASSERT_EQ(by_lwp.size(), lwps.size());
+      for (std::size_t i = 0; i < lwps.size(); ++i) {
+        EXPECT_TRUE(same_lwp_segments(
+            by_lwp[i],
+            filter_sorted(r.lwp_segments, lwps[i],
+                          [](const core::LwpSegment& s) { return s.lwp; })))
+            << what << ": LWP " << lwps[i];
+      }
+    }
+  }
+}
+
+TEST(SimResultBatchTest, HandBuiltTimelineInAnyOrder) {
+  // Out of time order, with zero-length and equal-start segments: the
+  // batches must sort and count exactly as the references do.
+  core::SimResult r;
+  r.total = SimTime::nanos(100);
+  const auto seg = [](trace::ThreadId tid, std::int64_t a, std::int64_t b,
+                      core::SegState state, int cpu) {
+    return core::Segment{tid, SimTime::nanos(a), SimTime::nanos(b), state,
+                         cpu};
+  };
+  r.segments = {seg(2, 40, 90, core::SegState::kRunnable, -1),
+                seg(1, 50, 100, core::SegState::kRunning, 1),
+                seg(1, 10, 10, core::SegState::kRunning, 0),
+                seg(2, 0, 40, core::SegState::kRunning, 0),
+                seg(1, 10, 50, core::SegState::kBlocked, -1),
+                seg(1, 0, 10, core::SegState::kRunnable, -1),
+                seg(3, 20, 20, core::SegState::kRunnable, -1),
+                seg(2, 90, 100, core::SegState::kSleeping, -1)};
+  for (int i = 0; i < 8; ++i) {
+    r.lwp_segments.push_back(core::LwpSegment{
+        i % 2, SimTime::nanos(80 - 10 * i), SimTime::nanos(90 - 10 * i), i,
+        i % 3 - 1});
+  }
+  std::vector<SimTime> times;
+  for (std::int64_t t = -2; t <= 102; ++t) times.push_back(SimTime::nanos(t));
+  expect_batch_matches(r, times, "hand-built");
+
+  const std::vector<trace::ThreadId> tids{2, 1, 3, 1};
+  const auto by_thread = r.thread_segments(tids);
+  for (std::size_t i = 0; i < tids.size(); ++i) {
+    EXPECT_TRUE(same_segments(
+        by_thread[i],
+        filter_sorted(r.segments, tids[i],
+                      [](const core::Segment& s) { return s.tid; })))
+        << "T" << tids[i];
+  }
+  const auto by_lwp = r.segments_of_lwps({1, 0});
+  for (const int lwp : {0, 1}) {
+    EXPECT_TRUE(same_lwp_segments(
+        by_lwp[static_cast<std::size_t>(1 - lwp)],
+        filter_sorted(r.lwp_segments, lwp,
+                      [](const core::LwpSegment& s) { return s.lwp; })))
+        << "LWP " << lwp;
+  }
+}
+
+TEST(SimResultBatchTest, EmptyRunAnswersZeroEverywhere) {
+  const core::SimResult r;
+  const auto batch = r.parallelism_at(std::vector<SimTime>{
+      SimTime::nanos(5), SimTime::zero(), SimTime::zero()});
+  ASSERT_EQ(batch.size(), 3u);
+  for (const auto& p : batch) {
+    EXPECT_EQ(p.running, 0);
+    EXPECT_EQ(p.runnable, 0);
+  }
+  EXPECT_TRUE(r.parallelism_at(std::vector<SimTime>{}).empty());
+  for (const auto& p : r.parallelism_profile(200)) {
+    EXPECT_EQ(p.at, SimTime::zero());
+    EXPECT_EQ(p.running + p.runnable, 0);
+  }
+  EXPECT_TRUE(r.thread_segments(std::vector<trace::ThreadId>{1})[0].empty());
+}
 
 }  // namespace
 }  // namespace vppb

@@ -134,6 +134,42 @@ TEST(ThreadsTest, CompressionHidesInactive) {
   EXPECT_EQ(v.visible_threads().size(), 2u);
 }
 
+TEST(ThreadsTest, CompressionMatchesAScanPerThread) {
+  // Over the whole run and each eighth of it, compression keeps exactly
+  // the threads with a running or runnable segment in the view, in
+  // thread-id order.
+  sol::Program program;
+  const trace::Trace log = rec::record_program(program, [] {
+    workloads::fft(workloads::SplashParams{8, 0.1});
+  });
+  for (const int cpus : {1, 4}) {
+    core::SimConfig cfg;
+    cfg.hw.cpus = cpus;
+    const core::SimResult r = core::simulate(log, cfg);
+    Visualizer v(r, log);
+    for (int eighth = -1; eighth < 8; ++eighth) {
+      if (eighth >= 0) {
+        v.select_interval(r.total * eighth / 8, r.total * (eighth + 1) / 8);
+      }
+      std::vector<ThreadId> expected;
+      for (const ThreadId tid : v.all_threads()) {
+        for (const core::Segment& s : r.segments) {
+          if (s.tid == tid &&
+              (s.state == core::SegState::kRunning ||
+               s.state == core::SegState::kRunnable) &&
+              s.start < v.view().t1 && s.end > v.view().t0) {
+            expected.push_back(tid);
+            break;
+          }
+        }
+      }
+      v.compress_threads();
+      EXPECT_EQ(v.visible_threads(), expected)
+          << cpus << " CPUs, eighth " << eighth;
+    }
+  }
+}
+
 TEST(EventsTest, OrderedByTime) {
   Fixture f;
   Visualizer v(f.result, f.log);
@@ -357,12 +393,13 @@ TEST(RenderTest, ZoomedViewClipsSegments) {
 
 // ---- pinned output bytes ---------------------------------------------
 //
-// Size and FNV-1a digest of every renderer's output on six views that
+// Size and FNV-1a digest of every renderer's output on seven views that
 // between them reach every drawing path: the whatif-service request
 // (Ocean-32 at 4 CPUs, compressed), a zoomed view with clipped
 // segments and a flashing selected event, dedicated LWPs, names and
 // files that need escaping, a zero-length run, a log of more than 64
-// threads, and rows for a repeated and an unknown tid.  Any change to the renderers must leave these unchanged.
+// threads, and rows for a repeated and an unknown tid.  Any change to
+// the renderers must leave these unchanged.
 
 std::uint64_t fnv1a(std::string_view bytes) {
   std::uint64_t h = 1469598103934665603ULL;
@@ -466,8 +503,9 @@ TEST(RenderTest, OutputBytesArePinned) {
     to_cpu.cpu = 1;
     cfg.sched.thread_policy[6] = to_cpu;
     const core::SimResult r = core::simulate(log, cfg);
-    ASSERT_TRUE(std::any_of(r.lwp_stats.begin(), r.lwp_stats.end(),
-                            [](const core::LwpStats& l) { return l.dedicated; }));
+    ASSERT_TRUE(std::any_of(
+        r.lwp_stats.begin(), r.lwp_stats.end(),
+        [](const core::LwpStats& l) { return l.dedicated; }));
     Visualizer v(r, log);
     expect_pinned("fork_join6_cpus2_bound", v,
                   {{{107802, 0x94e5c21d3daf5058},
