@@ -247,17 +247,14 @@ void SimResult::validate() const {
                      "timeline gap for T" << tid << " at " << segs[i].start);
     }
   }
-  // Running threads never exceed the CPU count: check at segment edges.
-  for (const Segment& probe : segments) {
-    if (probe.state != SegState::kRunning) continue;
-    int running = 0;
-    for (const Segment& s : segments) {
-      if (s.state == SegState::kRunning && s.start <= probe.start &&
-          probe.start < s.end)
-        ++running;
-    }
-    VPPB_CHECK_MSG(running <= cpus, "more running threads (" << running
-                                                             << ") than CPUs");
+  // Running threads never exceed the CPU count: the count only rises at
+  // the start of a running segment, so check it there.
+  std::vector<SimTime> starts;
+  for (const Segment& s : segments)
+    if (s.state == SegState::kRunning) starts.push_back(s.start);
+  for (const Parallelism& p : parallelism_at(starts)) {
+    VPPB_CHECK_MSG(p.running <= cpus, "more running threads ("
+                                          << p.running << ") than CPUs");
   }
   for (const SimEvent& e : events) {
     VPPB_CHECK_MSG(e.at <= e.done, "event ends before it starts");

@@ -47,16 +47,39 @@ std::int64_t Tracer::now_ns() const {
 }
 
 Tracer::Ring& Tracer::ring_for_this_thread() {
-  thread_local Ring* tl_ring = nullptr;
-  if (tl_ring == nullptr) {
+  // The lease gives the ring back when the thread exits.
+  struct Lease {
+    Ring* ring = nullptr;
+    ~Lease() {
+      if (ring != nullptr) Tracer::global().release(ring);
+    }
+  };
+  thread_local Lease lease;
+  if (lease.ring == nullptr) {
     std::lock_guard<std::mutex> lk(rings_mu_);
-    auto ring = std::make_unique<Ring>();
-    ring->tid = static_cast<std::uint32_t>(rings_.size() + 1);
-    ring->slots.resize(kRingCapacity);
-    tl_ring = ring.get();
-    rings_.push_back(std::move(ring));
+    // The lowest-numbered free ring, so export lanes keep the order in
+    // which their threads started tracing.
+    for (const auto& r : rings_) {
+      if (!r->leased) {
+        lease.ring = r.get();
+        break;
+      }
+    }
+    if (lease.ring == nullptr) {
+      auto ring = std::make_unique<Ring>();
+      ring->tid = static_cast<std::uint32_t>(rings_.size() + 1);
+      ring->slots.resize(kRingCapacity);
+      lease.ring = ring.get();
+      rings_.push_back(std::move(ring));
+    }
+    lease.ring->leased = true;
   }
-  return *tl_ring;
+  return *lease.ring;
+}
+
+void Tracer::release(Ring* ring) {
+  std::lock_guard<std::mutex> lk(rings_mu_);
+  ring->leased = false;
 }
 
 void Tracer::record(const SpanEvent& ev) {

@@ -9,6 +9,9 @@
 // thread-local ring with no locks on the hot path (the ring is
 // registered once per thread under a mutex).  Rings overwrite their
 // oldest events when full; the export notes how many were dropped.
+// A thread that exits hands its ring, events included, to the next
+// thread that needs one, so a process keeps as many rings as it ever
+// had tracing threads alive at once, not one per thread it started.
 //
 // Event names and categories must be string literals (or otherwise
 // immortal): rings store `const char*` and events may be exported long
@@ -67,7 +70,7 @@ class TraceContext {
 
 class Tracer {
  public:
-  /// Events kept per thread; oldest overwritten beyond this.
+  /// Events kept per ring; oldest overwritten beyond this.
   static constexpr std::size_t kRingCapacity = 1 << 16;
 
   /// The process-wide tracer all Spans record into.
@@ -124,13 +127,15 @@ class Tracer {
 
  private:
   struct Ring {
-    std::uint32_t tid = 0;  ///< stable per-thread export id
+    std::uint32_t tid = 0;  ///< stable per-ring export id
+    bool leased = false;    ///< held by a live thread (under rings_mu_)
     std::atomic<std::uint64_t> n{0};  ///< events ever written
     std::vector<SpanEvent> slots;
   };
 
   Tracer();
   Ring& ring_for_this_thread();
+  void release(Ring* ring);
 
   std::atomic<bool> enabled_{false};
   std::int64_t epoch_ns_ = 0;  ///< steady-clock origin of timestamps

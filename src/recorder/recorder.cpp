@@ -153,6 +153,8 @@ void Recorder::on_thread(trace::ThreadId tid, std::string_view name,
   meta.start_func = trace_.strings.intern(start_func);
   meta.bound = bound;
   meta.initial_priority = priority;
+  if (live_ != nullptr)
+    live_->mark_thread(static_cast<std::size_t>(&meta - trace_.threads.data()));
 }
 
 trace::Trace Recorder::finish(SimTime program_end) {

@@ -30,15 +30,6 @@ void check_range(const char* what, std::int64_t v, std::int64_t lo,
                           static_cast<long long>(hi)));
 }
 
-core::SimConfig base_config(const Request& req) {
-  check_range("lwps", req.lwps, 0, 1 << 20);
-  check_range("comm-delay-us", req.comm_delay_us, 0, 86400000000LL);
-  core::SimConfig cfg;
-  cfg.sched.lwps = req.lwps;
-  cfg.hw.comm_delay = SimTime::micros(req.comm_delay_us);
-  return cfg;
-}
-
 /// A handler checkpoint: throws once the request's deadline or wall
 /// ceiling has passed.
 void checkpoint(const core::RunGuard* guard) {
@@ -83,8 +74,7 @@ OneRun run_once(ReqType type, const Request& req, TraceCache& cache,
   run.resp.type = type;
   checkpoint(guard);
   run.entry = timed_get(cache, req, guard, tl);
-  core::SimConfig cfg = base_config(req);
-  cfg.hw.cpus = req.cpus;
+  const core::SimConfig cfg = sim_config(req);
 
   checkpoint(guard);
   run.result = timed(tl, "simulate", [&] {
@@ -102,6 +92,16 @@ OneRun run_once(ReqType type, const Request& req, TraceCache& cache,
 
 }  // namespace
 
+core::SimConfig sim_config(const Request& req) {
+  check_range("lwps", req.lwps, 0, 1 << 20);
+  check_range("comm-delay-us", req.comm_delay_us, 0, 86400000000LL);
+  core::SimConfig cfg;
+  cfg.hw.cpus = req.cpus;
+  cfg.sched.lwps = req.lwps;
+  cfg.hw.comm_delay = SimTime::micros(req.comm_delay_us);
+  return cfg;
+}
+
 Response handle_predict(const Request& req, TraceCache& cache,
                         const core::RunGuard* guard, obs::Timeline* tl) {
   check_range("max-cpus", req.max_cpus, 1, kMaxRequestCpus);
@@ -110,7 +110,7 @@ Response handle_predict(const Request& req, TraceCache& cache,
   checkpoint(guard);
   const std::shared_ptr<const TraceCache::Entry> entry =
       timed_get(cache, req, guard, tl);
-  const core::SimConfig base = base_config(req);
+  const core::SimConfig base = sim_config(req);
 
   std::vector<int> cpu_counts;
   for (int cpus = 1; cpus <= req.max_cpus; cpus *= 2)

@@ -10,12 +10,20 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/guard.hpp"
 #include "obs/timeline.hpp"
 #include "server/protocol.hpp"
 #include "server/trace_cache.hpp"
 
 namespace vppb::server {
+
+/// The simulator configuration a compute request asks for: LWP pool,
+/// inter-CPU delay and CPU count (a predict sweep sets the CPU count of
+/// each point itself).  The offline CLI commands build theirs here too,
+/// so a flag means the same thing with or without a daemon.  Throws
+/// vppb::Error when a field is out of range.
+core::SimConfig sim_config(const Request& req);
 
 /// `guard` (optional) is the request's one clock and budget.  Handlers
 /// check its deadline and wall ceiling at their checkpoints (trace

@@ -2,6 +2,9 @@
 
 #include <unistd.h>
 
+#include <chrono>
+#include <thread>
+
 #include "obs/log.hpp"
 #include "server/auth.hpp"
 #include "util/error.hpp"
@@ -59,8 +62,23 @@ bool FrameListener::stop() {
 }
 
 void FrameListener::accept_loop() {
+  bool failing = false;  // logs the first accept error of a streak only
   while (running_.load()) {
-    util::Socket s = util::accept_with_timeout(listener_, 100);
+    reap_finished();
+    util::Socket s;
+    try {
+      s = util::accept_with_timeout(listener_, 100);
+      failing = false;
+    } catch (const Error& e) {
+      // Out of fds (or another transient accept failure): the pending
+      // peer stays in the backlog, so back off instead of spinning, and
+      // let the reap above free the sockets of finished connections.
+      if (!failing)
+        obs::logf(LogLevel::kWarn, component_, "accept failed: %s", e.what());
+      failing = true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      continue;
+    }
     if (!s.valid()) continue;
     std::lock_guard<std::mutex> lock(conn_mu_);
     if (!running_.load()) break;  // raced with stop(): drop the socket
@@ -68,8 +86,20 @@ void FrameListener::accept_loop() {
     Conn* conn = conns_.back().get();
     conn->sock = std::move(s);
     conn->id = next_conn_id_++;
-    conn->thread = std::thread(&FrameListener::serve, this, conn);
+    conn->thread = std::thread([this, conn]() {
+      serve(conn);
+      conn->finished.store(true, std::memory_order_release);
+    });
   }
+}
+
+void FrameListener::reap_finished() {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  std::erase_if(conns_, [](const std::unique_ptr<Conn>& c) {
+    if (!c->finished.load(std::memory_order_acquire)) return false;
+    c->thread.join();  // serve() has returned: the join is immediate
+    return true;
+  });
 }
 
 void FrameListener::serve(Conn* conn) {
@@ -112,11 +142,11 @@ void FrameListener::serve(Conn* conn) {
     obs::logf(LogLevel::kDebug, component_, "connection dropped: %s",
               e.what());
   }
-  // The Conn object lives until stop() joins its thread, but the wire
-  // must not: shut the socket down now so a peer blocked on recv sees
-  // EOF the moment we stop serving it.  shutdown (not close) — stop()
-  // may concurrently shutdown_read() this fd, and closing here would
-  // race that against fd reuse.
+  // The Conn object lives until the accept thread reaps it (or stop()
+  // joins it), but the wire must not: shut the socket down now so a
+  // peer blocked on recv sees EOF the moment we stop serving it.
+  // shutdown (not close) — stop() may concurrently shutdown_read() this
+  // fd, and closing here would race that against fd reuse.
   sock.shutdown_both();
 }
 

@@ -92,9 +92,11 @@ class FrameListener {
     util::Socket sock;
     std::thread thread;
     std::uint64_t id = 0;
+    std::atomic<bool> finished{false};  ///< serve() has returned
   };
 
   void accept_loop();
+  void reap_finished();
   void serve(Conn* conn);
 
   const ListenerOptions opt_;
@@ -110,6 +112,8 @@ class FrameListener {
   std::uint64_t next_conn_id_ = 1;  ///< accept thread only
 
   std::mutex conn_mu_;
+  /// Live connections: one is joined and dropped, socket closed, within
+  /// one accept poll (100 ms) of its serve() returning.
   std::vector<std::unique_ptr<Conn>> conns_;
   std::thread accept_thread_;
 };

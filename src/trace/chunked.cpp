@@ -171,16 +171,25 @@ void ChunkedWriter::sync_tables(const Trace& trace) {
     add_string(trace.strings.get(next_string_));
   while (next_location_ < trace.locations.size())
     add_location(trace.locations[next_location_]);
-  for (std::size_t i = 0; i < trace.threads.size(); ++i) {
-    const ThreadMeta& t = trace.threads[i];
-    if (i < synced_threads_.size()) {
-      if (synced_threads_[i] == t) continue;
-      synced_threads_[i] = t;
-    } else {
-      synced_threads_.push_back(t);
-    }
-    upsert_thread(t);
+  // Changed entries precede new ones, each in table order, as a diff
+  // of the whole table would write them; a repeated mark finds its
+  // entry already written.
+  std::sort(marked_threads_.begin(), marked_threads_.end());
+  for (const std::size_t i : marked_threads_) {
+    if (i >= synced_threads_.size() || synced_threads_[i] == trace.threads[i])
+      continue;
+    synced_threads_[i] = trace.threads[i];
+    upsert_thread(trace.threads[i]);
   }
+  marked_threads_.clear();
+  while (synced_threads_.size() < trace.threads.size()) {
+    synced_threads_.push_back(trace.threads[synced_threads_.size()]);
+    upsert_thread(synced_threads_.back());
+  }
+}
+
+void ChunkedWriter::mark_thread(std::size_t index) {
+  marked_threads_.push_back(index);
 }
 
 void ChunkedWriter::write_chunk(const std::uint8_t* payload, std::size_t n,

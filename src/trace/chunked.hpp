@@ -72,10 +72,16 @@ class ChunkedWriter {
   void add_location(const SourceLoc& loc);
   void add_record(const Record& r);
 
-  /// Diffs the trace's string/location tables and thread metas against
-  /// what has already been written and appends the new entries.  Call
+  /// Appends the trace's strings, locations and threads added since the
+  /// last sync, and the marked threads that changed since they were
+  /// written.  Costs O(new entries), whatever the table sizes.  Call
   /// before add_record so the record's references resolve on replay.
   void sync_tables(const Trace& trace);
+
+  /// Marks trace.threads[index] for the next sync_tables to compare
+  /// with what it wrote and write again if it changed.  Call it after
+  /// changing an entry that an earlier sync wrote.
+  void mark_thread(std::size_t index);
 
   /// Seals the pending chunk to the partial file (normal path).
   void seal();
@@ -125,7 +131,8 @@ class ChunkedWriter {
   std::int64_t prev_ns_ = 0;
   std::uint32_t next_string_ = 1;
   std::size_t next_location_ = 0;
-  std::vector<ThreadMeta> synced_threads_;
+  std::vector<ThreadMeta> synced_threads_;  ///< as last written
+  std::vector<std::size_t> marked_threads_;  ///< indices into trace.threads
   std::size_t records_written_ = 0;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
+#include <memory>
 
 #include "obs/metrics.hpp"
 
@@ -43,6 +45,44 @@ double us_since(std::chrono::steady_clock::time_point t0,
       .count();
 }
 
+/// One parallel_for call: its claim counter and its completion block.
+/// The caller and its helper slices share it, so a slice that starts
+/// after the call returned still reads a live counter, finds no index
+/// left, and never touches `fn`.
+struct Loop {
+  Loop(const std::function<void(std::size_t)>& f, std::size_t count)
+      : fn(&f), n(count) {}
+
+  const std::function<void(std::size_t)>* const fn;
+  const std::size_t n;
+  std::atomic<std::size_t> next{0};  ///< next unclaimed index
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  ///< set by the index that set `failed`
+
+  std::mutex mu;
+  std::condition_variable cv;  ///< signals done == n
+  std::size_t done = 0;        ///< finished indices
+
+  /// Claims and runs indices until none remain.  After a failure the
+  /// remaining indices are claimed and counted without running: the
+  /// caller waits for every index to be counted done.
+  void run() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      if (!failed.load(std::memory_order_relaxed)) {
+        try {
+          (*fn)(i);
+        } catch (...) {
+          if (!failed.exchange(true)) error = std::current_exception();
+        }
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (++done == n) cv.notify_all();
+    }
+  }
+};
+
 }  // namespace
 
 int ThreadPool::resolve_jobs(int jobs) {
@@ -50,23 +90,13 @@ int ThreadPool::resolve_jobs(int jobs) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(int jobs) {
-  const int n = resolve_jobs(jobs);
-  workers_.reserve(static_cast<std::size_t>(n - 1));
-  for (int i = 1; i < n; ++i) {
-    workers_.emplace_back([this]() { worker_loop(0); });
-  }
-  worker_count_.store(n - 1, std::memory_order_release);
-}
+ThreadPool::ThreadPool(int jobs) { grow(resolve_jobs(jobs) - 1); }
 
 void ThreadPool::grow(int n) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_) return;  // too late: the destructor owns workers_ now
   for (int i = 0; i < n; ++i) {
-    // A late-started worker must not mistake the *current* generation
-    // for a fresh parallel_for announcement, so it starts caught up.
-    const std::uint64_t seen = generation_;
-    workers_.emplace_back([this, seen]() { worker_loop(seen); });
+    workers_.emplace_back([this]() { worker_loop(); });
     worker_count_.fetch_add(1, std::memory_order_acq_rel);
   }
 }
@@ -80,59 +110,18 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-/// Claims and runs indices of the current job until none remain.  On an
-/// exception the first error is kept and the remaining indices are
-/// drained without running (every index must still be counted done, or
-/// the caller would wait forever).
-void ThreadPool::run_slice() {
-  for (;;) {
-    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n_) return;
-    if (!failed_.load(std::memory_order_relaxed)) {
-      try {
-        (*fn_)(i);
-      } catch (...) {
-        bool expected = false;
-        if (failed_.compare_exchange_strong(expected, true)) error_ = std::current_exception();
-      }
-    }
-    if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_cv_.notify_all();
-    }
-  }
-}
-
-void ThreadPool::worker_loop(std::uint64_t seen) {
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&]() {
-        return stopping_ || !tasks_.empty() || generation_ != seen;
-      });
-      if (!tasks_.empty()) {
-        // Posted tasks first: a pending parallel_for still completes
-        // through its caller, but a posted task has no other runner.
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-        PoolMetrics::get().depth.set(static_cast<std::int64_t>(tasks_.size()));
-      } else if (generation_ != seen) {
-        seen = generation_;
-        ++active_;
-      } else {  // stopping_, and the task queue is drained
-        return;
-      }
+      work_cv_.wait(lock, [&]() { return stopping_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stopping_, and the queue is drained
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
+      PoolMetrics::get().depth.set(static_cast<std::int64_t>(tasks_.size()));
     }
-    if (task) {
-      task();
-      continue;
-    }
-    run_slice();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--active_ == 0) done_cv_.notify_all();
-    }
+    task();
   }
 }
 
@@ -160,35 +149,19 @@ void ThreadPool::post(std::function<void()> task) {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (worker_count_.load(std::memory_order_acquire) == 0 || n == 1) {
+  const std::size_t helpers = std::min<std::size_t>(
+      static_cast<std::size_t>(worker_count_.load(std::memory_order_acquire)),
+      n > 0 ? n - 1 : 0);
+  if (helpers == 0) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  std::lock_guard<std::mutex> serialize(serialize_mu_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    fn_ = &fn;
-    n_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    done_.store(0, std::memory_order_relaxed);
-    failed_.store(false, std::memory_order_relaxed);
-    error_ = nullptr;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  run_slice();
-  {
-    // Wait for every index to finish AND for the workers to leave
-    // run_slice: a straggler still inside the claim loop must not see
-    // the next job's fn_/n_ without synchronization.
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&]() {
-      return done_.load(std::memory_order_acquire) == n_ && active_ == 0;
-    });
-    fn_ = nullptr;
-  }
-  if (error_) std::rethrow_exception(error_);
+  auto loop = std::make_shared<Loop>(fn, n);
+  for (std::size_t k = 0; k < helpers; ++k) post([loop]() { loop->run(); });
+  loop->run();
+  std::unique_lock<std::mutex> lock(loop->mu);
+  loop->cv.wait(lock, [&]() { return loop->done == n; });
+  if (loop->error) std::rethrow_exception(loop->error);
 }
 
 }  // namespace vppb::util

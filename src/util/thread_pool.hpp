@@ -1,19 +1,21 @@
-// A small reusable worker pool for embarrassingly parallel loops.
+// A small reusable worker pool for embarrassingly parallel loops and
+// independent tasks.
 //
 // The Simulator's processor sweeps run one independent core::simulate
 // per machine configuration (paper §3.2: "run the simulator once per
 // candidate configuration"); the pool lets those runs use every
-// hardware thread.  Workers are started once and reused across
-// parallel_for calls, so a sweep-heavy tool pays the thread-creation
-// cost once.  With fewer than two participants the loop runs inline on
-// the caller — a graceful no-op on single-core hosts.
+// hardware thread.  Workers are started once and reused, so a
+// sweep-heavy tool pays the thread-creation cost once.  All work goes
+// through one FIFO task queue: post() appends a task, and parallel_for
+// appends helper slices that join the caller's loop.  With fewer than
+// two participants the loop runs inline on the caller — a graceful
+// no-op on single-core hosts.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -43,49 +45,39 @@ class ThreadPool {
   /// stopping.
   void grow(int n);
 
-  /// Runs fn(0) .. fn(n-1) across the workers and the calling thread,
-  /// claiming indices through a shared counter; returns when every
-  /// index has finished.  The first exception thrown by any index is
-  /// rethrown on the caller (remaining indices are skipped).  Calls
-  /// serialize: the pool runs one loop at a time.
+  /// Runs fn(0) .. fn(n-1) across the calling thread and up to
+  /// min(workers, n - 1) helper slices posted to the task queue, which
+  /// claim indices through a shared counter; returns when every index
+  /// has finished.  The first exception thrown by any index is rethrown
+  /// on the caller (remaining indices are skipped).  The caller claims
+  /// indices too, so the loop completes even when every worker is busy,
+  /// and calls from several threads run side by side.  A helper slice
+  /// that starts after the call returned finds no index left and never
+  /// touches `fn`.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Enqueues an independent task and returns immediately; a free
-  /// worker runs it (FIFO order, interleaved with parallel_for slices —
-  /// a worker prefers queued tasks).  With no workers (jobs == 1) the
-  /// task runs inline on the caller before post() returns.  Queued
-  /// tasks are drained, not dropped, before the destructor returns.
-  /// Tasks must handle their own errors: an exception escaping a posted
-  /// task terminates the process.
+  /// worker runs it (FIFO order, shared with parallel_for's helper
+  /// slices).  With no workers (jobs == 1) the task runs inline on the
+  /// caller before post() returns.  Queued tasks are drained, not
+  /// dropped, before the destructor returns.  Tasks must handle their
+  /// own errors: an exception escaping a posted task terminates the
+  /// process.
   void post(std::function<void()> task);
 
   /// `jobs` <= 0 -> hardware_concurrency (at least 1); else `jobs`.
   static int resolve_jobs(int jobs);
 
  private:
-  void worker_loop(std::uint64_t seen);
-  void run_slice();
+  void worker_loop();
 
   std::vector<std::thread> workers_;  ///< mutated under mu_ (grow) until stop
   std::atomic<int> worker_count_{0};  ///< lock-free mirror of workers_.size()
 
   std::mutex mu_;
-  std::condition_variable work_cv_;  ///< signals a new job generation
-  std::condition_variable done_cv_;  ///< signals job completion
-  std::uint64_t generation_ = 0;     ///< bumped once per parallel_for
-  int active_ = 0;                   ///< workers currently inside run_slice
+  std::condition_variable work_cv_;  ///< signals a queued task or stopping_
   bool stopping_ = false;
-  std::deque<std::function<void()>> tasks_;  ///< posted, not yet started
-
-  // Current job (valid while done_ < n_).
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::size_t n_ = 0;
-  std::atomic<std::size_t> next_{0};  ///< next unclaimed index
-  std::atomic<std::size_t> done_{0};  ///< finished indices
-  std::atomic<bool> failed_{false};
-  std::exception_ptr error_;
-
-  std::mutex serialize_mu_;  ///< one parallel_for at a time
+  std::deque<std::function<void()>> tasks_;  ///< queued, not yet started
 };
 
 }  // namespace vppb::util

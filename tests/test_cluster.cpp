@@ -38,6 +38,7 @@
 #include "trace/io.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "workloads/splash.hpp"
 #include "workloads/synthetic.hpp"
 
 #ifndef VPPB_EXE
@@ -95,6 +96,61 @@ Request predict_request(const std::string& path) {
 Response offline_predict(const std::string& path) {
   server::TraceCache cache(4, 256u << 20);
   return server::handle_predict(predict_request(path), cache);
+}
+
+// ---- offline CLI parity ----------------------------------------------------
+
+/// The stdout of `vppb <args>`.
+std::string run_vppb(const std::string& args) {
+  const std::string cmd = std::string(VPPB_EXE) + " " + args + " 2>/dev/null";
+  std::FILE* p = ::popen(cmd.c_str(), "r");
+  if (p == nullptr) return {};
+  std::string out;
+  char buf[4096];
+  while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
+  ::pclose(p);
+  return out;
+}
+
+/// The 16-hex-digit digest printed right after `label`; 0 when absent.
+std::uint64_t printed_digest(const std::string& out, const std::string& label) {
+  const std::size_t at = out.find(label);
+  if (at == std::string::npos) return 0;
+  return std::stoull(out.substr(at + label.size(), 16), nullptr, 16);
+}
+
+TEST(OfflineCliTest, SimulateAnalyzeAndPredictHonourTheFlagsTheHandlersHonour) {
+  ASSERT_STRNE(VPPB_EXE, "") << "VPPB_EXE not compiled in";
+  TempFile trace("offline");
+  sol::Program program;
+  trace::save_file(rec::record_program(program,
+                                       [] {
+                                         workloads::fft(
+                                             workloads::SplashParams{16, 0.2});
+                                       }),
+                   trace.path());
+  Request req;
+  req.trace_path = trace.path();
+  req.cpus = 4;
+  req.lwps = 2;
+  req.max_cpus = 8;
+  req.comm_delay_us = 50;
+  const std::string flags =
+      " --cpus 4 --lwps 2 --max-cpus 8 --comm-delay-us 50 --jobs 1";
+  server::TraceCache cache(4, 256u << 20);
+
+  req.type = ReqType::kSimulate;
+  EXPECT_EQ(printed_digest(run_vppb("simulate " + trace.path() + flags),
+                           "digest "),
+            server::handle_simulate(req, cache).digest);
+  req.type = ReqType::kAnalyze;
+  EXPECT_EQ(printed_digest(run_vppb("analyze " + trace.path() + flags),
+                           "digest "),
+            server::handle_analyze(req, cache).digest);
+  req.type = ReqType::kPredict;
+  EXPECT_EQ(printed_digest(run_vppb("predict " + trace.path() + flags),
+                           "sweep digest: "),
+            server::handle_predict(req, cache).digest);
 }
 
 // ---- ring ------------------------------------------------------------------

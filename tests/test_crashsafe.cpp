@@ -165,6 +165,32 @@ TEST(CrashSafe, SigsegvMidRunSealsAndPublishesLog) {
   std::remove(path.c_str());
 }
 
+TEST(CrashSafe, AMarkedThreadIsWrittenAgainWhenItChanged) {
+  const std::string path = temp_path("remark");
+  Trace t = marks_trace(4);
+  {
+    trace::ChunkedWriter w(path);
+    w.sync_tables(t);
+    w.add_record(t.records[0]);
+    w.add_record(t.records[1]);
+    // The entry changes after it was written: marked, it is written
+    // again (with its new string) before the next record.
+    t.threads[0].name = t.strings.intern("renamed");
+    t.threads[0].bound = true;
+    w.mark_thread(0);
+    w.sync_tables(t);
+    w.add_record(t.records[2]);
+    w.add_record(t.records[3]);
+    w.finalize();
+  }
+  const Trace back = trace::load_any_file(path);
+  ASSERT_EQ(back.threads.size(), 1u);
+  EXPECT_EQ(back.strings.get(back.threads[0].name), "renamed");
+  EXPECT_TRUE(back.threads[0].bound);
+  EXPECT_EQ(back.records.size(), 4u);
+  std::remove(path.c_str());
+}
+
 TEST(CrashSafe, DyingWriterNeverClobbersPreviousGoodLog) {
   const std::string path = temp_path("noclobber");
   // A previous run left a good log at `path`.

@@ -466,5 +466,56 @@ TEST(SimResultBatchTest, EmptyRunAnswersZeroEverywhere) {
   EXPECT_TRUE(r.thread_segments(std::vector<trace::ThreadId>{1})[0].empty());
 }
 
+TEST(SimResultValidateTest, MoreRunningThreadsThanCpusAreRejected) {
+  // Three staggered running segments overlap over [20, 30): each
+  // thread's own timeline is contiguous, only the CPU count is wrong.
+  core::SimResult r;
+  r.total = SimTime::nanos(50);
+  for (trace::ThreadId tid = 1; tid <= 3; ++tid) {
+    const std::int64_t start = 10 * (tid - 1);
+    r.segments.push_back(core::Segment{tid, SimTime::nanos(start),
+                                       SimTime::nanos(start + 30),
+                                       core::SegState::kRunning, tid - 1});
+  }
+  r.cpus = 2;
+  EXPECT_THROW(r.validate(), Error);
+  r.cpus = 3;
+  EXPECT_NO_THROW(r.validate());
+}
+
+TEST(SimResultValidateTest, BackToBackSegmentsAtOneInstantAreAccepted) {
+  // On one CPU, T1 stops running at 10 exactly when T2 starts (after a
+  // zero-length running segment at the same instant): [start, end)
+  // segments that only touch never run at once.
+  core::SimResult r;
+  r.cpus = 1;
+  r.total = SimTime::nanos(20);
+  const auto seg = [](trace::ThreadId tid, std::int64_t a, std::int64_t b,
+                      core::SegState state) {
+    return core::Segment{tid, SimTime::nanos(a), SimTime::nanos(b), state,
+                         state == core::SegState::kRunning ? 0 : -1};
+  };
+  r.segments = {seg(1, 0, 10, core::SegState::kRunning),
+                seg(1, 10, 20, core::SegState::kRunnable),
+                seg(2, 0, 10, core::SegState::kRunnable),
+                seg(2, 10, 10, core::SegState::kRunning),
+                seg(2, 10, 20, core::SegState::kRunning)};
+  EXPECT_NO_THROW(r.validate());
+}
+
+TEST(SimResultValidateTest, The736ThreadProducerConsumerRunIsValidAtFourCpus) {
+  workloads::ProdConsParams p;
+  p.producers = 490;
+  p.consumers = 245;
+  p.items_per_producer = 10;
+  const core::CompiledTrace compiled =
+      core::record_compiled([p] { workloads::prodcons_tuned(p); });
+  core::SimConfig cfg;
+  cfg.hw.cpus = 4;
+  const core::SimResult r = core::simulate(compiled, cfg);
+  ASSERT_EQ(r.threads.size(), 736u);
+  EXPECT_NO_THROW(r.validate());
+}
+
 }  // namespace
 }  // namespace vppb

@@ -853,6 +853,45 @@ TEST_F(ServerTest, TcpEndpointWorksToo) {
   server.stop();
 }
 
+/// Open file descriptors of this process.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST_F(ServerTest, FinishedConnectionsGiveTheirSocketsBack) {
+  TempFile sock("fdsock");
+  ServerOptions so;
+  so.unix_path = sock.path();
+  so.jobs = 2;
+  Server server(so);
+  server.start();
+  Request health;
+  health.type = ReqType::kHealth;
+  const auto one_connection = [&] {
+    Client c = Client::connect_unix(sock.path());
+    EXPECT_EQ(c.call(health).status, Status::kOk);
+  };
+  // The listener reaps a finished connection within one 100 ms accept
+  // poll; give it a generous multiple of that.
+  const auto settled_fds = [](std::size_t target) {
+    for (int i = 0; i < 150 && open_fds() > target; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return open_fds();
+  };
+  one_connection();  // anything opened once per process opens here
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const std::size_t baseline = open_fds();
+  for (int i = 0; i < 40; ++i) one_connection();
+  EXPECT_LE(settled_fds(baseline), baseline)
+      << "40 finished connections still hold sockets";
+  server.stop();
+}
+
 TEST_F(ServerTest, StopDrainsInFlightRequests) {
   const trace::Trace t = record_fork_join(4, SimTime::millis(2));
   TempFile trace_file("drain");

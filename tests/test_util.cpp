@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <future>
 #include <limits>
+#include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "util/crc32.hpp"
@@ -304,6 +310,91 @@ TEST(ThreadPool, PropagatesTheFirstException) {
   std::atomic<int> total{0};
   pool.parallel_for(4, [&](std::size_t) { ++total; });
   EXPECT_EQ(total.load(), 4);
+}
+
+/// Opened once by the test; a posted task waiting on it holds its worker.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return open; });
+  }
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+};
+
+TEST(ThreadPool, ParallelForInAPostedTaskCompletesOnItsCallerWhenWorkersAreBusy) {
+  util::ThreadPool pool(3);
+  Gate hold;
+  pool.post([&hold] { hold.wait(); });  // one worker is held...
+  struct Ran {
+    std::thread::id caller;
+    std::vector<std::thread::id> by_index;
+  };
+  std::promise<Ran> ran;
+  pool.post([&pool, &ran] {  // ...the other runs this task
+    Ran r{std::this_thread::get_id(), std::vector<std::thread::id>(16)};
+    pool.parallel_for(r.by_index.size(), [&r](std::size_t i) {
+      r.by_index[i] = std::this_thread::get_id();
+    });
+    ran.set_value(std::move(r));
+  });
+  std::future<Ran> done = ran.get_future();
+  const bool finished =
+      done.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  hold.release();  // whatever happened, let the pool drain
+  ASSERT_TRUE(finished) << "parallel_for waited for a busy worker";
+  const Ran r = done.get();
+  for (std::size_t i = 0; i < r.by_index.size(); ++i)
+    EXPECT_EQ(r.by_index[i], r.caller) << "index " << i;
+}
+
+TEST(ThreadPool, ConcurrentCallsEachSeeEveryIndexExactlyOnce) {
+  util::ThreadPool pool(4);
+  constexpr int kRounds = 50;
+  const auto loop = [&pool](std::vector<std::atomic<int>>& hits) {
+    for (int round = 0; round < kRounds; ++round) {
+      pool.parallel_for(hits.size(), [&hits](std::size_t i) {
+        std::this_thread::yield();  // keep the two loops overlapping
+        ++hits[i];
+      });
+    }
+  };
+  std::vector<std::atomic<int>> mine(257), theirs(131);
+  std::thread other([&] { loop(theirs); });
+  loop(mine);
+  other.join();
+  for (std::size_t i = 0; i < mine.size(); ++i)
+    EXPECT_EQ(mine[i].load(), kRounds) << "index " << i;
+  for (std::size_t i = 0; i < theirs.size(); ++i)
+    EXPECT_EQ(theirs[i].load(), kRounds) << "index " << i;
+}
+
+TEST(ThreadPool, AHelperSliceStartingAfterItsLoopReturnedNeverCallsFn) {
+  util::ThreadPool pool(2);
+  Gate hold;
+  pool.post([&hold] { hold.wait(); });  // the only worker is held
+  std::atomic<int> calls{0};
+  {
+    const std::function<void(std::size_t)> fn = [&calls](std::size_t) {
+      ++calls;
+    };
+    pool.parallel_for(8, fn);  // its helper slice queues behind `hold`
+  }  // fn is destroyed before the slice starts
+  EXPECT_EQ(calls.load(), 8);
+  hold.release();
+  std::promise<void> drained;
+  pool.post([&drained] { drained.set_value(); });  // FIFO: after the slice
+  drained.get_future().wait();
+  EXPECT_EQ(calls.load(), 8);
 }
 
 TEST(ThreadPool, ResolveJobs) {

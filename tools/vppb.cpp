@@ -40,6 +40,7 @@
 #include "recorder/recorder.hpp"
 #include "server/auth.hpp"
 #include "server/client.hpp"
+#include "server/handlers.hpp"
 #include "server/server.hpp"
 #include "server/stats_text.hpp"
 #include "server/trace_cache.hpp"
@@ -83,8 +84,9 @@ int usage() {
       "        semaphore counts, non-monotonic timestamps, ...)\n"
       "  predict <trace> [--max-cpus N] [--lwps N] [--comm-delay-us D]\n"
       "          [--jobs N]   (0 = all hardware threads)\n"
-      "  simulate <trace> [--cpus N] [--lwps N] [--svg F] [--columns N]\n"
-      "  analyze <trace> [--cpus N]\n"
+      "  simulate <trace> [--cpus N] [--lwps N] [--comm-delay-us D]\n"
+      "           [--svg F] [--columns N]\n"
+      "  analyze <trace> [--cpus N] [--lwps N] [--comm-delay-us D]\n"
       "  predict/simulate/analyze accept run budgets (--max-steps N,\n"
       "  --max-sim-ms N, --max-result-mb N, --max-wall-ms N; 0 = off);\n"
       "  a tripped budget exits 5 with the budget named\n"
@@ -250,6 +252,20 @@ trace::Trace load_trace(Flags& flags, const std::string& path) {
   return t;
 }
 
+/// The request fields the shared compute flags describe, exactly as
+/// `vppb request` sends them.  The offline commands turn them into
+/// their simulator configuration through server::sim_config, as the
+/// daemon does, so a flag means the same with or without one.
+server::Request compute_request(Flags& flags) {
+  server::Request req;
+  req.cpus = static_cast<int>(flags.i64("cpus"));
+  req.lwps = static_cast<int>(flags.i64("lwps"));
+  req.max_cpus = static_cast<int>(flags.i64("max-cpus"));
+  req.comm_delay_us = flags.i64("comm-delay-us");
+  req.want_svg = !flags.str("svg").empty();
+  return req;
+}
+
 int cmd_gen(Flags& flags) {
   if (flags.positional().size() < 2) return usage();
   const int threads = static_cast<int>(flags.i64("threads"));
@@ -332,11 +348,10 @@ int cmd_predict(Flags& flags) {
     entry = cache.get(flags.positional()[1], &guard);
   }
   const core::CompiledTrace& compiled = entry ? entry->compiled : salvaged;
-  core::SimConfig base;
-  base.sched.lwps = static_cast<int>(flags.i64("lwps"));
-  base.hw.comm_delay = SimTime::micros(flags.i64("comm-delay-us"));
+  const server::Request req = compute_request(flags);
+  const core::SimConfig base = server::sim_config(req);
   std::vector<int> cpu_counts;
-  for (int cpus = 1; cpus <= flags.i64("max-cpus"); cpus *= 2)
+  for (int cpus = 1; cpus <= req.max_cpus; cpus *= 2)
     cpu_counts.push_back(cpus);
   std::vector<core::SimResult> results;
   core::SweepOptions opt;
@@ -364,9 +379,7 @@ int cmd_simulate(Flags& flags) {
   if (flags.positional().size() < 2) return usage();
   const core::RunGuard guard(cli_limits(flags));
   const trace::Trace t = load_trace(flags, flags.positional()[1]);
-  core::SimConfig cfg;
-  cfg.hw.cpus = static_cast<int>(flags.i64("cpus"));
-  cfg.sched.lwps = static_cast<int>(flags.i64("lwps"));
+  const core::SimConfig cfg = server::sim_config(compute_request(flags));
   const core::SimResult r = core::simulate(t, cfg, &guard);
   std::printf("predicted %s on %d CPUs (speed-up %.2f, %zu events, "
               "digest %016llx)\n\n",
@@ -398,12 +411,13 @@ int cmd_analyze(Flags& flags) {
   if (flags.positional().size() < 2) return usage();
   const core::RunGuard guard(cli_limits(flags));
   const trace::Trace t = load_trace(flags, flags.positional()[1]);
-  core::SimConfig cfg;
-  cfg.hw.cpus = static_cast<int>(flags.i64("cpus"));
+  const core::SimConfig cfg = server::sim_config(compute_request(flags));
   const core::SimResult r = core::simulate(t, cfg, &guard);
   const viz::AnalysisReport report = viz::analyze(r, t);
-  std::printf("simulated on %d CPUs: speed-up %.2f\n\n%s", cfg.hw.cpus,
-              r.speedup, report.to_string().c_str());
+  std::printf("simulated on %d CPUs: speed-up %.2f (digest %016llx)\n\n%s",
+              cfg.hw.cpus, r.speedup,
+              static_cast<unsigned long long>(core::digest(r)),
+              report.to_string().c_str());
   std::printf("\nthread utilization (run/ready/blocked/sleep %%):\n");
   for (const auto& u : report.utilization) {
     std::printf("  T%-4d %-16s %3.0f / %3.0f / %3.0f / %3.0f\n", u.tid,
@@ -861,7 +875,7 @@ int cmd_top(Flags& flags) {
 int cmd_request(Flags& flags) {
   if (flags.positional().size() < 2) return usage();
   const std::string& what = flags.positional()[1];
-  server::Request req;
+  server::Request req = compute_request(flags);
   if (what == "predict") {
     req.type = server::ReqType::kPredict;
   } else if (what == "simulate") {
@@ -888,11 +902,6 @@ int cmd_request(Flags& flags) {
     req.trace_path =
         std::filesystem::absolute(flags.positional()[2]).string();
   }
-  req.cpus = static_cast<int>(flags.i64("cpus"));
-  req.lwps = static_cast<int>(flags.i64("lwps"));
-  req.max_cpus = static_cast<int>(flags.i64("max-cpus"));
-  req.comm_delay_us = flags.i64("comm-delay-us");
-  req.want_svg = !flags.str("svg").empty();
   req.deadline_ms = flags.i64("deadline-ms");
   req.client_id = static_cast<std::uint64_t>(flags.i64("client-id"));
   req.want_timeline = flags.boolean("timeline");
