@@ -51,7 +51,9 @@ Tracer::Ring& Tracer::ring_for_this_thread() {
   struct Lease {
     Ring* ring = nullptr;
     ~Lease() {
-      if (ring != nullptr) Tracer::global().release(ring);
+      if (ring == nullptr) return;
+      std::lock_guard<std::mutex> lk(Tracer::global().rings_mu_);
+      ring->leased = false;
     }
   };
   thread_local Lease lease;
@@ -75,11 +77,6 @@ Tracer::Ring& Tracer::ring_for_this_thread() {
     lease.ring->leased = true;
   }
   return *lease.ring;
-}
-
-void Tracer::release(Ring* ring) {
-  std::lock_guard<std::mutex> lk(rings_mu_);
-  ring->leased = false;
 }
 
 void Tracer::record(const SpanEvent& ev) {

@@ -135,7 +135,6 @@ class Tracer {
 
   Tracer();
   Ring& ring_for_this_thread();
-  void release(Ring* ring);
 
   std::atomic<bool> enabled_{false};
   std::int64_t epoch_ns_ = 0;  ///< steady-clock origin of timestamps

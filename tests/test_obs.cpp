@@ -16,9 +16,9 @@
 #include <functional>
 #include <future>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <stdexcept>
-#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
