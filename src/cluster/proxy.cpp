@@ -9,6 +9,7 @@
 #include "server/handlers.hpp"
 #include "server/trace_cache.hpp"
 #include "util/error.hpp"
+#include "util/socket.hpp"
 #include "util/strings.hpp"
 
 namespace vppb::cluster {
@@ -28,11 +29,6 @@ using server::Status;
 /// the total must stay under kMaxFrame (64 MiB) at ~60 encoded bytes a
 /// span.
 constexpr std::size_t kMergedSpanCap = 1u << 19;
-
-/// Worker threads for hedged forwards (a hedged request occupies up to
-/// two while in flight).  Non-hedged forwards run on the connection's
-/// own IO thread and never touch this pool.
-constexpr int kHedgeJobs = 8;
 
 /// Response cache capacity (kOk compute responses; SVG-bearing
 /// responses are never cached — they dwarf everything else).
@@ -132,6 +128,17 @@ class InflightScope {
   std::atomic<int>& n_;
 };
 
+/// One forward in flight in Proxy::forward_failover: the request has
+/// been sent on `conn`, whose answer has not been read yet.
+struct Attempt {
+  std::size_t idx;  ///< shard index
+  server::Client conn;
+  std::chrono::steady_clock::time_point sent;
+  std::int64_t f0;  ///< timeline time of the send, for the graft
+  bool hedge;       ///< sent because a hedge window passed in silence
+  bool dead = false;  ///< failed on transport or went silent: ejected
+};
+
 }  // namespace
 
 void merge_stats(StatsBody& into, const StatsBody& from) {
@@ -229,7 +236,6 @@ Proxy::Proxy(ProxyOptions opt)
     : opt_(normalize(std::move(opt))),
       membership_(opt_.shards, opt_.membership),
       quota_(opt_.quota),
-      hedge_pool_(kHedgeJobs),
       listener_(opt_, "proxy", ProxyMetrics::get().auth_failures,
                 ProxyMetrics::get().idle_reaps,
                 [this](std::vector<std::uint8_t>& payload,
@@ -260,10 +266,6 @@ void Proxy::start() {
 
 void Proxy::stop() {
   if (!listener_.stop()) return;
-  {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait(lock, [&]() { return tasks_live_ == 0; });
-  }
   membership_.stop();
 }
 
@@ -443,126 +445,6 @@ Response Proxy::single_flight(const Request& req, std::uint64_t route_key,
   return resp;
 }
 
-Response Proxy::forward_once(std::size_t idx, Request req,
-                             std::chrono::steady_clock::time_point t0) {
-  // The shard gets what is left of the client's deadline, not a fresh
-  // one: a successor reached after a stalled primary must not answer
-  // after the client has stopped waiting.
-  if (req.deadline_ms > 0) {
-    req.deadline_ms -= elapsed_ms(t0);
-    if (req.deadline_ms <= 0)
-      return server::status_response(
-          req.type, Status::kDeadlineExceeded,
-          "deadline exceeded: spent before the forward");
-  }
-  ProxyMetrics::get().forwards.inc();
-  obs::Span span("proxy.forward", "proxy");
-  span.arg("shard", static_cast<std::int64_t>(membership_.endpoint(idx).id));
-  server::Client conn = membership_.take_conn(idx);
-  server::RetryPolicy once;
-  once.max_attempts = 1;  // retries belong to the failover layer
-  once.request_timeout_ms = opt_.forward_timeout_ms;
-  Response resp = conn.call_retry(req, once);
-  // Only a connection that completed a clean request/response exchange
-  // is safe to reuse; a thrown transport error never reaches here.
-  membership_.give_back(idx, std::move(conn));
-  return resp;
-}
-
-bool Proxy::hedged_forward(const Request& req,
-                           const std::vector<std::size_t>& candidates,
-                           std::chrono::steady_clock::time_point t0,
-                           Response* out, obs::Timeline* tl) {
-  ProxyMetrics& pm = ProxyMetrics::get();
-  auto hedge = std::make_shared<Hedge>();
-  auto launch = [this, hedge, req, t0](std::size_t idx) {
-    {
-      std::lock_guard<std::mutex> lock(drain_mu_);
-      ++tasks_live_;
-    }
-    {
-      std::lock_guard<std::mutex> lock(hedge->mu);
-      ++hedge->launched;
-    }
-    hedge_pool_.post([this, hedge, req, idx, t0]() {
-      // The pool thread needs its own trace context: thread-locals do
-      // not follow the request across the post.
-      obs::TraceContext tctx(req.sampled ? req.trace_id : 0);
-      try {
-        Response r = forward_once(idx, req, t0);
-        std::lock_guard<std::mutex> lock(hedge->mu);
-        if (!hedge->done) {
-          hedge->done = true;
-          hedge->winner = idx;
-          hedge->resp = std::move(r);
-        }
-      } catch (...) {
-        // Transport failure, or anything else: an exception escaping a
-        // posted task would terminate the process, so every failure
-        // becomes "this attempt lost" and the shard gets ejected.
-        std::lock_guard<std::mutex> lock(hedge->mu);
-        ++hedge->failed;
-        hedge->failed_shards.push_back(idx);
-      }
-      hedge->cv.notify_all();
-      // Notify while holding the lock: stop() may destroy the proxy the
-      // instant it sees tasks_live_ == 0, so an unlocked notify here
-      // could touch a dead condition variable (a losing hedge attempt
-      // routinely outlives its request).
-      std::lock_guard<std::mutex> lock(drain_mu_);
-      if (--tasks_live_ == 0) drain_cv_.notify_all();
-    });
-  };
-
-  launch(candidates[0]);
-  bool hedged = false;
-  {
-    std::unique_lock<std::mutex> lock(hedge->mu);
-    hedge->cv.wait_for(lock, std::chrono::milliseconds(opt_.hedge_ms),
-                       [&]() {
-                         return hedge->done ||
-                                hedge->failed >= hedge->launched;
-                       });
-    // Hedge only when the primary is still silent and the request's
-    // remaining deadline could actually absorb another attempt — a
-    // hedge the client cannot wait for is pure load.
-    const bool deadline_allows =
-        req.deadline_ms == 0 ||
-        req.deadline_ms - elapsed_ms(t0) > opt_.hedge_ms;
-    if (!hedge->done && candidates.size() > 1 && deadline_allows) {
-      lock.unlock();
-      pm.hedges.inc();
-      if (tl) tl->marker("hedge");
-      hedged = true;
-      launch(candidates[1]);
-      lock.lock();
-    }
-    hedge->cv.wait(lock, [&]() {
-      return hedge->done || hedge->failed >= hedge->launched;
-    });
-  }
-
-  // Eject outside hedge->mu: eject takes the membership lock and
-  // notifies the prober.
-  std::vector<std::size_t> failed;
-  bool done = false;
-  std::size_t winner = 0;
-  {
-    std::lock_guard<std::mutex> lock(hedge->mu);
-    failed = hedge->failed_shards;
-    done = hedge->done;
-    winner = hedge->winner;
-    if (done) *out = hedge->resp;
-  }
-  for (std::size_t idx : failed) {
-    pm.failovers.inc();
-    membership_.eject(idx);
-  }
-  if (done && hedged && winner == candidates[1]) pm.hedge_wins.inc();
-  pm.shards_up.set(static_cast<std::int64_t>(membership_.up_count()));
-  return done;
-}
-
 std::uint64_t Proxy::response_cache_key(const Request& req,
                                         std::uint64_t route_key) {
   Request canon = req;
@@ -632,22 +514,23 @@ Response Proxy::forward_failover(const Request& req, std::uint64_t route_key,
                                  std::uint64_t cache_key,
                                  std::chrono::steady_clock::time_point t0,
                                  obs::Timeline* tl) {
-  // Grafts the answering shard's timeline under this proxy's: shift to
-  // when the (winning) forward began and nest one level deeper, so a
-  // depth-0 walk of the merged waterfall never double-counts shard time
-  // already covered by the forward stage.
-  const auto graft = [tl](Response& resp, std::int64_t f0,
-                          const char* label) {
-    if (tl == nullptr) return;
-    for (StageSpan& s : resp.timeline) {
-      s.start_us += f0;
-      s.depth += 1;
-    }
-    tl->stage(strprintf("%s shard=%llu", label,
-                        static_cast<unsigned long long>(resp.shard_id)),
-              f0, tl->now_us() - f0);
-  };
+  using Clock = std::chrono::steady_clock;
   ProxyMetrics& pm = ProxyMetrics::get();
+  obs::Span span("proxy.forward", "proxy");
+  // A transport failure, or silence past forward_timeout_ms: the shard
+  // leaves the ring (Membership re-probes it) and the walk moves on.
+  const auto fail = [&](std::size_t idx, const char* why) {
+    obs::logf(LogLevel::kWarn, "proxy",
+              "shard %llu failed mid-forward (%s); failing over",
+              static_cast<unsigned long long>(membership_.endpoint(idx).id),
+              why);
+    if (tl) tl->marker("failover");
+    pm.failovers.inc();
+    membership_.eject(idx);
+    pm.shards_up.set(static_cast<std::int64_t>(membership_.up_count()));
+  };
+  const auto silence = std::chrono::milliseconds(opt_.forward_timeout_ms);
+  const auto window = std::chrono::milliseconds(opt_.hedge_ms);
   const std::size_t shard_count = membership_.shard_count();
   const std::size_t rounds = std::max<std::size_t>(std::size_t{1},
                                                    shard_count);
@@ -655,6 +538,7 @@ Response Proxy::forward_failover(const Request& req, std::uint64_t route_key,
       static_cast<std::size_t>(std::max(1, opt_.replicas)), std::size_t{1},
       std::max<std::size_t>(std::size_t{1}, shard_count));
   const std::uint64_t primary_id = membership_.configured_owner(route_key);
+  Request fwd = req;
   for (std::size_t round = 0; round < rounds; ++round) {
     std::vector<std::size_t> candidates =
         membership_.route(route_key, want);
@@ -672,36 +556,115 @@ Response Proxy::forward_failover(const Request& req, std::uint64_t route_key,
                               snap[i].epoch);
           });
     }
-    if (opt_.hedge_ms > 0 && candidates.size() > 1) {
-      Response resp;
-      const std::int64_t f0 = tl ? tl->now_us() : 0;
-      if (hedged_forward(req, candidates, t0, &resp, tl)) {
-        graft(resp, f0, "forward");
-        cache_store(cache_key, resp);
-        return resp;
+    // The walk, all on this thread: the primary first, then one more
+    // candidate per failed attempt and per hedge window that passes
+    // with every open attempt silent.  The first answer wins; losers
+    // are closed.  An exhausted round re-routes on the shrunken ring.
+    std::vector<Attempt> open;
+    std::size_t next = 0;
+    int owed = 1;  // sends due: the primary, then one per failure or hedge
+    bool hedge = false;
+    // A hedge needs a candidate left and a deadline that could absorb
+    // another window: a hedge the client cannot wait for is pure load.
+    const auto may_hedge = [&]() {
+      return opt_.hedge_ms > 0 && next < candidates.size() &&
+             (req.deadline_ms == 0 ||
+              req.deadline_ms - elapsed_ms(t0) > opt_.hedge_ms);
+    };
+    while (true) {
+      for (; owed > 0 && next < candidates.size(); hedge = false) {
+        const std::size_t idx = candidates[next++];
+        // The shard gets what is left of the client's deadline, not a
+        // fresh one: a successor reached after a stalled primary must
+        // not answer after the client has stopped waiting.
+        if (req.deadline_ms > 0) {
+          fwd.deadline_ms = req.deadline_ms - elapsed_ms(t0);
+          if (fwd.deadline_ms <= 0)
+            return server::status_response(
+                req.type, Status::kDeadlineExceeded,
+                "deadline exceeded: spent before the forward");
+        }
+        pm.forwards.inc();
+        if (hedge) {
+          pm.hedges.inc();
+          if (tl) tl->marker("hedge");
+        }
+        try {
+          server::Client conn = membership_.take_conn(idx);
+          if (opt_.forward_timeout_ms > 0)
+            conn.set_recv_timeout(opt_.forward_timeout_ms);
+          const std::int64_t f0 = tl ? tl->now_us() : 0;
+          conn.send(fwd);
+          open.push_back(Attempt{idx, std::move(conn), Clock::now(), f0,
+                                 hedge});
+          --owed;
+        } catch (const Error& e) {
+          fail(idx, e.what());
+        }
       }
-      continue;  // every attempt died on transport: re-route
-    }
-    // The replica walk: primary first, then up to replicas-1 ring
-    // successors, each tried in order before the key is rehashed on
-    // the shrunken ring.
-    for (std::size_t idx : candidates) {
-      try {
-        const std::int64_t f0 = tl ? tl->now_us() : 0;
-        Response resp = forward_once(idx, req, t0);
-        graft(resp, f0, "forward");
-        cache_store(cache_key, resp);
-        return resp;
-      } catch (const Error& e) {
-        obs::logf(LogLevel::kWarn, "proxy",
-                  "shard %llu failed mid-forward (%s); failing over",
-                  static_cast<unsigned long long>(
-                      membership_.endpoint(idx).id),
-                  e.what());
-        if (tl) tl->marker("failover");
-        pm.failovers.inc();
-        membership_.eject(idx);
-        pm.shards_up.set(static_cast<std::int64_t>(membership_.up_count()));
+      owed = 0;
+      if (open.empty()) break;
+
+      // Sleep until an attempt speaks, one has been silent too long, or
+      // a hedge window has passed since the last send.
+      const auto now = Clock::now();
+      int wait_ms = -1;
+      const auto wake_at = [&](Clock::time_point due) {
+        const auto left =
+            std::chrono::ceil<std::chrono::milliseconds>(due - now).count();
+        const int ms = static_cast<int>(std::max<std::int64_t>(0, left));
+        wait_ms = wait_ms < 0 ? ms : std::min(wait_ms, ms);
+      };
+      std::vector<int> fds;
+      for (const Attempt& a : open) {
+        fds.push_back(a.conn.fd());
+        if (opt_.forward_timeout_ms > 0) wake_at(a.sent + silence);
+      }
+      if (may_hedge()) wake_at(open.back().sent + window);
+      for (const std::size_t i : util::wait_readable(fds, wait_ms)) {
+        Attempt& a = open[i];
+        try {
+          Response resp = a.conn.receive();
+          // Only the winner's connection finished a clean exchange;
+          // the losers still owe an answer and close with `open`.
+          membership_.give_back(a.idx, std::move(a.conn));
+          if (a.hedge) pm.hedge_wins.inc();
+          span.arg("shard", static_cast<std::int64_t>(
+                                membership_.endpoint(a.idx).id));
+          if (tl) {
+            // Graft the shard's timeline under this proxy's: shift to
+            // when the winning forward was sent and nest one level
+            // deeper, so a depth-0 walk of the merged waterfall never
+            // double-counts shard time the forward stage covers.
+            for (StageSpan& s : resp.timeline) {
+              s.start_us += a.f0;
+              s.depth += 1;
+            }
+            tl->stage(strprintf("forward shard=%llu",
+                                static_cast<unsigned long long>(
+                                    resp.shard_id)),
+                      a.f0, tl->now_us() - a.f0);
+          }
+          cache_store(cache_key, resp);
+          return resp;
+        } catch (const Error& e) {
+          fail(a.idx, e.what());
+          a.dead = true;
+        }
+      }
+      const auto after = Clock::now();
+      for (Attempt& a : open) {
+        if (a.dead || opt_.forward_timeout_ms <= 0 || after - a.sent < silence)
+          continue;
+        fail(a.idx,
+             strprintf("silent for %d ms", opt_.forward_timeout_ms).c_str());
+        a.dead = true;
+      }
+      owed = static_cast<int>(
+          std::erase_if(open, [](const Attempt& a) { return a.dead; }));
+      if (owed == 0 && after - open.back().sent >= window && may_hedge()) {
+        owed = 1;
+        hedge = true;
       }
     }
   }
@@ -744,7 +707,12 @@ Response Proxy::aggregate(const Request& req) {
     info.stats = before[i].last_stats;
     if (before[i].healthy) {
       try {
-        Response r = forward_once(i, probe, std::chrono::steady_clock::now());
+        ProxyMetrics::get().forwards.inc();
+        server::Client conn = membership_.take_conn(i);
+        if (opt_.forward_timeout_ms > 0)
+          conn.set_recv_timeout(opt_.forward_timeout_ms);
+        Response r = conn.call(probe);
+        membership_.give_back(i, std::move(conn));
         if (r.status == Status::kOk) {
           info.healthy = true;
           info.epoch = r.epoch;

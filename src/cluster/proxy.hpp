@@ -31,7 +31,9 @@
 //
 //   Hedged retries  With hedge_ms > 0, a routed request that has not
 //                   answered within the hedge window is also sent to
-//                   the ring successor; first definitive answer wins.
+//                   the ring successor; first answer wins.  Failover
+//                   and hedging are one walk on the connection's own
+//                   thread, waiting on every open attempt at once.
 //                   Deadline-aware: a request whose remaining deadline
 //                   budget cannot absorb the hedge window is never
 //                   hedged (the hedge would answer a client that
@@ -93,7 +95,6 @@
 #include "obs/timeline.hpp"
 #include "server/listener.hpp"
 #include "server/protocol.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vppb::cluster {
 
@@ -178,49 +179,29 @@ class Proxy {
     std::exception_ptr error;
   };
 
-  /// Shared state of one hedged forward (primary + optional hedge).
-  struct Hedge {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;                ///< a definitive response landed
-    std::size_t winner = 0;           ///< shard index that answered
-    server::Response resp;
-    int launched = 0;
-    int failed = 0;
-    std::vector<std::size_t> failed_shards;
-  };
-
   /// `conn_key` (the listener's connection number) is the identity of
   /// an anonymous client.
   server::Response execute(const server::Request& req,
                            std::uint64_t conn_key);
   /// `tl` (optional) is the proxy-side stage timeline for
-  /// want_timeline requests.  It is only ever stamped from the leader
-  /// connection's thread (hedge attempts run on the pool but the
-  /// orchestration — and every stamp — stays on the caller), which is
-  /// the Timeline's single-writer requirement.
+  /// want_timeline requests.  Only the leader connection's thread ever
+  /// stamps it — the whole forward, hedges included, runs there —
+  /// which is the Timeline's single-writer requirement.
   server::Response single_flight(const server::Request& req,
                                  std::uint64_t route_key,
                                  std::uint64_t cache_key,
                                  std::chrono::steady_clock::time_point t0,
                                  obs::Timeline* tl);
+  /// The replica walk, failover and hedging in one loop on the calling
+  /// thread.  Every send carries what is left of the request's
+  /// deadline since `t0`, and none is made once nothing is left (the
+  /// answer is then kDeadlineExceeded).  Only the winner's connection
+  /// returns to the pool.
   server::Response forward_failover(const server::Request& req,
                                     std::uint64_t route_key,
                                     std::uint64_t cache_key,
                                     std::chrono::steady_clock::time_point t0,
                                     obs::Timeline* tl);
-  /// One forward on one connection, carrying what is left of the
-  /// request's deadline since `t0`; answers kDeadlineExceeded without
-  /// forwarding once nothing is left.  Throws vppb::Error on transport
-  /// failure (the caller ejects).  Clean exchanges pool the connection.
-  server::Response forward_once(std::size_t idx, server::Request req,
-                                std::chrono::steady_clock::time_point t0);
-  /// Primary + hedge via the pool; false when every launched attempt
-  /// died on transport (the caller re-routes).
-  bool hedged_forward(const server::Request& req,
-                      const std::vector<std::size_t>& candidates,
-                      std::chrono::steady_clock::time_point t0,
-                      server::Response* out, obs::Timeline* tl);
   server::Response aggregate(const server::Request& req);
 
   /// Digest-safe cache identity of a compute request: the route key
@@ -243,7 +224,6 @@ class Proxy {
   Membership membership_;
   ClientQuota quota_;
   obs::SloTracker slo_;
-  util::ThreadPool hedge_pool_;
 
   std::mutex flight_mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Flight>> flights_;
@@ -256,12 +236,6 @@ class Proxy {
   mutable std::mutex cache_mu_;
   std::unordered_map<std::uint64_t, CachedResponse> rcache_;
   std::uint64_t cache_tick_ = 0;
-
-  // Posted-but-unfinished hedge tasks; stop() waits for zero so an
-  // abandoned attempt can never outlive the proxy it captures.
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-  int tasks_live_ = 0;
 
   /// Last: its IO threads call into everything above.
   server::FrameListener listener_;

@@ -3,7 +3,6 @@
 // rules of paper §3.2 applied by the engine.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -78,37 +77,28 @@ struct SimRwlock {
   }
 };
 
-/// Objects of one kind, keyed by the compiler's per-kind sequential
-/// ids.  The dense table is sized once per run from the FlatProgram's
-/// id bounds and NEVER grows mid-run, so references handed out by at()
-/// stay valid while the engine creates or wakes other objects of the
-/// same kind (the unlock → reacquire chain holds one mutex reference
-/// while queueing on another).  Stray ids beyond the presized range —
-/// hand-written traces replayed without hints, or ids past the dense
-/// cap — land in a node-stable map.
+/// Objects of one kind, indexed by the compiler's dense per-kind slots
+/// (every slot is below its kind's FlatProgram::*_ids count).  The
+/// table is sized once per run and NEVER grows mid-run, so references
+/// handed out by at() stay valid while the engine creates or wakes
+/// other objects of the same kind (the unlock → reacquire chain holds
+/// one mutex reference while queueing on another).
 template <typename T>
 class ObjectSlab {
  public:
-  /// Sizes the dense table for ids [0, ids) (capped) and resets every
-  /// object to its initial state, keeping allocated storage — the
-  /// wait-queue buffers survive, which is what makes a reused engine
-  /// workspace allocation-free in steady state.
+  /// Sizes the table for slots [0, ids) and resets every object to its
+  /// initial state, keeping allocated storage — the wait-queue buffers
+  /// survive, which is what makes a reused engine workspace
+  /// allocation-free in steady state.
   void configure(std::uint32_t ids) {
-    const std::size_t want = std::min<std::size_t>(ids, kDenseLimit);
-    if (want > dense_.size()) dense_.resize(want);
-    for (T& obj : dense_) obj.reset();
-    sparse_.clear();
+    objects_.resize(ids);
+    for (T& obj : objects_) obj.reset();
   }
 
-  T& at(std::uint32_t id) {
-    if (id < dense_.size()) return dense_[id];
-    return sparse_[id];
-  }
+  T& at(std::uint32_t slot) { return objects_[slot]; }
 
  private:
-  static constexpr std::uint32_t kDenseLimit = 1 << 20;
-  std::vector<T> dense_;
-  std::map<std::uint32_t, T> sparse_;
+  std::vector<T> objects_;
 };
 
 /// Object tables keyed by the trace's per-kind ids.

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <stdexcept>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -213,23 +212,6 @@ std::string Tracer::chrome_json(std::uint64_t pid) const {
   }
   out += "\n]}\n";
   return out;
-}
-
-void Tracer::write_chrome_json(const std::string& path) const {
-  const std::string json = chrome_json();
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot open profile output: " + tmp);
-  }
-  const bool ok =
-      std::fwrite(json.data(), 1, json.size(), f) == json.size() &&
-      std::fflush(f) == 0;
-  std::fclose(f);
-  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("cannot write profile output: " + path);
-  }
 }
 
 void instant(const char* name, const char* cat, const char* arg_name,

@@ -121,9 +121,6 @@ class Tracer {
   /// fractional microseconds; `pid` labels this process's lane (the
   /// cluster collector passes the shard id).
   std::string chrome_json(std::uint64_t pid = 1) const;
-  /// Writes chrome_json() to `path` (temp + rename); throws vppb-style
-  /// std::runtime_error on IO failure.
-  void write_chrome_json(const std::string& path) const;
 
  private:
   struct Ring {

@@ -52,7 +52,13 @@ void Client::reconnect() {
 }
 
 Response Client::call(const Request& req) {
-  write_frame(sock_, encode(req));
+  send(req);
+  return receive();
+}
+
+void Client::send(const Request& req) { write_frame(sock_, encode(req)); }
+
+Response Client::receive() {
   std::vector<std::uint8_t> payload;
   if (!read_frame(sock_, payload))
     throw Error("server closed the connection before responding");

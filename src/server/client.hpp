@@ -59,11 +59,19 @@ class Client {
                             const std::string& auth_key,
                             int connect_timeout_ms = 0);
 
-  /// Sends one request and blocks for its response.  Throws vppb::Error
-  /// on transport failure (including the server closing mid-response);
-  /// request-level failures come back as Status::kError / kOverloaded
-  /// responses, not exceptions.
+  /// Sends one request and blocks for its response: send() then
+  /// receive().  Throws vppb::Error on transport failure (including the
+  /// server closing mid-response); request-level failures come back as
+  /// Status::kError / kOverloaded responses, not exceptions.
   Response call(const Request& req);
+
+  /// The two halves of call(), for a caller that waits on several
+  /// connections at once (util::wait_readable on fd()) before reading.
+  void send(const Request& req);
+  Response receive();
+  int fd() const { return sock_.fd(); }
+  /// Bounds each receive: silence past `ms` throws util::SocketTimeout.
+  void set_recv_timeout(int ms) { sock_.set_recv_timeout(ms); }
 
   /// call() plus the retry policy described in the file comment.
   /// Throws the last transport error when every attempt fails; returns

@@ -29,7 +29,6 @@ void set_probe_sink(ProbeSink* sink) { g_sink = sink; }
 ProbeSink* probe_sink() { return g_sink; }
 
 void set_op_cost_model(const OpCostModel& model) { g_op_costs = model; }
-const OpCostModel& op_cost_model() { return g_op_costs; }
 
 namespace detail {
 

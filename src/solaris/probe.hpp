@@ -63,7 +63,6 @@ struct OpCostModel {
 };
 
 void set_op_cost_model(const OpCostModel& model);
-const OpCostModel& op_cost_model();
 
 namespace detail {
 

@@ -26,11 +26,6 @@ bool site_from_name(std::string_view name, FaultSite& out) {
 
 }  // namespace
 
-const char* fault_site_name(FaultSite site) {
-  const int i = static_cast<int>(site);
-  return (i >= 0 && i < kSiteCount) ? kSiteNames[i] : "?";
-}
-
 FaultPlan::FaultPlan(const FaultPlan& other) {
   std::lock_guard<std::mutex> lock(other.mu_);
   for (int i = 0; i < kSiteCount; ++i) rules_[i] = other.rules_[i];

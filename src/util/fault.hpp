@@ -43,8 +43,6 @@ enum class FaultSite : int {
   kCount,
 };
 
-const char* fault_site_name(FaultSite site);
-
 class FaultPlan {
  public:
   FaultPlan() = default;  ///< no rules: nothing ever fires

@@ -382,6 +382,19 @@ Socket accept_with_timeout(Socket& listener, int timeout_ms) {
   return Socket(fd);
 }
 
+std::vector<std::size_t> wait_readable(const std::vector<int>& fds,
+                                       int timeout_ms) {
+  std::vector<pollfd> pfds;
+  pfds.reserve(fds.size());
+  for (const int fd : fds) pfds.push_back(pollfd{fd, POLLIN, 0});
+  const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
+  if (n < 0 && errno != EINTR) fail("poll");
+  std::vector<std::size_t> ready;
+  for (std::size_t i = 0; n > 0 && i < pfds.size(); ++i)
+    if (pfds[i].revents != 0) ready.push_back(i);
+  return ready;
+}
+
 std::pair<Socket, Socket> socket_pair() {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) fail("socketpair");

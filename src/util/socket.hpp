@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -140,6 +141,13 @@ Socket connect_unix(const std::string& path, int timeout_ms);
 /// Waits up to `timeout_ms` for a connection on `listener`; returns an
 /// invalid Socket on timeout (so an accept loop can poll a stop flag).
 Socket accept_with_timeout(Socket& listener, int timeout_ms);
+
+/// Waits up to `timeout_ms` (< 0 = forever) for any of `fds` to turn
+/// readable — data, end-of-stream and a socket error all count, since
+/// each makes the next receive return at once.  Returns the indices
+/// into `fds` that are ready, in order; empty on timeout (or EINTR).
+std::vector<std::size_t> wait_readable(const std::vector<int>& fds,
+                                       int timeout_ms);
 
 /// A connected AF_UNIX stream pair, for tests and in-process plumbing.
 std::pair<Socket, Socket> socket_pair();

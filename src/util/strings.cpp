@@ -78,18 +78,6 @@ bool parse_i64(std::string_view s, std::int64_t& out) {
   return true;
 }
 
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  char buf[64];
-  if (!to_cstr(s, buf, sizeof buf)) return false;
-  if (buf[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(buf, &end, 10);
-  if (errno != 0 || end == buf || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
 bool parse_double(std::string_view s, double& out) {
   char buf[64];
   if (!to_cstr(s, buf, sizeof buf)) return false;

@@ -21,7 +21,6 @@ bool ends_with(std::string_view s, std::string_view suffix);
 /// Parse helpers returning false on malformed input (no exceptions so the
 /// trace reader can produce line-numbered diagnostics).
 bool parse_i64(std::string_view s, std::int64_t& out);
-bool parse_u64(std::string_view s, std::uint64_t& out);
 bool parse_double(std::string_view s, double& out);
 
 /// printf-style formatting into a std::string.

@@ -40,7 +40,6 @@ class SimTime {
   constexpr std::int64_t ns() const { return ns_; }
   constexpr std::int64_t us() const { return ns_ / 1000; }
   constexpr double seconds_d() const { return static_cast<double>(ns_) / 1e9; }
-  constexpr double micros_d() const { return static_cast<double>(ns_) / 1e3; }
 
   constexpr bool is_zero() const { return ns_ == 0; }
 

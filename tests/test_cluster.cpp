@@ -2,7 +2,9 @@
 // minimal remapping), protocol v5 framing edges (shard identity/epoch,
 // aggregated stats bodies, hostile shard counts), proxy routing with
 // digest parity against the offline path, cross-tier single-flight
-// de-duplication, hedged retries, aggregation, and the shard-kill
+// de-duplication, hedged retries and the one forward walk they share
+// with failover (no threads of its own, no wait on a losing attempt),
+// aggregation, and the shard-kill
 // failover test: a SIGKILLed backend must cost clients nothing but
 // latency — no transport errors, no typed errors, identical digests.
 //
@@ -25,6 +27,7 @@
 #include "cluster/membership.hpp"
 #include "cluster/proxy.hpp"
 #include "cluster/ring.hpp"
+#include "obs/metrics.hpp"
 #include "recorder/recorder.hpp"
 #include "server/client.hpp"
 #include "server/handlers.hpp"
@@ -708,6 +711,102 @@ TEST(ProxyTest, FailoverForwardsOnlyTheDeadlineLeft) {
   proxy.stop();
   shard_a.stop();
   shard_b.stop();
+}
+
+/// A trace whose ring owner in `m` is shard `id` right now; null when
+/// none of 24 contents lands there.
+std::unique_ptr<TempFile> trace_owned_by(Membership& m, std::uint64_t id,
+                                         const std::string& tag) {
+  for (int i = 0; i < 24; ++i) {
+    auto t = std::make_unique<TempFile>(tag);
+    write_trace(t->path(), 2 + i % 4, 150 + 37 * i);
+    const auto route = m.route(server::content_key_of_file(t->path()), 1);
+    if (!route.empty() && m.endpoint(route[0]).id == id) return t;
+  }
+  return nullptr;
+}
+
+/// This process's threads, as /proc/self/task lists them.
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+std::int64_t ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(ProxyTest, HedgingAddsNoThreadsBeyondAcceptAndProber) {
+  // No shard is running, so the proxy starts with both down (the prober
+  // keeps trying) and no shard-side connection thread blurs the count.
+  TempFile sock_a{"thr_shard_a"}, sock_b{"thr_shard_b"}, sock_p{"thr_proxy"};
+  ProxyOptions popt;
+  popt.unix_path = sock_p.path();
+  popt.hedge_ms = 50;
+  popt.shards.push_back(ShardEndpoint::parse(1, sock_a.path()));
+  popt.shards.push_back(ShardEndpoint::parse(2, sock_b.path()));
+  const std::size_t before = thread_count();
+  Proxy proxy(popt);
+  proxy.start();
+  EXPECT_EQ(thread_count(), before + 2)
+      << "a hedging proxy runs more than its accept and prober threads";
+  proxy.stop();
+  EXPECT_EQ(thread_count(), before);
+}
+
+TEST(ProxyTest, StopDoesNotWaitOutALosingAttempt) {
+  // The hedge answers within ~50 ms while the primary stalls 1500 ms;
+  // the primary's attempt is closed, so stop() has nothing to drain.
+  util::FaultPlan slow = util::FaultPlan::parse("delay-ms:1:0:1500");
+  TwoShardRig rig(/*hedge_ms=*/50, &slow);
+  const auto trace = trace_owned_by(rig.proxy->membership(), 1, "stop");
+  ASSERT_TRUE(trace) << "no trace routed to shard 1 in 24 tries";
+  {
+    Client client = rig.connect();
+    const Response r = client.call(predict_request(trace->path()));
+    ASSERT_EQ(r.status, Status::kOk) << r.error;
+    ASSERT_EQ(r.shard_id, 2u) << "the hedge did not win";
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  rig.proxy->stop();
+  EXPECT_LT(ms_since(t0), 500) << "stop() waited for the stalled primary";
+}
+
+TEST(ProxyTest, DeadPrimaryFailsOverAtOnceWithoutAHedge) {
+  // The primary is gone but still on the ring (nothing has told the
+  // proxy).  Its failed dial is a failover: the successor is sent the
+  // request at once, not after a 1000 ms hedge window, and no hedge is
+  // counted.
+  TwoShardRig rig(/*hedge_ms=*/1000);
+  const auto trace = trace_owned_by(rig.proxy->membership(), 1, "dead");
+  ASSERT_TRUE(trace) << "no trace routed to shard 1 in 24 tries";
+  rig.shard_a->stop();
+  ASSERT_EQ(rig.proxy->membership().up_count(), 2u);
+  obs::Registry& reg = obs::Registry::global();
+  const obs::Counter& failovers =
+      reg.counter("vppb_proxy_failovers_total", "");
+  const obs::Counter& hedges = reg.counter("vppb_proxy_hedges_total", "");
+  const std::uint64_t failovers0 = failovers.value();
+  const std::uint64_t hedges0 = hedges.value();
+
+  Client client = rig.connect();
+  const auto t0 = std::chrono::steady_clock::now();
+  const Response r = client.call(predict_request(trace->path()));
+  const std::int64_t elapsed = ms_since(t0);
+  ASSERT_EQ(r.status, Status::kOk) << r.error;
+  EXPECT_EQ(r.shard_id, 2u);
+  EXPECT_LT(elapsed, 1000) << "the successor waited out the hedge window";
+  EXPECT_EQ(failovers.value() - failovers0, 1u);
+  EXPECT_EQ(hedges.value() - hedges0, 0u)
+      << "a transport failure was counted as a hedge";
+  EXPECT_EQ(rig.proxy->membership().up_count(), 1u);
 }
 
 // ---- shard-kill failover against real processes ----------------------------

@@ -400,6 +400,23 @@ TEST(SocketHardeningTest, SendTimeoutUnwedgesStalledPeer) {
                SocketTimeout);
 }
 
+TEST(SocketHardeningTest, WaitReadableNamesOnlyTheSocketsThatSpoke) {
+  auto quiet = util::socket_pair();
+  auto spoke = util::socket_pair();
+  auto closed = util::socket_pair();
+  const std::vector<int> fds{quiet.second.fd(), spoke.second.fd(),
+                             closed.second.fd()};
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(util::wait_readable(fds, 50).empty());
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(45));
+  const std::uint8_t b = 0x42;
+  spoke.first.send_all(&b, 1);
+  closed.first.close();  // end-of-stream is readable too
+  EXPECT_EQ(util::wait_readable(fds, -1),
+            (std::vector<std::size_t>{1, 2}));
+}
+
 TEST(SocketHardeningTest, RecvDeadlineDefeatsByteTrickle) {
   // One byte per 50 ms defeats any per-recv timer; the total deadline
   // still fires.

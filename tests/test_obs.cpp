@@ -11,13 +11,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <future>
 #include <limits>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -380,25 +377,6 @@ TEST(Tracer, SequentialShortLivedThreadsShareOneRing) {
   tracer.clear();
   EXPECT_EQ(spans, 8u) << "a handed-over ring keeps its events";
   EXPECT_EQ(lanes.size(), 1u);
-}
-
-TEST(Tracer, WriteChromeJsonRoundTripsThroughAFile) {
-  obs::Tracer& tracer = obs::Tracer::global();
-  tracer.clear();
-  tracer.enable();
-  { obs::Span s("file-span", "test"); }
-  tracer.disable();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "vppb_obs_test.json").string();
-  tracer.write_chrome_json(path);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), tracer.chrome_json());
-  EXPECT_NE(buf.str().find("file-span"), std::string::npos);
-  std::filesystem::remove(path);
-  tracer.clear();
 }
 
 // ---- tracing must not change simulation results --------------------------

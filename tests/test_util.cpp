@@ -1,18 +1,24 @@
 // Unit tests for src/util: time arithmetic, parsing, flags, stats, rng,
-// and the sweep thread pool.
+// the sweep thread pool and atomic file replacement.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <limits>
 #include <mutex>
 #include <numeric>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "util/atomic_file.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/flags.hpp"
@@ -454,6 +460,67 @@ TEST(Crc32, CombineEqualsOnePassOverTheConcatenation) {
               util::crc32(a, len_a + len_b))
         << len_a << " + " << len_b;
   }
+}
+
+/// A fresh, empty directory under the system temp dir; removed with
+/// everything in it on destruction.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& tag)
+      : path_(std::filesystem::temp_directory_path() /
+              ("vppb_util_" + tag + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directory(path_);
+  }
+  ~TempDir() { std::filesystem::remove_all(path_); }
+  const std::filesystem::path& path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
+
+std::string read_all(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(AtomicFile, ReplacesTheTargetWhole) {
+  TempDir dir("replace");
+  const std::string target = (dir.path() / "out.json").string();
+  util::atomic_write_file(target, std::string(4096, 'a'));
+  ASSERT_EQ(read_all(target), std::string(4096, 'a'));
+  // A shorter body replaces the file; no tail of the old one survives.
+  util::atomic_write_file(target, std::string("{}\n"));
+  EXPECT_EQ(read_all(target), "{}\n");
+  util::atomic_write_file(target, std::vector<std::uint8_t>{1, 0, 2});
+  EXPECT_EQ(read_all(target), std::string("\x01\x00\x02", 3));
+}
+
+TEST(AtomicFile, LeavesNoTempFileBehind) {
+  TempDir dir("no_tmp");
+  const std::string target = (dir.path() / "trace.vpp").string();
+  util::atomic_write_file(target, std::string("first"));
+  util::atomic_write_file(target, std::string("second"));
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path()))
+    names.push_back(entry.path().filename().string());
+  EXPECT_EQ(names, std::vector<std::string>{"trace.vpp"})
+      << "a .tmp.<pid> file outlived its rename";
+}
+
+TEST(AtomicFile, MissingDirectoryThrowsNamingThePath) {
+  TempDir dir("missing");
+  const std::string target = (dir.path() / "no_such_dir" / "out.svg").string();
+  try {
+    util::atomic_write_file(target, std::string("never written"));
+    FAIL() << "writing into a missing directory did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(target), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir.path() / "no_such_dir"));
 }
 
 TEST(Error, CheckMacroThrows) {

@@ -1299,7 +1299,7 @@ int main(int argc, char** argv) {
     if (!profile.empty()) obs::Tracer::global().enable();
     const auto write_profile = [&profile]() {
       if (profile.empty()) return;
-      obs::Tracer::global().write_chrome_json(profile);
+      util::atomic_write_file(profile, obs::Tracer::global().chrome_json());
       std::fprintf(stderr, "vppb: wrote %zu trace events to %s\n",
                    obs::Tracer::global().event_count(), profile.c_str());
     };
