@@ -101,7 +101,7 @@ class ObjectSlab {
   std::vector<T> objects_;
 };
 
-/// Object tables keyed by the trace's per-kind ids.
+/// Object tables indexed by the compiler's per-kind slots.
 struct ObjectTable {
   ObjectSlab<SimMutex> mutexes;
   ObjectSlab<SimSema> semas;
