@@ -4,12 +4,12 @@
 //
 // Shard capacity is made deliberately scarce and uniform so the curve
 // measures the routing tier and not this host's core count: every
-// shard runs with a single pool worker (--jobs 2: one worker plus the
-// caller) and a cooperative --delay-ms service-time injection
-// (VPPB_FAULT=delay-ms) on every computed request.  One shard is
-// therefore a fixed-rate server (~1000/delay_ms requests/sec); N
-// healthy shards behind a working consistent-hash router approach N
-// times that, even on a single-core host.
+// shard runs with a single pool worker (--jobs 1) and a cooperative
+// --delay-ms service-time injection (VPPB_FAULT=delay-ms) on every
+// computed request.  One shard is therefore a fixed-rate server
+// (~1000/delay_ms requests/sec); N healthy shards behind a working
+// consistent-hash router approach N times that, even on a single-core
+// host.
 //
 // Every response's digest is checked against the offline answer
 // (server::handle_predict in-process) — throughput that returns wrong
@@ -175,9 +175,9 @@ int main(int argc, char** argv) {
     copt.exe = VPPB_EXE;
     copt.dir = base + "/c" + std::to_string(nshards);
     copt.shards = nshards;
-    // One pool worker per shard (jobs counts the posting thread too):
-    // compute serializes through it, making shard capacity uniform.
-    copt.jobs = 2;
+    // One pool worker per shard: compute serializes through it, making
+    // shard capacity uniform.
+    copt.jobs = 1;
     copt.cache_entries = static_cast<std::size_t>(ntraces) + 4;
     copt.env.emplace_back("VPPB_FAULT",
                           "delay-ms:1:0:" + std::to_string(delay_ms));

@@ -239,7 +239,7 @@ Proxy::Proxy(ProxyOptions opt)
       listener_(opt_, "proxy", ProxyMetrics::get().auth_failures,
                 ProxyMetrics::get().idle_reaps,
                 [this](std::vector<std::uint8_t>& payload,
-                       std::uint64_t conn_key) {
+                       std::uint64_t conn_key, int /*fd*/) {
                   return server::encode(server::answer_frame(
                       payload, [&](const Request& req) {
                         return execute(req, conn_key);

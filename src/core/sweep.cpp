@@ -158,10 +158,13 @@ SpeedupCurve SweepRunner::sweep(const CompiledTrace& compiled,
       simulate_point(i);
   };
 
+  const int jobs = util::ThreadPool::resolve_jobs(options.jobs);
   if (options.pool != nullptr) {
     options.pool->parallel_for(n, run_point);
-  } else if (options.jobs != 1 && n > 1) {
-    util::ThreadPool pool(options.jobs);
+  } else if (jobs > 1 && n > 1) {
+    // The caller claims points too: jobs - 1 workers make jobs
+    // simulations in flight.
+    util::ThreadPool pool(jobs - 1);
     pool.parallel_for(n, run_point);
   } else {
     for (std::size_t i = 0; i < n; ++i) run_point(i);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <new>
 
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -69,7 +70,9 @@ Tracer::Ring& Tracer::ring_for_this_thread() {
     if (lease.ring == nullptr) {
       auto ring = std::make_unique<Ring>();
       ring->tid = static_cast<std::uint32_t>(rings_.size() + 1);
-      ring->slots.resize(kRingCapacity);
+      ring->slots.reset(static_cast<SpanEvent*>(
+          std::calloc(kRingCapacity, sizeof(SpanEvent))));
+      if (!ring->slots) throw std::bad_alloc();
       lease.ring = ring.get();
       rings_.push_back(std::move(ring));
     }

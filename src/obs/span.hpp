@@ -7,8 +7,11 @@
 // recorded, so instrumentation can stay compiled into release builds.
 // When enabled, ending a span appends one POD event to a fixed-size
 // thread-local ring with no locks on the hot path (the ring is
-// registered once per thread under a mutex).  Rings overwrite their
-// oldest events when full; the export notes how many were dropped.
+// registered once per thread under a mutex).  A ring's slots come
+// zeroed from calloc, so the kernel backs a page only when the first
+// event lands on it: a thread that records a few spans keeps a few
+// pages resident, not the whole ring.  Rings overwrite their oldest
+// events when full; the export notes how many were dropped.
 // A thread that exits hands its ring, events included, to the next
 // thread that needs one, so a process keeps as many rings as it ever
 // had tracing threads alive at once, not one per thread it started.
@@ -27,6 +30,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -123,11 +127,15 @@ class Tracer {
   std::string chrome_json(std::uint64_t pid = 1) const;
 
  private:
+  struct FreeSlots {
+    void operator()(SpanEvent* p) const { std::free(p); }
+  };
   struct Ring {
     std::uint32_t tid = 0;  ///< stable per-ring export id
     bool leased = false;    ///< held by a live thread (under rings_mu_)
     std::atomic<std::uint64_t> n{0};  ///< events ever written
-    std::vector<SpanEvent> slots;
+    /// kRingCapacity slots; those at or beyond `n` are never read.
+    std::unique_ptr<SpanEvent[], FreeSlots> slots;
   };
 
   Tracer();

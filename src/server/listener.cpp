@@ -129,7 +129,7 @@ void FrameListener::serve(Conn* conn) {
   try {
     std::vector<std::uint8_t> payload;
     while (read_frame(sock, payload, limits))
-      write_frame(sock, handler_(payload, conn->id));
+      write_frame(sock, handler_(payload, conn->id, sock.fd()));
   } catch (const util::SocketTimeout& e) {
     // Idle past the deadline, or a started frame trickling in too
     // slowly: the tier owes this peer nothing.

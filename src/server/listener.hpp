@@ -58,9 +58,10 @@ class FrameListener {
  public:
   /// Answers one request frame (which it may modify) with the response
   /// frame's bytes; `conn_id` numbers the connection in accept order
-  /// from 1.  Throwing vppb::Error drops the connection.
+  /// from 1, and `fd` is its socket, for util::peer_hung_up while the
+  /// answer is computed.  Throwing vppb::Error drops the connection.
   using Handler = std::function<std::vector<std::uint8_t>(
-      std::vector<std::uint8_t>& payload, std::uint64_t conn_id)>;
+      std::vector<std::uint8_t>& payload, std::uint64_t conn_id, int fd)>;
 
   /// `component` names the owner in log lines.  Rejected handshakes
   /// count into `auth_failures`, reaped connections into `idle_reaps`;

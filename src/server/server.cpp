@@ -12,12 +12,17 @@
 #include "obs/span.hpp"
 #include "server/handlers.hpp"
 #include "util/error.hpp"
+#include "util/socket.hpp"
 #include "util/strings.hpp"
 
 namespace vppb::server {
 
 namespace {
 using obs::LogLevel;
+
+/// How often an IO thread waiting for its worker checks whether the
+/// client hung up, when the watchdog (whose interval it uses) is off.
+constexpr std::int64_t kHangupCheckMs = 50;
 }  // namespace
 
 Server::Server(ServerOptions opt)
@@ -26,8 +31,8 @@ Server::Server(ServerOptions opt)
       cache_(opt.cache_entries, opt.cache_bytes, faults_),
       listener_(opt_, "server", metrics_.auth_failures, metrics_.idle_reaps,
                 [this](std::vector<std::uint8_t>& payload,
-                       std::uint64_t conn_id) {
-                  return serve_frame(payload, conn_id);
+                       std::uint64_t conn_id, int fd) {
+                  return serve_frame(payload, conn_id, fd);
                 }) {
   if (opt_.pool) {
     pool_ = opt_.pool;
@@ -80,7 +85,7 @@ void Server::stop() {
 }
 
 std::vector<std::uint8_t> Server::serve_frame(
-    std::vector<std::uint8_t>& payload, std::uint64_t conn_id) {
+    std::vector<std::uint8_t>& payload, std::uint64_t conn_id, int fd) {
   // Fault injection happens where real damage would: between the wire
   // and the decoder.  A corrupted payload must come back as a typed
   // kError response; a short read must cost exactly this connection and
@@ -90,7 +95,7 @@ std::vector<std::uint8_t> Server::serve_frame(
   if (!payload.empty() && faults_->should_fire(util::FaultSite::kCorruptFrame))
     payload[payload.size() / 2] ^= 0x20;
   Response resp = answer_frame(
-      payload, [&](const Request& req) { return execute(req, conn_id); });
+      payload, [&](const Request& req) { return execute(req, conn_id, fd); });
   if (resp.status == Status::kError) metrics_.errors.inc();
   // Every response names its origin, not just the probe types: the
   // routing tier attributes compute answers (failover, hedging) by the
@@ -141,7 +146,8 @@ void Server::client_release(std::uint64_t client) {
     client_in_flight_.erase(it);
 }
 
-Response Server::execute(const Request& req, std::uint64_t conn_key) {
+Response Server::execute(const Request& req, std::uint64_t conn_key,
+                         int fd) {
   metrics_.count_request(req.type);
   if (req.trace_id != 0) metrics_.sampled.inc();
   const auto t0 = std::chrono::steady_clock::now();
@@ -250,8 +256,24 @@ Response Server::execute(const Request& req, std::uint64_t conn_key) {
 
   Response resp;
   {
+    // Wait in slices, and cancel the request of a client that hung up:
+    // its worker stops at the next guard checkpoint instead of
+    // computing an answer nobody reads.  The listener's drain
+    // half-closes every connection, which reads like a hang-up, so the
+    // check ends when the listener stops.
+    const std::chrono::milliseconds slice(opt_.watchdog_interval_ms > 0
+                                              ? opt_.watchdog_interval_ms
+                                              : kHangupCheckMs);
     std::unique_lock<std::mutex> lock(st->mu);
-    st->cv.wait(lock, [&]() { return st->done; });
+    while (!st->cv.wait_for(lock, slice, [&]() { return st->done; })) {
+      if (!st->hung_up && util::peer_hung_up(fd) && listener_.running()) {
+        st->hung_up = true;
+        st->guard.cancel();
+        obs::logf(LogLevel::kInfo, "server",
+                  "client hung up: cancelled its %s request",
+                  to_string(req.type));
+      }
+    }
     resp = std::move(st->resp);
   }
   {
@@ -280,9 +302,10 @@ Response Server::execute(const Request& req, std::uint64_t conn_key) {
           std::chrono::steady_clock::now() - t0)
           .count();
   metrics_.latency_us.observe(latency_us, req.sampled ? req.trace_id : 0);
-  if (compute) {
+  if (compute && !st->hung_up) {
     // SLO accounting covers compute only: probes and dumps are not the
-    // service the objectives are about.
+    // service the objectives are about, and a client that hung up saw
+    // no answer, good or bad.
     slo_.record(latency_us, !spends_error_budget(resp.status));
   }
   obs::logf(LogLevel::kDebug, "server", "%s -> status %d in %.0f us",
@@ -359,6 +382,11 @@ Response Server::dispatch(const Request& req, ReqState& st) {
       metrics_.deadlines.inc();
       return status_response(req.type, Status::kDeadlineExceeded,
                              "deadline exceeded: cancelled by the watchdog");
+    }
+    if (e.trip() == core::GuardTrip::kCancelled && st.hung_up) {
+      // Nobody reads this answer, and the trace spent no budget.
+      return status_response(req.type, Status::kError,
+                             "cancelled: the client closed its connection");
     }
     metrics_.budget_kills.inc();
     if (!st.trace_path.empty()) cache_.record_strike(st.trace_path);

@@ -3,9 +3,12 @@
 // Threading model: connections come through a FrameListener
 // (server/listener.hpp), one IO thread each; the server answers each
 // frame through admission control.  The compute itself runs on a shared
-// util::ThreadPool: the IO thread posts the handler and blocks for the
-// result, so CPU-bound work is bounded by the pool size no matter how
-// many clients connect.
+// util::ThreadPool of `jobs` workers: the IO thread posts the handler
+// and waits for the result, so CPU-bound work is bounded by the pool
+// size no matter how many clients connect.  While it waits, the IO
+// thread checks its socket once per watchdog interval: a client that
+// hangs up has its request cancelled, so no worker computes an answer
+// nobody reads.
 //
 // Admission is a bounded in-flight count, not a queue that grows: a
 // request arriving while `admission_limit` requests are admitted (on a
@@ -64,8 +67,9 @@ namespace vppb::server {
 constexpr int kWatchdogMaxReplacements = 4;
 
 struct ServerOptions : ListenerOptions {
-  /// Workers of the owned pool (0 = all hardware threads).  Ignored
-  /// when `pool` is set.
+  /// Worker threads of the owned pool (0 = all hardware threads), so at
+  /// most this many requests compute at once.  Ignored when `pool` is
+  /// set.
   int jobs = 0;
   /// Share an existing pool instead of owning one (embedding, tests).
   util::ThreadPool* pool = nullptr;
@@ -162,6 +166,10 @@ class Server {
     core::RunGuard guard;
     ReqType type = ReqType::kPredict;
     std::string trace_path;
+    /// The client closed its connection while waiting: set by the IO
+    /// thread before it cancels the guard, so the worker's kCancelled
+    /// unwind records no budget kill and no poison strike.
+    std::atomic<bool> hung_up{false};
     /// Stage timeline for want_timeline requests.  Stamped by the IO
     /// thread before the post and by the worker during dispatch; the
     /// worker moves it into its Response, so a watchdog-answered
@@ -174,10 +182,10 @@ class Server {
     std::chrono::steady_clock::time_point cancelled_at{};
   };
 
-  /// The listener's per-frame callback.
+  /// The listener's per-frame callback; `fd` is the connection's socket.
   std::vector<std::uint8_t> serve_frame(std::vector<std::uint8_t>& payload,
-                                        std::uint64_t conn_id);
-  Response execute(const Request& req, std::uint64_t conn_key);
+                                        std::uint64_t conn_id, int fd);
+  Response execute(const Request& req, std::uint64_t conn_key, int fd);
   Response dispatch(const Request& req, ReqState& st);
   /// The answer every stats, health, metricsdump and tracedump request
   /// starts from: identity, the request counters and latency, the cache,

@@ -395,6 +395,12 @@ std::vector<std::size_t> wait_readable(const std::vector<int>& fds,
   return ready;
 }
 
+bool peer_hung_up(int fd) {
+  pollfd pfd{fd, POLLRDHUP, 0};
+  return ::poll(&pfd, 1, 0) > 0 &&
+         (pfd.revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0;
+}
+
 std::pair<Socket, Socket> socket_pair() {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) fail("socketpair");

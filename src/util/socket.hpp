@@ -149,6 +149,12 @@ Socket accept_with_timeout(Socket& listener, int timeout_ms);
 std::vector<std::size_t> wait_readable(const std::vector<int>& fds,
                                        int timeout_ms);
 
+/// Whether the peer of the connected socket `fd` has hung up: closed
+/// the connection or shut down its sending side (POLLRDHUP, POLLHUP),
+/// or the connection failed (POLLERR).  Does not block.  A
+/// shutdown_read() of `fd` itself reads the same as a peer's hang-up.
+bool peer_hung_up(int fd);
+
 /// A connected AF_UNIX stream pair, for tests and in-process plumbing.
 std::pair<Socket, Socket> socket_pair();
 

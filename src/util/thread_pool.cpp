@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -12,8 +13,8 @@ namespace vppb::util {
 namespace {
 
 /// Registry handles for the pool's task path, registered once.  Every
-/// pool in the process shares them: the gauge tracks the most recently
-/// mutated queue, which is the single shared pool in practice.
+/// pool in the process shares them, so the gauge moves by one per push
+/// and pop: it reads the tasks queued across all pools.
 struct PoolMetrics {
   obs::Counter& tasks;
   obs::Gauge& depth;
@@ -90,7 +91,7 @@ int ThreadPool::resolve_jobs(int jobs) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(int jobs) { grow(resolve_jobs(jobs) - 1); }
+ThreadPool::ThreadPool(int workers) { grow(resolve_jobs(workers)); }
 
 void ThreadPool::grow(int n) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -119,7 +120,7 @@ void ThreadPool::worker_loop() {
       if (tasks_.empty()) return;  // stopping_, and the queue is drained
       task = std::move(tasks_.front());
       tasks_.pop_front();
-      PoolMetrics::get().depth.set(static_cast<std::int64_t>(tasks_.size()));
+      PoolMetrics::get().depth.sub(1);
     }
     task();
   }
@@ -135,14 +136,10 @@ void ThreadPool::post(std::function<void()> task) {
     task();
     m.run_us.observe(us_since(started, std::chrono::steady_clock::now()));
   };
-  if (worker_count_.load(std::memory_order_acquire) == 0) {
-    timed();
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     tasks_.push_back(std::move(timed));
-    m.depth.set(static_cast<std::int64_t>(tasks_.size()));
+    m.depth.add(1);
   }
   work_cv_.notify_one();
 }
@@ -161,7 +158,12 @@ void ThreadPool::parallel_for(std::size_t n,
   loop->run();
   std::unique_lock<std::mutex> lock(loop->mu);
   loop->cv.wait(lock, [&]() { return loop->done == n; });
-  if (loop->error) std::rethrow_exception(loop->error);
+  // The error leaves the block before it is rethrown, so the caller
+  // holds its last reference: a late helper slice may drop the block on
+  // its worker, and a free there reads to the thread sanitizer as a
+  // race with the caller's handler (the exception's refcount lives in
+  // uninstrumented libstdc++).
+  if (loop->error) std::rethrow_exception(std::exchange(loop->error, nullptr));
 }
 
 }  // namespace vppb::util

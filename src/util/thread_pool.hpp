@@ -7,9 +7,10 @@
 // hardware thread.  Workers are started once and reused, so a
 // sweep-heavy tool pays the thread-creation cost once.  All work goes
 // through one FIFO task queue: post() appends a task, and parallel_for
-// appends helper slices that join the caller's loop.  With fewer than
-// two participants the loop runs inline on the caller — a graceful
-// no-op on single-core hosts.
+// appends helper slices that join the caller's loop.  A pool always has
+// at least one worker: an owner sizes it for the threads that compute,
+// so a server that only posts asks for `jobs` workers, and a loop
+// whose caller claims indices too asks for one fewer.
 #pragma once
 
 #include <atomic>
@@ -25,17 +26,17 @@ namespace vppb::util {
 
 class ThreadPool {
  public:
-  /// Starts `jobs - 1` workers (the caller is the jobs-th participant).
-  /// `jobs <= 0` selects resolve_jobs(0), i.e. all hardware threads.
-  explicit ThreadPool(int jobs = 0);
+  /// Starts exactly resolve_jobs(workers) workers: `workers <= 0`
+  /// selects all hardware threads.
+  explicit ThreadPool(int workers = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Participants in a parallel_for: workers plus the calling thread.
-  int jobs() const {
-    return worker_count_.load(std::memory_order_acquire) + 1;
+  /// Worker threads started, replacements from grow() included.
+  int workers() const {
+    return worker_count_.load(std::memory_order_acquire);
   }
 
   /// Starts `n` additional workers.  Used by the server watchdog to
@@ -58,11 +59,9 @@ class ThreadPool {
 
   /// Enqueues an independent task and returns immediately; a free
   /// worker runs it (FIFO order, shared with parallel_for's helper
-  /// slices).  With no workers (jobs == 1) the task runs inline on the
-  /// caller before post() returns.  Queued tasks are drained, not
-  /// dropped, before the destructor returns.  Tasks must handle their
-  /// own errors: an exception escaping a posted task terminates the
-  /// process.
+  /// slices).  Queued tasks are drained, not dropped, before the
+  /// destructor returns.  Tasks must handle their own errors: an
+  /// exception escaping a posted task terminates the process.
   void post(std::function<void()> task);
 
   /// `jobs` <= 0 -> hardware_concurrency (at least 1); else `jobs`.

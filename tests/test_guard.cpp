@@ -154,7 +154,7 @@ TEST(GuardTest, CancelStopsCompileAndSimulate) {
 TEST(GuardTest, CancelledSweepDrainsAndPoolStaysUsable) {
   const CompiledTrace compiled = small_compiled();
   const std::vector<int> cpus = {1, 2, 4, 8};
-  util::ThreadPool pool(2);
+  util::ThreadPool pool(1);
 
   core::SweepOptions opt;
   opt.pool = &pool;
@@ -186,7 +186,7 @@ TEST(GuardTest, ConcurrentCancelMidSweepIsCleanEitherWay) {
   const CompiledTrace compiled = core::record_compiled(
       [] { workloads::fft(workloads::SplashParams{8, 0.2}); });
   const std::vector<int> cpus = {1, 2, 4, 8};
-  util::ThreadPool pool(2);
+  util::ThreadPool pool(1);
   RunGuard guard;
   core::SweepOptions opt;
   opt.pool = &pool;
@@ -407,47 +407,48 @@ TEST(ServerGovernance, WedgedWorkerIsAbandonedAndReplaced) {
   });
   TempFile trace_file("wedge");
   trace::save_binary_file(t, trace_file.path());
-  TempFile sock("wedge_sock");
 
   // An uncancellable 500ms wedge with a 30ms wall ceiling and a 40ms
   // escalation grace: the cooperative rung fails, so the watchdog must
   // answer the client itself well before the wedge ends, and replace
-  // the worker it wrote off.
-  util::FaultPlan plan = util::FaultPlan::parse("wedge-ms:1:1:500");
-  server::ServerOptions opt = unix_options(sock.path());
-  opt.faults = &plan;
-  // jobs must be >= 2: a one-job pool has no background workers (post()
-  // runs inline on the connection thread), and a wedge on the IO thread
-  // would block the very response the watchdog writes on its behalf.
-  opt.jobs = 2;
-  opt.max_wall_ms = 30;
-  opt.watchdog_interval_ms = 5;
-  opt.watchdog_escalate_ms = 40;
-  opt.poison_strikes = 0;  // isolate the escalation path from quarantine
-  server::Server srv(opt);
-  srv.start();
+  // the worker it wrote off.  With one worker the wedge holds the whole
+  // pool, and only the replacement serves the next request.
+  for (const int jobs : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << "jobs " << jobs);
+    TempFile sock("wedge_sock");
+    util::FaultPlan plan = util::FaultPlan::parse("wedge-ms:1:1:500");
+    server::ServerOptions opt = unix_options(sock.path());
+    opt.faults = &plan;
+    opt.jobs = jobs;
+    opt.max_wall_ms = 30;
+    opt.watchdog_interval_ms = 5;
+    opt.watchdog_escalate_ms = 40;
+    opt.poison_strikes = 0;  // isolate the escalation path from quarantine
+    server::Server srv(opt);
+    srv.start();
 
-  server::Client client = server::Client::connect_unix(sock.path());
-  server::Request req;
-  req.type = server::ReqType::kSimulate;
-  req.trace_path = trace_file.path();
-  const auto t0 = std::chrono::steady_clock::now();
-  const server::Response r = client.call(req);
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_EQ(r.status, server::Status::kBudgetExceeded) << r.error;
-  EXPECT_LT(elapsed, std::chrono::milliseconds(450));
+    server::Client client = server::Client::connect_unix(sock.path());
+    server::Request req;
+    req.type = server::ReqType::kSimulate;
+    req.trace_path = trace_file.path();
+    const auto t0 = std::chrono::steady_clock::now();
+    const server::Response r = client.call(req);
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(r.status, server::Status::kBudgetExceeded) << r.error;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(450));
 
-  // The replacement worker serves the next request normally even while
-  // the wedged one is still sleeping on the old task.
-  const server::Response ok = client.call(req);
-  EXPECT_EQ(ok.status, server::Status::kOk) << ok.error;
+    // The replacement worker serves the next request normally even while
+    // the wedged one is still sleeping on the old task.
+    const server::Response ok = client.call(req);
+    EXPECT_EQ(ok.status, server::Status::kOk) << ok.error;
 
-  server::Request stats;
-  stats.type = server::ReqType::kStats;
-  const server::Response s = client.call(stats);
-  EXPECT_GE(s.stats.watchdog_cancels, 1u);
-  EXPECT_EQ(s.stats.watchdog_replacements, 1u);
-  srv.stop();
+    server::Request stats;
+    stats.type = server::ReqType::kStats;
+    const server::Response s = client.call(stats);
+    EXPECT_GE(s.stats.watchdog_cancels, 1u);
+    EXPECT_EQ(s.stats.watchdog_replacements, 1u);
+    srv.stop();
+  }
 }
 
 // ---- one clock: the typed outcome of every limit on every trip path --------
@@ -483,9 +484,9 @@ Outcome trip_once(const std::string& trace_path, std::int64_t deadline_ms,
   opt.watchdog_interval_ms = path == TripPath::kQueueWait ? 0 : 5;
   if (path == TripPath::kAbandon) opt.watchdog_escalate_ms = 60;
 
-  // kQueueWait: the pool's one background worker sits on a gate until
-  // the limit has passed.
-  util::ThreadPool pool(2);
+  // kQueueWait: the pool's one worker sits on a gate until the limit
+  // has passed.
+  util::ThreadPool pool(1);
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool gate_open = false;

@@ -6,13 +6,16 @@
 // writers, and simulation digests being bit-identical with tracing on
 // or off.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <future>
+#include <latch>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -118,7 +121,7 @@ TEST(Registry, PrometheusTextExposition) {
 
 TEST(Registry, PoolInstrumentationReachesTheGlobalRegistry) {
   {
-    util::ThreadPool pool(2);
+    util::ThreadPool pool(1);
     for (int i = 0; i < 16; ++i) pool.post([]() {});
     // ~ThreadPool drains the queue before joining.
   }
@@ -127,6 +130,30 @@ TEST(Registry, PoolInstrumentationReachesTheGlobalRegistry) {
   EXPECT_NE(text.find("vppb_pool_task_wait_us"), std::string::npos);
   EXPECT_NE(text.find("vppb_pool_task_run_us"), std::string::npos);
   EXPECT_NE(text.find("vppb_pool_queue_depth"), std::string::npos);
+}
+
+TEST(Registry, PoolQueueDepthCountsTheTasksQueuedInEveryPool) {
+  obs::Gauge& depth = obs::Registry::global().gauge(
+      "vppb_pool_queue_depth", "Posted tasks waiting for a worker");
+  const std::int64_t before = depth.value();
+  {
+    util::ThreadPool a(1), b(1);
+    std::latch started(2), release(1);
+    for (util::ThreadPool* pool : {&a, &b}) {
+      pool->post([&] {  // holds the pool's only worker
+        started.count_down();
+        release.wait();
+      });
+    }
+    started.wait();
+    for (util::ThreadPool* pool : {&a, &b}) {
+      pool->post([] {});
+      pool->post([] {});
+    }
+    EXPECT_EQ(depth.value() - before, 4);
+    release.count_down();
+  }  // each destructor drains its queue
+  EXPECT_EQ(depth.value() - before, 0);
 }
 
 // ---- latency buckets and quantiles --------------------------------------
@@ -377,6 +404,39 @@ TEST(Tracer, SequentialShortLivedThreadsShareOneRing) {
   tracer.clear();
   EXPECT_EQ(spans, 8u) << "a handed-over ring keeps its events";
   EXPECT_EQ(lanes.size(), 1u);
+}
+
+TEST(Tracer, ARingKeepsOnlyThePagesItsEventsFillResident) {
+  // Threads alive at once each hold a ring of their own, so more
+  // workers mean more rings: one span must not make a whole ring
+  // (~3.6 MB) resident.
+  const auto resident_kb = [] {
+    std::ifstream statm("/proc/self/statm");
+    long pages = 0, resident = 0;
+    statm >> pages >> resident;
+    return resident * (::sysconf(_SC_PAGESIZE) / 1024);
+  };
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.enable();
+  constexpr int kThreads = 8;
+  std::latch recorded(kThreads), release(1);
+  const long before_kb = resident_kb();
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      { obs::Span span("test.ring_pages", "test"); }
+      recorded.count_down();
+      release.wait();
+    });
+  }
+  recorded.wait();
+  const long grown_kb = resident_kb() - before_kb;
+  release.count_down();
+  for (std::thread& t : threads) t.join();
+  tracer.disable();
+  tracer.clear();
+  EXPECT_LT(grown_kb, kThreads * 1024)
+      << "kB made resident by " << kThreads << " threads of one span each";
 }
 
 // ---- tracing must not change simulation results --------------------------

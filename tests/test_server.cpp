@@ -390,21 +390,14 @@ TEST(DigestTest, CombinedDigestIsOrderSensitive) {
 TEST(ThreadPoolPostTest, RunsAllTasksAndDrainsOnDestruction) {
   std::atomic<int> ran{0};
   {
-    util::ThreadPool pool(3);
+    util::ThreadPool pool(2);
     for (int i = 0; i < 100; ++i) pool.post([&ran]() { ++ran; });
   }  // destructor must drain, not drop
   EXPECT_EQ(ran.load(), 100);
 }
 
-TEST(ThreadPoolPostTest, RunsInlineWithoutWorkers) {
-  util::ThreadPool pool(1);
-  bool ran = false;
-  pool.post([&ran]() { ran = true; });
-  EXPECT_TRUE(ran);  // synchronous when the pool has no workers
-}
-
 TEST(ThreadPoolPostTest, CoexistsWithParallelFor) {
-  util::ThreadPool pool(4);
+  util::ThreadPool pool(3);
   std::atomic<int> posted{0};
   for (int i = 0; i < 32; ++i) pool.post([&posted]() { ++posted; });
   std::atomic<int> looped{0};
@@ -775,7 +768,7 @@ TEST_F(ServerTest, OverloadIsExplicitAndBounded) {
   // One pool worker, blocked: admitted requests queue, and anything
   // beyond the admission limit must be rejected immediately — not
   // queued forever.
-  util::ThreadPool pool(2);  // 1 worker + callers
+  util::ThreadPool pool(1);
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool gate_open = false;
@@ -931,6 +924,84 @@ TEST_F(ServerTest, StopDrainsInFlightRequests) {
   EXPECT_EQ(r.status, Status::kOk) << r.error;
 }
 
+TEST_F(ServerTest, TwoJobsComputeTwoRequestsAtOnce) {
+  // jobs is the number of workers: two requests, each stalled 300 ms,
+  // run side by side, so neither waits for the other's stall.
+  const trace::Trace t = record_fork_join(2, SimTime::millis(1));
+  TempFile trace_file("twojobs");
+  trace::save_file(t, trace_file.path());
+  util::FaultPlan plan = util::FaultPlan::parse("delay-ms:1:2:300");
+  TempFile sock("twojobssock");
+  ServerOptions so;
+  so.unix_path = sock.path();
+  so.jobs = 2;
+  so.faults = &plan;
+  Server server(so);
+  server.start();
+
+  Status status[2] = {Status::kError, Status::kError};
+  std::chrono::steady_clock::duration took[2]{};
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::thread> clients;
+  for (int i = 0; i < 2; ++i) {
+    clients.emplace_back([&, i]() {
+      Client c = Client::connect_unix(sock.path());
+      status[i] = c.call(predict_request(trace_file.path(), 2)).status;
+      took[i] = std::chrono::steady_clock::now() - t0;
+    });
+  }
+  for (auto& th : clients) th.join();
+  server.stop();
+  EXPECT_EQ(plan.fired_total(), 2u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(status[i], Status::kOk) << "client " << i;
+    EXPECT_LT(took[i], std::chrono::milliseconds(500)) << "client " << i;
+  }
+}
+
+TEST_F(ServerTest, AClientThatHangsUpFreesItsWorker) {
+  // A request stalled 1.5 s whose client closes the connection: the IO
+  // thread sees the hang-up, cancels the request, and the worker comes
+  // back at its next guard checkpoint instead of computing an answer
+  // nobody reads.  That is no budget kill: the trace did nothing wrong.
+  const trace::Trace t = record_fork_join(2, SimTime::millis(1));
+  TempFile trace_file("hangup");
+  trace::save_file(t, trace_file.path());
+  util::FaultPlan plan = util::FaultPlan::parse("delay-ms:1:1:1500");
+  TempFile sock("hangupsock");
+  ServerOptions so;
+  so.unix_path = sock.path();
+  so.jobs = 1;
+  so.faults = &plan;
+  Server server(so);
+  server.start();
+
+  Client probe = Client::connect_unix(sock.path());
+  Request health;
+  health.type = ReqType::kHealth;
+  const auto in_flight = [&]() { return probe.call(health).in_flight; };
+  {
+    Client a = Client::connect_unix(sock.path());
+    a.send(predict_request(trace_file.path(), 2));
+    for (int spins = 0; in_flight() == 0 && spins < 500; ++spins)
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }  // client A hangs up with its request in flight
+  const auto hung_up = std::chrono::steady_clock::now();
+  while (in_flight() != 0 &&
+         std::chrono::steady_clock::now() - hung_up <
+             std::chrono::milliseconds(1000)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  server.stop();
+  const auto elapsed = std::chrono::steady_clock::now() - hung_up;
+  EXPECT_EQ(plan.fired_total(), 1u);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(500))
+      << "hang-up to drained: "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms";
+  EXPECT_EQ(server.metrics().budget_kills.value(), 0u);
+}
+
 // ---- resilience: deadlines, health, retries, fault injection ---------------
 
 TEST_F(ServerTest, DeadlineExceededIsTypedCountedAndNeverRetried) {
@@ -940,7 +1011,7 @@ TEST_F(ServerTest, DeadlineExceededIsTypedCountedAndNeverRetried) {
 
   // One blocked pool worker: the request sits in the queue well past its
   // tiny deadline, so the queue-wait checkpoint must fire.
-  util::ThreadPool pool(2);
+  util::ThreadPool pool(1);
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool gate_open = false;
@@ -990,7 +1061,7 @@ TEST_F(ServerTest, HealthBypassesAdmissionDuringOverload) {
   // Saturate a 1-slot server with a blocked worker, then prove a
   // readiness probe still answers — "busy but alive" must be
   // distinguishable from "dead" without consuming an admission slot.
-  util::ThreadPool pool(2);
+  util::ThreadPool pool(1);
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool gate_open = false;
@@ -1047,7 +1118,7 @@ TEST_F(ServerTest, HealthBypassesAdmissionDuringOverload) {
 }
 
 TEST_F(ServerTest, ClientRetryRidesOutTransientOverload) {
-  util::ThreadPool pool(2);
+  util::ThreadPool pool(1);
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool gate_open = false;

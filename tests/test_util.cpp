@@ -277,8 +277,8 @@ TEST(TextTable, RendersAlignedColumns) {
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.jobs(), 4);
+  util::ThreadPool pool(3);
+  EXPECT_EQ(pool.workers(), 3);
   std::vector<std::atomic<int>> hits(101);
   pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (std::size_t i = 0; i < hits.size(); ++i)
@@ -286,7 +286,7 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPool, ReusableAcrossCallsAndEmptyLoop) {
-  util::ThreadPool pool(3);
+  util::ThreadPool pool(2);
   std::atomic<int> total{0};
   pool.parallel_for(0, [&](std::size_t) { ++total; });
   EXPECT_EQ(total.load(), 0);
@@ -295,18 +295,8 @@ TEST(ThreadPool, ReusableAcrossCallsAndEmptyLoop) {
   EXPECT_EQ(total.load(), 5 * 17);
 }
 
-TEST(ThreadPool, SingleJobRunsInlineInOrder) {
-  util::ThreadPool pool(1);
-  EXPECT_EQ(pool.jobs(), 1);
-  std::vector<std::size_t> order;
-  pool.parallel_for(6, [&](std::size_t i) { order.push_back(i); });
-  std::vector<std::size_t> expect(6);
-  std::iota(expect.begin(), expect.end(), 0u);
-  EXPECT_EQ(order, expect) << "no workers -> inline, sequential";
-}
-
 TEST(ThreadPool, PropagatesTheFirstException) {
-  util::ThreadPool pool(2);
+  util::ThreadPool pool(1);
   EXPECT_THROW(pool.parallel_for(8,
                                  [](std::size_t i) {
                                    if (i == 3) throw Error("boom");
@@ -337,8 +327,21 @@ struct Gate {
   }
 };
 
+TEST(ThreadPool, SingleJobRunsInlineInOrder) {
+  util::ThreadPool pool(1);
+  EXPECT_EQ(pool.workers(), 1);
+  Gate hold;
+  pool.post([&hold] { hold.wait(); });  // the only worker is held
+  std::vector<std::size_t> order;
+  pool.parallel_for(6, [&](std::size_t i) { order.push_back(i); });
+  hold.release();
+  std::vector<std::size_t> expect(6);
+  std::iota(expect.begin(), expect.end(), 0u);
+  EXPECT_EQ(order, expect) << "no free worker -> inline, sequential";
+}
+
 TEST(ThreadPool, ParallelForInAPostedTaskCompletesOnItsCallerWhenWorkersAreBusy) {
-  util::ThreadPool pool(3);
+  util::ThreadPool pool(2);
   Gate hold;
   pool.post([&hold] { hold.wait(); });  // one worker is held...
   struct Ran {
@@ -364,7 +367,7 @@ TEST(ThreadPool, ParallelForInAPostedTaskCompletesOnItsCallerWhenWorkersAreBusy)
 }
 
 TEST(ThreadPool, ConcurrentCallsEachSeeEveryIndexExactlyOnce) {
-  util::ThreadPool pool(4);
+  util::ThreadPool pool(3);
   constexpr int kRounds = 50;
   const auto loop = [&pool](std::vector<std::atomic<int>>& hits) {
     for (int round = 0; round < kRounds; ++round) {
@@ -385,7 +388,7 @@ TEST(ThreadPool, ConcurrentCallsEachSeeEveryIndexExactlyOnce) {
 }
 
 TEST(ThreadPool, AHelperSliceStartingAfterItsLoopReturnedNeverCallsFn) {
-  util::ThreadPool pool(2);
+  util::ThreadPool pool(1);
   Gate hold;
   pool.post([&hold] { hold.wait(); });  // the only worker is held
   std::atomic<int> calls{0};

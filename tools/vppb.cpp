@@ -511,7 +511,7 @@ int cmd_serve(Flags& flags) {
 
   server::Server srv(opt);
   srv.start();
-  std::printf("vppbd: serving on %s (jobs %d, admission %d, cache %zu "
+  std::printf("vppbd: serving on %s (workers %d, admission %d, cache %zu "
               "entries / %lld MiB)\n",
               srv.endpoint().c_str(),
               util::ThreadPool::resolve_jobs(opt.jobs), opt.admission_limit,
@@ -1149,8 +1149,9 @@ int main(int argc, char** argv) {
   flags.define_string("cpus-list", "2,4,8", "validate: CPU counts");
   flags.define_i64("reps", 5, "validate: machine repetitions");
   flags.define_i64("jobs", 0,
-                   "predict: parallel sweep workers (0 = all hardware "
-                   "threads, 1 = serial)");
+                   "predict: sweep points in flight (1 = serial); "
+                   "serve/cluster: pool workers per server (0 = all "
+                   "hardware threads)");
   flags.define_string("socket", "", "serve/request: unix socket path");
   flags.define_i64("port", 0, "serve/request: loopback TCP port");
   flags.define_bool("salvage", false,
