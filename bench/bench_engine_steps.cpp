@@ -10,10 +10,11 @@
 //  * steps_per_sec_oneshot — repeated core::simulate() calls, paying
 //    the full engine construction per run (the cold-start path).
 //
-// The sweep is timed twice: serially (jobs=1) and with a thread pool
-// sized to the hardware (at least 2 workers, so the pool path is
-// exercised even on a single-core host, where jobs=1 vs jobs=1 would
-// compare nothing).  Both job counts are emitted.
+// The sweep is timed twice: serially (jobs=1) and on the shared
+// SweepRunner's workers, which its first parallel sweep starts and every
+// later one reuses, with jobs sized to the hardware (at least 2, so the
+// pool path is exercised even on a single-core host, where jobs=1 vs
+// jobs=1 would compare nothing).  Both job counts are emitted.
 //
 // A slope leg replays the paper's §5 producer-consumer program (tuned
 // version) at 61 and 736 threads on 1 CPU, one reused engine each —
@@ -75,7 +76,8 @@ int main(int argc, char** argv) {
   flags.define_i64("cpus", 8, "simulated CPU count for the steps/sec run");
   flags.define_i64("min-ms", 500, "minimum wall time per measurement");
   flags.define_i64("jobs", 0,
-                   "parallel-sweep workers (0 = hardware threads, min 2)");
+                   "parallel-sweep points in flight (0 = hardware threads, "
+                   "min 2)");
   flags.define_i64("min-steps-per-sec", 0,
                    "fail (exit 1) if the headline falls below this floor");
   flags.define_string("out", "BENCH_engine.json", "JSON output file");
@@ -141,10 +143,12 @@ int main(int argc, char** argv) {
   std::iota(counts.begin(), counts.end(), 1);
   double serial_s = 0.0, parallel_s = 0.0;
   {
+    core::SweepOptions opt;
+    opt.jobs = 1;
     int reps = 0;
     const Clock::time_point s0 = Clock::now();
     do {
-      core::sweep_cpus(compiled, counts, cfg);
+      core::sweep_cpus(compiled, counts, cfg, opt);
       ++reps;
       serial_s = seconds_since(s0);
     } while (serial_s < min_s);

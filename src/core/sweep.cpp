@@ -100,9 +100,23 @@ SimResult SweepRunner::run(const CompiledTrace& compiled,
   return result;
 }
 
+SweepRunner::SweepRunner() = default;
+SweepRunner::~SweepRunner() = default;
+
+util::ThreadPool& SweepRunner::pool() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!pool_) {
+    pool_ = std::make_unique<util::ThreadPool>(
+        std::max(1, util::ThreadPool::resolve_jobs(0) - 1));
+  }
+  return *pool_;
+}
+
 SweepRunner& SweepRunner::shared() {
-  static SweepRunner runner;
-  return runner;
+  // Leaked on purpose: a helper slice that starts after its sweep
+  // returned may still be running when static destructors run.
+  static SweepRunner* runner = new SweepRunner();
+  return *runner;
 }
 
 SpeedupCurve sweep_cpus(const CompiledTrace& compiled,
@@ -158,14 +172,13 @@ SpeedupCurve SweepRunner::sweep(const CompiledTrace& compiled,
       simulate_point(i);
   };
 
-  const int jobs = util::ThreadPool::resolve_jobs(options.jobs);
-  if (options.pool != nullptr) {
-    options.pool->parallel_for(n, run_point);
-  } else if (jobs > 1 && n > 1) {
-    // The caller claims points too: jobs - 1 workers make jobs
-    // simulations in flight.
-    util::ThreadPool pool(jobs - 1);
-    pool.parallel_for(n, run_point);
+  const std::size_t in_flight = std::min<std::size_t>(
+      static_cast<std::size_t>(util::ThreadPool::resolve_jobs(options.jobs)),
+      n);
+  if (in_flight > 1) {
+    // The caller claims points too: in_flight - 1 helper slices make
+    // in_flight simulations at most.
+    pool().parallel_for(n, run_point, in_flight - 1);
   } else {
     for (std::size_t i = 0; i < n; ++i) run_point(i);
   }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -64,15 +65,13 @@ class SpeedupCurve {
 
 /// Controls how sweep_cpus runs the per-configuration simulations.
 struct SweepOptions {
-  /// Simulations in flight: 1 = strictly serial (the default), 0 = one
-  /// per hardware thread, N = exactly N.  Each sweep point simulates an
+  /// Simulations in flight: at most N, and no more than the hardware
+  /// threads; 0 = one per hardware thread (the default), 1 = strictly
+  /// serial on the calling thread.  Each sweep point simulates an
   /// immutable CompiledTrace with its own SimConfig, so the points are
   /// independent; results are always assembled in deterministic
   /// `cpu_counts` order regardless of completion order.
-  int jobs = 1;
-  /// Reuse an already-running util::ThreadPool instead of spinning one
-  /// up per call (jobs is ignored when set).
-  util::ThreadPool* pool = nullptr;
+  int jobs = 0;
   /// When set, wraps every sweep point: called with the point's CPU
   /// count and a `run` that simulates it, which it must call exactly
   /// once.  The server uses it for a deadline check and a timeline
@@ -103,42 +102,59 @@ struct SweepOptions {
 /// throws (cancelled guard, tripped budget) is discarded rather than
 /// returned, so the pool only ever holds engines that completed
 /// cleanly.
+///
+/// The runner's first parallel sweep starts its worker pool, one
+/// worker per hardware thread less the caller (at least one); every
+/// later parallel sweep, concurrent ones included, posts its helper
+/// slices to those same workers.  A runner that only sweeps serially
+/// starts no thread.
 class SweepRunner {
  public:
+  SweepRunner();
+  ~SweepRunner();  ///< drains and joins the workers, if any started
+  SweepRunner(const SweepRunner&) = delete;
+  SweepRunner& operator=(const SweepRunner&) = delete;
+
   /// One simulation on a pooled engine; guard semantics as simulate().
   SimResult run(const CompiledTrace& compiled, const SimConfig& config,
                 const RunGuard* guard = nullptr);
 
   /// Batched sweep: sweep_cpus semantics, every point on a pooled
-  /// engine.  With options.jobs > 1 the points still run concurrently —
-  /// each worker checks out its own engine.
+  /// engine.  Unless options.jobs resolves to 1, the caller and up to
+  /// jobs - 1 of the runner's workers simulate points concurrently —
+  /// each checks out its own engine.
   SpeedupCurve sweep(const CompiledTrace& compiled,
                      std::span<const int> cpu_counts, const SimConfig& base,
                      const SweepOptions& options = SweepOptions{});
 
   /// The process-wide runner: the CLI, the vppbd handlers and the sweep
   /// entry points below all share it, so any repeated prediction work
-  /// in the process reuses the same warmed engines.
+  /// in the process reuses the same warmed engines and workers.  It is
+  /// never destroyed, so process exit neither joins its workers nor
+  /// races a late helper slice.
   static SweepRunner& shared();
 
  private:
   SimEngine acquire();
   void release(SimEngine engine);
+  util::ThreadPool& pool();
 
-  std::mutex mu_;
+  std::mutex mu_;  ///< guards idle_ and pool_
   std::vector<SimEngine> idle_;
+  std::unique_ptr<util::ThreadPool> pool_;  ///< started by pool()
 };
 
 /// Simulates the compiled trace at each CPU count (other parameters from
-/// `base`; its cpu count is ignored).  Every sweep forces
+/// `base`; its cpu count is ignored) on SweepRunner::shared(), with the
+/// points spread over every hardware thread.  Every sweep forces
 /// `base.build_timeline` off: a sweep wants the speed-up numbers, and
 /// building (then discarding) full timelines would dominate the cost.
 SpeedupCurve sweep_cpus(const CompiledTrace& compiled,
                         std::span<const int> cpu_counts,
                         const SimConfig& base);
 
-/// As above, with explicit execution options (parallelism, per-point
-/// result capture, governance).
+/// As above, with explicit execution options (points in flight,
+/// per-point result capture, governance).
 SpeedupCurve sweep_cpus(const CompiledTrace& compiled,
                         std::span<const int> cpu_counts,
                         const SimConfig& base, const SweepOptions& options);

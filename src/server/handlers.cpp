@@ -116,10 +116,11 @@ Response handle_predict(const Request& req, TraceCache& cache,
   for (int cpus = 1; cpus <= req.max_cpus; cpus *= 2)
     cpu_counts.push_back(cpus);
 
-  // The sweep runs serially inside this handler: the service gets its
-  // parallelism from concurrent requests sharing the pool, and a
-  // deterministic per-request path keeps responses bit-identical to the
-  // offline `vppb predict` (which the combined digest proves).  Each
+  // The sweep runs serially inside this handler (jobs = 1, so it starts
+  // no sweep workers): the service gets its parallelism from concurrent
+  // requests sharing the server's pool, and the timeline stamps below
+  // come from one thread.  Responses stay bit-identical to the offline
+  // `vppb predict` (which the combined digest proves).  Each
   // point first checks the guard's clock, so a sweep cannot overstay.  The
   // parent "simulate" stage is stamped before its per-point children, so
   // it lists first; each finished point stretches it to cover that point.
@@ -130,6 +131,7 @@ Response handle_predict(const Request& req, TraceCache& cache,
   }
   std::vector<core::SimResult> results;
   core::SweepOptions opt;
+  opt.jobs = 1;
   opt.results = &results;
   opt.guard = guard;
   opt.each_point = [&](int cpus, const std::function<void()>& run) {

@@ -145,10 +145,11 @@ void ThreadPool::post(std::function<void()> task) {
 }
 
 void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  const std::size_t helpers = std::min<std::size_t>(
+                              const std::function<void(std::size_t)>& fn,
+                              std::size_t max_helpers) {
+  const std::size_t helpers = std::min({
       static_cast<std::size_t>(worker_count_.load(std::memory_order_acquire)),
-      n > 0 ? n - 1 : 0);
+      n > 0 ? n - 1 : 0, max_helpers});
   if (helpers == 0) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;

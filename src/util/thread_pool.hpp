@@ -4,10 +4,12 @@
 // The Simulator's processor sweeps run one independent core::simulate
 // per machine configuration (paper §3.2: "run the simulator once per
 // candidate configuration"); the pool lets those runs use every
-// hardware thread.  Workers are started once and reused, so a
-// sweep-heavy tool pays the thread-creation cost once.  All work goes
-// through one FIFO task queue: post() appends a task, and parallel_for
-// appends helper slices that join the caller's loop.  A pool always has
+// hardware thread.  Workers are started once and reused: each
+// core::SweepRunner starts its pool on its first parallel sweep and
+// every later sweep posts to it, and a server starts its pool with the
+// server.  All work goes through one FIFO task queue: post() appends a
+// task, and parallel_for appends helper slices that join the caller's
+// loop, at most as many as the caller's cap allows.  A pool always has
 // at least one worker: an owner sizes it for the threads that compute,
 // so a server that only posts asks for `jobs` workers, and a loop
 // whose caller claims indices too asks for one fewer.
@@ -16,6 +18,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -47,15 +50,17 @@ class ThreadPool {
   void grow(int n);
 
   /// Runs fn(0) .. fn(n-1) across the calling thread and up to
-  /// min(workers, n - 1) helper slices posted to the task queue, which
-  /// claim indices through a shared counter; returns when every index
-  /// has finished.  The first exception thrown by any index is rethrown
+  /// min(workers, n - 1, max_helpers) helper slices posted to the task
+  /// queue, which claim indices through a shared counter; returns when
+  /// every index has finished.  So at most max_helpers + 1 indices run
+  /// at once.  The first exception thrown by any index is rethrown
   /// on the caller (remaining indices are skipped).  The caller claims
   /// indices too, so the loop completes even when every worker is busy,
   /// and calls from several threads run side by side.  A helper slice
   /// that starts after the call returned finds no index left and never
   /// touches `fn`.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
+                    std::size_t max_helpers = SIZE_MAX);
 
   /// Enqueues an independent task and returns immediately; a free
   /// worker runs it (FIFO order, shared with parallel_for's helper

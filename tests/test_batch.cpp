@@ -129,6 +129,7 @@ TEST(BatchedDriver, ParallelSweepMatchesSerialSweep) {
 
   std::vector<SimResult> serial_results, parallel_results;
   SweepOptions serial_opt;
+  serial_opt.jobs = 1;
   serial_opt.results = &serial_results;
   SweepOptions parallel_opt;
   parallel_opt.jobs = 4;

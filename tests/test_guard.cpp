@@ -154,23 +154,24 @@ TEST(GuardTest, CancelStopsCompileAndSimulate) {
 TEST(GuardTest, CancelledSweepDrainsAndPoolStaysUsable) {
   const CompiledTrace compiled = small_compiled();
   const std::vector<int> cpus = {1, 2, 4, 8};
-  util::ThreadPool pool(1);
+  core::SweepRunner runner;
 
   core::SweepOptions opt;
-  opt.pool = &pool;
+  opt.jobs = 2;
   RunGuard guard;
   guard.cancel();
   opt.guard = &guard;
-  EXPECT_THROW(core::sweep_cpus(compiled, cpus, SimConfig{}, opt),
+  EXPECT_THROW(runner.sweep(compiled, cpus, SimConfig{}, opt),
                BudgetExceeded);
 
-  // The drain left no tasks behind: the same pool immediately runs an
-  // unguarded sweep whose results match a serial reference sweep.
+  // The drain left no tasks behind: the same runner's workers
+  // immediately run an unguarded sweep whose results match a serial
+  // reference sweep.
   std::vector<core::SimResult> pooled;
   core::SweepOptions clean;
-  clean.pool = &pool;
+  clean.jobs = 2;
   clean.results = &pooled;
-  core::sweep_cpus(compiled, cpus, SimConfig{}, clean);
+  runner.sweep(compiled, cpus, SimConfig{}, clean);
   std::vector<core::SimResult> serial;
   core::SweepOptions ref;
   ref.jobs = 1;
@@ -182,14 +183,14 @@ TEST(GuardTest, CancelledSweepDrainsAndPoolStaysUsable) {
 TEST(GuardTest, ConcurrentCancelMidSweepIsCleanEitherWay) {
   // The cancel races the sweep on purpose: whichever wins, the sweep
   // must either finish completely or unwind with kCancelled, and the
-  // shared pool must stay fully usable.
+  // runner's workers must stay fully usable.
   const CompiledTrace compiled = core::record_compiled(
       [] { workloads::fft(workloads::SplashParams{8, 0.2}); });
   const std::vector<int> cpus = {1, 2, 4, 8};
-  util::ThreadPool pool(1);
+  core::SweepRunner runner;
   RunGuard guard;
   core::SweepOptions opt;
-  opt.pool = &pool;
+  opt.jobs = 2;
   opt.guard = &guard;
   std::thread canceller([&guard]() {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -197,7 +198,7 @@ TEST(GuardTest, ConcurrentCancelMidSweepIsCleanEitherWay) {
   });
   bool threw = false;
   try {
-    core::sweep_cpus(compiled, cpus, SimConfig{}, opt);
+    runner.sweep(compiled, cpus, SimConfig{}, opt);
   } catch (const BudgetExceeded& e) {
     threw = true;
     EXPECT_EQ(e.trip(), GuardTrip::kCancelled);
@@ -207,10 +208,15 @@ TEST(GuardTest, ConcurrentCancelMidSweepIsCleanEitherWay) {
 
   std::vector<core::SimResult> pooled;
   core::SweepOptions clean;
-  clean.pool = &pool;
+  clean.jobs = 2;
   clean.results = &pooled;
-  core::sweep_cpus(compiled, cpus, SimConfig{}, clean);
-  EXPECT_EQ(pooled.size(), cpus.size());
+  runner.sweep(compiled, cpus, SimConfig{}, clean);
+  std::vector<core::SimResult> serial;
+  core::SweepOptions ref;
+  ref.jobs = 1;
+  ref.results = &serial;
+  core::sweep_cpus(compiled, cpus, SimConfig{}, ref);
+  EXPECT_EQ(core::digest(pooled), core::digest(serial));
 }
 
 // ---- digest parity ---------------------------------------------------------

@@ -959,6 +959,30 @@ TEST_F(ServerTest, TwoJobsComputeTwoRequestsAtOnce) {
   }
 }
 
+TEST_F(ServerTest, APredictPostsOnlyItsOwnRequestTask) {
+  // The handler sweeps serially: a predict's four points add no helper
+  // slices to any pool, so the only task it posts is its own.
+  const trace::Trace t = record_fork_join(4, SimTime::millis(2));
+  TempFile trace_file("onetask");
+  trace::save_file(t, trace_file.path());
+  TempFile sock("onetasksock");
+  ServerOptions so;
+  so.unix_path = sock.path();
+  so.jobs = 2;
+  Server server(so);
+  server.start();
+  const obs::Counter& posted =
+      obs::Registry::global().counter("vppb_pool_tasks_total", "");
+  Client client = Client::connect_unix(sock.path());
+  const std::uint64_t before = posted.value();
+  const Response r = client.call(predict_request(trace_file.path(), 8));
+  const std::uint64_t after = posted.value();
+  server.stop();
+  ASSERT_EQ(r.status, Status::kOk) << r.error;
+  ASSERT_EQ(r.points.size(), 4u);
+  EXPECT_EQ(after - before, 1u);
+}
+
 TEST_F(ServerTest, AClientThatHangsUpFreesItsWorker) {
   // A request stalled 1.5 s whose client closes the connection: the IO
   // thread sees the hang-up, cancels the request, and the worker comes

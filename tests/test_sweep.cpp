@@ -1,11 +1,20 @@
 // Tests for the processor-sweep and Amdahl-fit analysis.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <thread>
 
 #include "core/sweep.hpp"
+#include "obs/metrics.hpp"
 #include "recorder/recorder.hpp"
 #include "solaris/program.hpp"
 #include "solaris/solaris.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 #include "workloads/splash.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -114,7 +123,9 @@ TEST(SweepTest, ParallelSweepMatchesSerialPointForPoint) {
     workloads::fft(workloads::SplashParams{8, 0.2});
   });
   const int counts[] = {1, 2, 3, 4, 6, 8};
-  const SpeedupCurve serial = sweep_cpus(c, counts, SimConfig{});
+  SweepOptions serial_opt;
+  serial_opt.jobs = 1;
+  const SpeedupCurve serial = sweep_cpus(c, counts, SimConfig{}, serial_opt);
   SweepOptions opt;
   opt.jobs = 4;
   const SpeedupCurve parallel = sweep_cpus(c, counts, SimConfig{}, opt);
@@ -164,6 +175,7 @@ TEST(SweepTest, EachPointWrapsEveryPointOnce) {
   std::vector<SimResult> results;
   std::vector<int> seen;
   SweepOptions opt;
+  opt.jobs = 1;  // the hook sees the points in order, one at a time
   opt.results = &results;
   opt.each_point = [&](int cpus, const std::function<void()>& run) {
     const SimResult& r = results[seen.size()];
@@ -178,6 +190,40 @@ TEST(SweepTest, EachPointWrapsEveryPointOnce) {
   const SpeedupCurve plain = sweep_cpus(c, counts, SimConfig{});
   for (std::size_t i = 0; i < curve.points().size(); ++i)
     EXPECT_EQ(curve.points()[i].total, plain.points()[i].total);
+}
+
+TEST(SweepTest, HelpersPersistAcrossSweeps) {
+  // A runner starts its workers once: five parallel sweeps simulate
+  // their points on the caller and the same workers, never on threads
+  // started for one sweep.  Each point holds its thread for 2 ms, so
+  // every posted helper slice finds a point left to claim.
+  const CompiledTrace c = record_compiled([]() {
+    workloads::fork_join(4, SimTime::millis(5));
+  });
+  const int workers = std::max(1, util::ThreadPool::resolve_jobs(0) - 1);
+  SweepRunner runner;
+  std::mutex mu;
+  std::set<pid_t> tids;
+  SweepOptions opt;
+  opt.jobs = 4;
+  opt.each_point = [&](int, const std::function<void()>& run) {
+    run();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::lock_guard<std::mutex> lock(mu);
+    tids.insert(::gettid());
+  };
+  for (int k = 0; k < 5; ++k) runner.sweep(c, kCpus, SimConfig{}, opt);
+  EXPECT_LE(tids.size(), static_cast<std::size_t>(workers + 1));
+
+  // A default sweep runs on every hardware thread: the caller claims
+  // points too, so it posts one helper slice per further point, as
+  // many as the workers allow.
+  const obs::Counter& posted =
+      obs::Registry::global().counter("vppb_pool_tasks_total", "");
+  const std::uint64_t before = posted.value();
+  runner.sweep(c, kCpus, SimConfig{});
+  EXPECT_EQ(posted.value() - before,
+            static_cast<std::uint64_t>(std::min(workers, 3)));
 }
 
 }  // namespace

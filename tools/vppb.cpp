@@ -83,7 +83,8 @@ int usage() {
       "        4 errors (unlock-without-lock, bad joins, negative\n"
       "        semaphore counts, non-monotonic timestamps, ...)\n"
       "  predict <trace> [--max-cpus N] [--lwps N] [--comm-delay-us D]\n"
-      "          [--jobs N]   (0 = all hardware threads)\n"
+      "          [--jobs N]   (at most N points at once, no more than\n"
+      "          the hardware threads; 0 = all of them, 1 = serial)\n"
       "  simulate <trace> [--cpus N] [--lwps N] [--comm-delay-us D]\n"
       "           [--svg F] [--columns N]\n"
       "  analyze <trace> [--cpus N] [--lwps N] [--comm-delay-us D]\n"
@@ -355,7 +356,7 @@ int cmd_predict(Flags& flags) {
     cpu_counts.push_back(cpus);
   std::vector<core::SimResult> results;
   core::SweepOptions opt;
-  opt.jobs = util::ThreadPool::resolve_jobs(static_cast<int>(flags.i64("jobs")));
+  opt.jobs = static_cast<int>(flags.i64("jobs"));
   opt.results = &results;
   opt.guard = &guard;
   const core::SpeedupCurve curve =
@@ -1149,7 +1150,8 @@ int main(int argc, char** argv) {
   flags.define_string("cpus-list", "2,4,8", "validate: CPU counts");
   flags.define_i64("reps", 5, "validate: machine repetitions");
   flags.define_i64("jobs", 0,
-                   "predict: sweep points in flight (1 = serial); "
+                   "predict: at most N sweep points in flight, no more "
+                   "than the hardware threads (1 = serial); "
                    "serve/cluster: pool workers per server (0 = all "
                    "hardware threads)");
   flags.define_string("socket", "", "serve/request: unix socket path");
