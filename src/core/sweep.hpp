@@ -66,9 +66,10 @@ class SpeedupCurve {
 /// Controls how sweep_cpus runs the per-configuration simulations.
 struct SweepOptions {
   /// Simulations in flight: at most N, and no more than the hardware
-  /// threads; 0 = one per hardware thread (the default), 1 = strictly
-  /// serial on the calling thread.  Each sweep point simulates an
-  /// immutable CompiledTrace with its own SimConfig, so the points are
+  /// threads; 0 = SweepRunner::default_jobs(), half the hardware
+  /// threads and at least two (the default); 1 = strictly serial on the
+  /// calling thread.  Each sweep point simulates an immutable
+  /// CompiledTrace with its own SimConfig, so the points are
   /// independent; results are always assembled in deterministic
   /// `cpu_counts` order regardless of completion order.
   int jobs = 0;
@@ -104,10 +105,11 @@ struct SweepOptions {
 /// cleanly.
 ///
 /// The runner's first parallel sweep starts its worker pool, one
-/// worker per hardware thread less the caller (at least one); every
-/// later parallel sweep, concurrent ones included, posts its helper
-/// slices to those same workers.  A runner that only sweeps serially
-/// starts no thread.
+/// worker per helper the sweep asks for (its points in flight less the
+/// caller); every later parallel sweep, concurrent ones included, posts
+/// its helper slices to those same workers, and one that asks for more
+/// adds the missing workers.  A runner that only sweeps serially starts
+/// no thread.
 class SweepRunner {
  public:
   SweepRunner();
@@ -122,10 +124,21 @@ class SweepRunner {
   /// Batched sweep: sweep_cpus semantics, every point on a pooled
   /// engine.  Unless options.jobs resolves to 1, the caller and up to
   /// jobs - 1 of the runner's workers simulate points concurrently —
-  /// each checks out its own engine.
+  /// each checks out its own engine — claiming them most CPUs first,
+  /// so the caller itself starts the costliest point.  A serial sweep
+  /// runs them in `cpu_counts` order.
   SpeedupCurve sweep(const CompiledTrace& compiled,
                      std::span<const int> cpu_counts, const SimConfig& base,
                      const SweepOptions& options = SweepOptions{});
+
+  /// Points in flight of a `jobs = 0` sweep: half the hardware threads,
+  /// at least two.  Each CPU a helper last ran on is one more CPU that
+  /// every later unmap in the process must interrupt, and a shared
+  /// virtual host wakes a halted vCPU slowly, more slowly the busier it
+  /// is; with every hardware thread in use, a loop that sweeps between
+  /// other work ran at a speed that swung with the host's load (see
+  /// DESIGN.md on processor sweeps).
+  static int default_jobs();
 
   /// The process-wide runner: the CLI, the vppbd handlers and the sweep
   /// entry points below all share it, so any repeated prediction work
@@ -137,7 +150,7 @@ class SweepRunner {
  private:
   SimEngine acquire();
   void release(SimEngine engine);
-  util::ThreadPool& pool();
+  util::ThreadPool& pool(int helpers);
 
   std::mutex mu_;  ///< guards idle_ and pool_
   std::vector<SimEngine> idle_;
@@ -145,8 +158,8 @@ class SweepRunner {
 };
 
 /// Simulates the compiled trace at each CPU count (other parameters from
-/// `base`; its cpu count is ignored) on SweepRunner::shared(), with the
-/// points spread over every hardware thread.  Every sweep forces
+/// `base`; its cpu count is ignored) on SweepRunner::shared(), with
+/// SweepRunner::default_jobs() points in flight.  Every sweep forces
 /// `base.build_timeline` off: a sweep wants the speed-up numbers, and
 /// building (then discarding) full timelines would dominate the cost.
 SpeedupCurve sweep_cpus(const CompiledTrace& compiled,

@@ -64,23 +64,28 @@ struct Loop {
   std::condition_variable cv;  ///< signals done == n
   std::size_t done = 0;        ///< finished indices
 
-  /// Claims and runs indices until none remain.  After a failure the
-  /// remaining indices are claimed and counted without running: the
-  /// caller waits for every index to be counted done.
+  /// Claims and runs indices until none remain.
   void run() {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
-      if (!failed.load(std::memory_order_relaxed)) {
-        try {
-          (*fn)(i);
-        } catch (...) {
-          if (!failed.exchange(true)) error = std::current_exception();
-        }
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      if (++done == n) cv.notify_all();
+      run_claimed(i);
     }
+  }
+
+  /// Runs claimed index i and counts it done.  After a failure the
+  /// remaining indices are claimed and counted without running: the
+  /// caller waits for every index to be counted done.
+  void run_claimed(std::size_t i) {
+    if (!failed.load(std::memory_order_relaxed)) {
+      try {
+        (*fn)(i);
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
+      }
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    if (++done == n) cv.notify_all();
   }
 };
 
@@ -155,7 +160,11 @@ void ThreadPool::parallel_for(std::size_t n,
     return;
   }
   auto loop = std::make_shared<Loop>(fn, n);
+  // The caller claims index 0 before any helper slice exists, so the
+  // loop's first index never waits for a worker to wake.
+  const std::size_t first = loop->next.fetch_add(1, std::memory_order_relaxed);
   for (std::size_t k = 0; k < helpers; ++k) post([loop]() { loop->run(); });
+  loop->run_claimed(first);
   loop->run();
   std::unique_lock<std::mutex> lock(loop->mu);
   loop->cv.wait(lock, [&]() { return loop->done == n; });

@@ -55,10 +55,10 @@ class ThreadPool {
   /// every index has finished.  So at most max_helpers + 1 indices run
   /// at once.  The first exception thrown by any index is rethrown
   /// on the caller (remaining indices are skipped).  The caller claims
-  /// indices too, so the loop completes even when every worker is busy,
-  /// and calls from several threads run side by side.  A helper slice
-  /// that starts after the call returned finds no index left and never
-  /// touches `fn`.
+  /// indices too, index 0 always among them, so the loop completes even
+  /// when every worker is busy, and calls from several threads run side
+  /// by side.  A helper slice that starts after the call returned finds
+  /// no index left and never touches `fn`.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t max_helpers = SIZE_MAX);
 

@@ -192,6 +192,37 @@ TEST(SweepTest, EachPointWrapsEveryPointOnce) {
     EXPECT_EQ(curve.points()[i].total, plain.points()[i].total);
 }
 
+TEST(SweepTest, ParallelSweepStartsItsCostliestPointOnTheCaller) {
+  // A parallel sweep claims its points most CPUs first (costliest
+  // first where CPUs add scheduling work), and its caller, which claims
+  // before any helper slice is posted, starts that point itself.
+  const CompiledTrace c = record_compiled([]() {
+    workloads::fork_join(4, SimTime::millis(5));
+  });
+  const int counts[] = {2, 8, 1, 4};
+  SweepRunner runner;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::vector<int> callers_points;
+  SweepOptions opt;
+  opt.jobs = 4;
+  opt.each_point = [&](int cpus, const std::function<void()>& run) {
+    if (std::this_thread::get_id() == caller) {
+      std::lock_guard<std::mutex> lock(mu);
+      callers_points.push_back(cpus);
+    }
+    run();
+  };
+  for (int k = 0; k < 5; ++k) {
+    callers_points.clear();
+    runner.sweep(c, counts, SimConfig{}, opt);
+    ASSERT_FALSE(callers_points.empty());
+    EXPECT_EQ(callers_points.front(), 8) << "sweep " << k;
+    EXPECT_TRUE(std::is_sorted(callers_points.rbegin(), callers_points.rend()))
+        << "the caller claims points most CPUs first";
+  }
+}
+
 TEST(SweepTest, HelpersPersistAcrossSweeps) {
   // A runner starts its workers once: five parallel sweeps simulate
   // their points on the caller and the same workers, never on threads
@@ -200,7 +231,10 @@ TEST(SweepTest, HelpersPersistAcrossSweeps) {
   const CompiledTrace c = record_compiled([]() {
     workloads::fork_join(4, SimTime::millis(5));
   });
-  const int workers = std::max(1, util::ThreadPool::resolve_jobs(0) - 1);
+  // jobs = 4 asks for one worker per point beyond the caller, no more
+  // than the hardware threads allow.
+  const int in_flight =
+      std::min(4, std::max(2, util::ThreadPool::resolve_jobs(0)));
   SweepRunner runner;
   std::mutex mu;
   std::set<pid_t> tids;
@@ -213,17 +247,49 @@ TEST(SweepTest, HelpersPersistAcrossSweeps) {
     tids.insert(::gettid());
   };
   for (int k = 0; k < 5; ++k) runner.sweep(c, kCpus, SimConfig{}, opt);
-  EXPECT_LE(tids.size(), static_cast<std::size_t>(workers + 1));
+  EXPECT_LE(tids.size(), static_cast<std::size_t>(in_flight));
 
-  // A default sweep runs on every hardware thread: the caller claims
-  // points too, so it posts one helper slice per further point, as
-  // many as the workers allow.
+  // A default sweep runs default_jobs() points at once, half the
+  // hardware threads and at least two: the caller claims points too,
+  // so it posts one helper slice fewer.
+  EXPECT_EQ(SweepRunner::default_jobs(),
+            std::max(2, util::ThreadPool::resolve_jobs(0) / 2));
   const obs::Counter& posted =
       obs::Registry::global().counter("vppb_pool_tasks_total", "");
   const std::uint64_t before = posted.value();
   runner.sweep(c, kCpus, SimConfig{});
   EXPECT_EQ(posted.value() - before,
-            static_cast<std::uint64_t>(std::min(workers, 3)));
+            static_cast<std::uint64_t>(
+                std::min(SweepRunner::default_jobs(), 4) - 1));
+}
+
+TEST(SweepTest, ARunnerStartsOnlyTheWorkersItsSweepsAskFor) {
+  // A default sweep starts default_jobs() - 1 workers; a later sweep
+  // that asks for more points at once adds the missing ones.  Each
+  // point holds its thread for 2 ms, so every helper slice finds a
+  // point left to claim.
+  const CompiledTrace c = record_compiled([]() {
+    workloads::fork_join(4, SimTime::millis(5));
+  });
+  const int counts[] = {1, 2, 3, 4, 5, 6, 7, 8};
+  SweepRunner runner;
+  std::mutex mu;
+  std::set<pid_t> tids;
+  SweepOptions opt;
+  opt.each_point = [&](int, const std::function<void()>& run) {
+    run();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::lock_guard<std::mutex> lock(mu);
+    tids.insert(::gettid());
+  };
+  for (int k = 0; k < 3; ++k) runner.sweep(c, counts, SimConfig{}, opt);
+  EXPECT_LE(tids.size(),
+            static_cast<std::size_t>(SweepRunner::default_jobs()));
+
+  const int wide = std::max(2, util::ThreadPool::resolve_jobs(0));
+  opt.jobs = wide;
+  for (int k = 0; k < 3; ++k) runner.sweep(c, counts, SimConfig{}, opt);
+  EXPECT_LE(tids.size(), static_cast<std::size_t>(std::min(wide, 8)));
 }
 
 }  // namespace

@@ -366,6 +366,17 @@ TEST(ThreadPool, ParallelForInAPostedTaskCompletesOnItsCallerWhenWorkersAreBusy)
     EXPECT_EQ(r.by_index[i], r.caller) << "index " << i;
 }
 
+TEST(ThreadPool, TheCallerRunsIndexZero) {
+  util::ThreadPool pool(3);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::thread::id> by_index(4);
+    pool.parallel_for(by_index.size(), [&by_index](std::size_t i) {
+      by_index[i] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(by_index[0], std::this_thread::get_id()) << "round " << round;
+  }
+}
+
 TEST(ThreadPool, ConcurrentCallsEachSeeEveryIndexExactlyOnce) {
   util::ThreadPool pool(3);
   constexpr int kRounds = 50;

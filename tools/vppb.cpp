@@ -84,7 +84,8 @@ int usage() {
       "        semaphore counts, non-monotonic timestamps, ...)\n"
       "  predict <trace> [--max-cpus N] [--lwps N] [--comm-delay-us D]\n"
       "          [--jobs N]   (at most N points at once, no more than\n"
-      "          the hardware threads; 0 = all of them, 1 = serial)\n"
+      "          the hardware threads; 0 = half of them, at least 2;\n"
+      "          1 = serial)\n"
       "  simulate <trace> [--cpus N] [--lwps N] [--comm-delay-us D]\n"
       "           [--svg F] [--columns N]\n"
       "  analyze <trace> [--cpus N] [--lwps N] [--comm-delay-us D]\n"
@@ -1151,7 +1152,8 @@ int main(int argc, char** argv) {
   flags.define_i64("reps", 5, "validate: machine repetitions");
   flags.define_i64("jobs", 0,
                    "predict: at most N sweep points in flight, no more "
-                   "than the hardware threads (1 = serial); "
+                   "than the hardware threads (0 = half of them, at "
+                   "least 2; 1 = serial); "
                    "serve/cluster: pool workers per server (0 = all "
                    "hardware threads)");
   flags.define_string("socket", "", "serve/request: unix socket path");
