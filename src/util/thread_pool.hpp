@@ -44,9 +44,10 @@ class ThreadPool {
 
   /// Starts `n` additional workers.  Used by the server watchdog to
   /// restore pool capacity after abandoning a request whose worker is
-  /// wedged: the stuck worker keeps its thread, the replacement keeps
-  /// the pool serving.  Safe from any thread; a no-op once the pool is
-  /// stopping.
+  /// wedged (the stuck worker keeps its thread, the replacement keeps
+  /// the pool serving), and by core::SweepRunner when a sweep asks for
+  /// more points in flight than its workers allow.  Safe from any
+  /// thread; a no-op once the pool is stopping.
   void grow(int n);
 
   /// Runs fn(0) .. fn(n-1) across the calling thread and up to
