@@ -265,9 +265,10 @@ TEST(SweepTest, HelpersPersistAcrossSweeps) {
 
 TEST(SweepTest, ARunnerStartsOnlyTheWorkersItsSweepsAskFor) {
   // A default sweep starts default_jobs() - 1 workers; a later sweep
-  // that asks for more points at once adds the missing ones.  Each
-  // point holds its thread for 2 ms, so every helper slice finds a
-  // point left to claim.
+  // that asks for more points at once adds the missing ones.  A loop
+  // posts one helper slice per worker it may use, so the posted count
+  // reads the pool's size.  Each point holds its thread for 2 ms, so
+  // every helper slice finds a point left to claim.
   const CompiledTrace c = record_compiled([]() {
     workloads::fork_join(4, SimTime::millis(5));
   });
@@ -282,14 +283,21 @@ TEST(SweepTest, ARunnerStartsOnlyTheWorkersItsSweepsAskFor) {
     std::lock_guard<std::mutex> lock(mu);
     tids.insert(::gettid());
   };
+  const obs::Counter& posted =
+      obs::Registry::global().counter("vppb_pool_tasks_total", "");
+  std::uint64_t before = posted.value();
   for (int k = 0; k < 3; ++k) runner.sweep(c, counts, SimConfig{}, opt);
+  EXPECT_EQ(posted.value() - before,
+            3u * static_cast<std::uint64_t>(SweepRunner::default_jobs() - 1));
   EXPECT_LE(tids.size(),
             static_cast<std::size_t>(SweepRunner::default_jobs()));
 
-  const int wide = std::max(2, util::ThreadPool::resolve_jobs(0));
+  const int wide = std::min(8, std::max(2, util::ThreadPool::resolve_jobs(0)));
   opt.jobs = wide;
-  for (int k = 0; k < 3; ++k) runner.sweep(c, counts, SimConfig{}, opt);
-  EXPECT_LE(tids.size(), static_cast<std::size_t>(std::min(wide, 8)));
+  before = posted.value();
+  runner.sweep(c, counts, SimConfig{}, opt);
+  EXPECT_EQ(posted.value() - before, static_cast<std::uint64_t>(wide - 1));
+  EXPECT_LE(tids.size(), static_cast<std::size_t>(wide));
 }
 
 }  // namespace
